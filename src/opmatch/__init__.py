@@ -18,8 +18,8 @@ from .matcher import (
     match_all,
     match_naive,
 )
-from .seqcore import DuplicateValuesError, OrderedIntDict, rank_compress, sorting_permutation
-from .signature import Signature, SigSymbol, SlidingSignature, compute_signature, signature_hamming
+from .seqcore import DuplicateValuesError, rank_compress, sorting_permutation
+from .signature import Signature, SlidingSignature, compute_signature, signature_hamming
 from .subsequence import (
     WeightedPoint,
     WeightedSeqItem,
@@ -33,10 +33,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DuplicateValuesError",
     "MatchStats",
-    "OrderedIntDict",
     "PatternIndex",
     "Signature",
-    "SigSymbol",
     "SlidingSignature",
     "WeightedPoint",
     "WeightedSeqItem",

@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--dict-backend",
             choices=("bittrie", "sorted"),
             default=os.environ.get("OPMATCH_DICT_BACKEND"),
-            help="ordered-dictionary backend (default: bittrie)",
+            help="ordered key-set backend (default: bittrie)",
         )
     return parser
 

@@ -25,17 +25,10 @@ from typing import Sequence
 from .fragstring import RefString
 from .seqcore import DuplicateValuesError, rank_compress
 from .signature import SlidingSignature, compute_signature
-from .subsequence import (
-    WeightedPoint,
-    WeightedSeqItem,
-    heaviest_chain,
-    heaviest_increasing_subsequence,
-    lis_length_at_least,
-)
+from .subsequence import heaviest_chain, heaviest_increasing_subsequence, lis_length_at_least
 
 __all__ = [
     "PatternIndex",
-    "PathPart",
     "MatchStats",
     "k_isomorphic_subset_oracle",
     "k_isomorphic_check",
@@ -69,6 +62,11 @@ def _validate_distinct(seq: Sequence[int], name: str) -> None:
         raise DuplicateValuesError(f"distinct mode requires unique values in the {name}")
 
 
+def _validate_k(k: int) -> None:
+    if k < 0:
+        raise ValueError("k must be non-negative")
+
+
 # ---------------------------------------------------------------------------
 # Ground-truth oracles
 # ---------------------------------------------------------------------------
@@ -83,6 +81,7 @@ def k_isomorphic_subset_oracle(a: Sequence[int], b: Sequence[int], k: int) -> bo
     full <= k-subset enumeration without changing the decided predicate.
     Capped at length 14.
     """
+    _validate_k(k)
     m = len(a)
     if len(b) != m:
         raise ValueError("sequences must have equal length")
@@ -126,6 +125,7 @@ def k_isomorphic_check(
     general mode builds unit-weight points (a_i, b_i), merges duplicates, and
     compares the heaviest chain weight against m - k.
     """
+    _validate_k(k)
     m = len(a)
     if len(b) != m:
         raise ValueError("sequences must have equal length")
@@ -135,8 +135,7 @@ def k_isomorphic_check(
         _validate_distinct(b, "second sequence")
         order = sorted(range(m), key=lambda j: a[j])
         return lis_length_at_least([b[j] for j in order], m - k)
-    points = [WeightedPoint(a[j], b[j], 1) for j in range(m)]
-    weight, _ = heaviest_chain(points)
+    weight, _ = heaviest_chain([(a[j], b[j], 1) for j in range(m)])
     return weight >= m - k
 
 
@@ -145,6 +144,7 @@ def k_isomorphic_witness(
 ) -> list[int] | None:
     """Kept-position certificate (1-based, ascending) of size >= m - k whose
     elements are jointly increasing in both sequences, or None."""
+    _validate_k(k)
     m = len(a)
     if len(b) != m:
         raise ValueError("sequences must have equal length")
@@ -153,8 +153,7 @@ def k_isomorphic_witness(
         _validate_distinct(a, "first sequence")
         _validate_distinct(b, "second sequence")
         order = sorted(range(m), key=lambda j: a[j])
-        items = [WeightedSeqItem(b[j], 1) for j in order]
-        weight, idx = heaviest_increasing_subsequence(items)
+        weight, idx = heaviest_increasing_subsequence([(b[j], 1) for j in order])
         if weight < m - k:
             return None
         return sorted(order[t - 1] + 1 for t in idx)
@@ -162,11 +161,10 @@ def k_isomorphic_witness(
     for j in range(m):
         key = (a[j], b[j])
         agg[key] = agg.get(key, 0) + 1
-    points = [WeightedPoint(x, y, w) for (x, y), w in agg.items()]
-    weight, chosen = heaviest_chain(points)
+    weight, chosen = heaviest_chain([(x, y, w) for (x, y), w in agg.items()])
     if weight < m - k:
         return None
-    keep = {(p.x, p.y) for p in chosen}
+    keep = {(x, y) for x, y, _ in chosen}
     return [j + 1 for j in range(m) if (a[j], b[j]) in keep]
 
 
@@ -214,26 +212,12 @@ class PatternIndex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathPart:
-    """One piece of the maximal-path partition of window/pattern positions.
-
-    start 0 denotes the virtual floor position shared by both sequences;
-    weights over all parts of all paths sum to m + 1 including it.
-    """
-
-    start: int
-    kind: str  # "prefix", "middle", "suffix", or "whole"
-    weight: int
-    coords: tuple[float | int, float | int]  # (window value, pattern value)
-
-
 def reduce_distinct(
     window: Sequence[int], pidx: PatternIndex, mismatches: Sequence[int]
-) -> list[WeightedSeqItem]:
-    """Distinct-mode reduction: one weighted item per signature mismatch
-    position plus a floor sentinel. Item order follows ascending window
-    value, item values are pattern ranks, and each weight counts the
+) -> list[tuple[int, int]]:
+    """Distinct-mode reduction: one (value, weight) item per signature
+    mismatch position plus a floor sentinel. Item order follows ascending
+    window value, item values are pattern ranks, and each weight counts the
     positions whose agreement paths start at that mismatch. The window is
     k-isomorphic to the pattern iff the heaviest increasing subsequence
     weighs at least (m + 1) - k.
@@ -251,18 +235,22 @@ def reduce_distinct(
         prev_pos, prev_rank = p, r
     weight_of[prev_pos] = m - prev_rank
     by_window = sorted(ds, key=lambda p: window[p - 1])
-    items = [WeightedSeqItem(-1, weight_of[0])]
-    items += [WeightedSeqItem(b_rank[p - 1], weight_of[p]) for p in by_window]
-    assert sum(it.weight for it in items) == m + 1, "path weights must cover every position"
+    items = [(-1, weight_of[0])]
+    items += [(b_rank[p - 1], weight_of[p]) for p in by_window]
+    if sum(w for _, w in items) != m + 1:
+        raise RuntimeError("path weights must cover every position")
     return items
 
 
 def _path_parts(
     window: Sequence[int], pidx: PatternIndex, mismatches: Sequence[int]
-) -> list[PathPart]:
+) -> list[tuple[float | int, float | int, int]]:
     """Split every maximal agreement path into its leading equal-value run,
     the run of whole value classes in the middle, and the trailing
-    (possibly partial) class run, one weighted part each.
+    (possibly partial) class run, one part each: (window value, pattern
+    value, weight) at the part's first position. The floor path starts at
+    the virtual position 0, at (-inf, -inf); the weights of all parts sum
+    to m + 1 including it.
     """
     m = pidx.m
     class_of = pidx.class_of_pos
@@ -280,10 +268,7 @@ def _path_parts(
         idxs.sort()
     d_classes = sorted(d_by_class)
 
-    def coords_at(p: int) -> tuple[int, int]:
-        return (window[p - 1], pattern[p - 1])
-
-    parts: list[PathPart] = []
+    parts: list[tuple[float | int, float | int, int]] = []
 
     def scan_upward(c0: int) -> None:
         """Emit the middle and suffix parts of the path leaving class c0."""
@@ -311,12 +296,12 @@ def _path_parts(
         if mid_lo <= mid_hi:
             w = class_rank[mid_hi] + class_rep[mid_hi] - class_rank[mid_lo]
             pos = class_occ[mid_lo][-1]
-            parts.append(PathPart(pos, "middle", w, coords_at(pos)))
+            parts.append((window[pos - 1], pattern[pos - 1], w))
         pos = class_occ[suffix_cls][-1]
-        parts.append(PathPart(pos, "suffix", suffix_weight, coords_at(pos)))
+        parts.append((window[pos - 1], pattern[pos - 1], suffix_weight))
 
     # the floor path starts below every value class
-    parts.append(PathPart(0, "prefix", 1, (_SENTINEL, _SENTINEL)))
+    parts.append((_SENTINEL, _SENTINEL, 1))
     scan_upward(0)
 
     for p in mismatches:
@@ -327,28 +312,29 @@ def _path_parts(
         lower = in_class[t - 1] if t else 0
         run = idx - lower
         reached_leftmost = lower == 0
-        parts.append(PathPart(p, "prefix", run, coords_at(p)))
+        parts.append((window[p - 1], pattern[p - 1], run))
         if reached_leftmost:
             scan_upward(c)
 
-    assert sum(part.weight for part in parts) == m + 1, "path weights must cover every position"
+    if sum(w for _, _, w in parts) != m + 1:
+        raise RuntimeError("path weights must cover every position")
     return parts
 
 
 def reduce_general(
     window: Sequence[int], pidx: PatternIndex, mismatches: Sequence[int]
-) -> list[WeightedPoint]:
-    """General-mode reduction: collapse every path part to one weighted point
-    at its first position's (window value, pattern value) coordinates and
-    merge identical points. The window is k-isomorphic to the pattern iff
-    the heaviest chain weighs at least (m + 1) - k.
+) -> list[tuple[float | int, float | int, int]]:
+    """General-mode reduction: collapse every path part to one (x, y, weight)
+    point at its first position's (window value, pattern value) coordinates
+    and merge identical points. The window is k-isomorphic to the pattern
+    iff the heaviest chain weighs at least (m + 1) - k.
     """
-    parts = _path_parts(window, pidx, mismatches)
     agg: dict[tuple[float | int, float | int], int] = {}
-    for part in parts:
-        agg[part.coords] = agg.get(part.coords, 0) + part.weight
-    points = [WeightedPoint(x, y, w) for (x, y), w in agg.items()]
-    assert len(points) <= 3 * (len(mismatches) + 1)
+    for x, y, w in _path_parts(window, pidx, mismatches):
+        agg[x, y] = agg.get((x, y), 0) + w
+    points = [(x, y, w) for (x, y), w in agg.items()]
+    if len(points) > 3 * (len(mismatches) + 1):
+        raise RuntimeError("general reduction exceeded 3(|D|+1) points")
     return points
 
 
@@ -360,10 +346,10 @@ def verify_window(
     threshold = pidx.m + 1 - k
     if pidx.mode == "distinct":
         items = reduce_distinct(window, pidx, mismatches)
-        weight, _ = heaviest_increasing_subsequence(items, pidx.backend)
+        weight, _ = heaviest_increasing_subsequence(items)
     else:
         points = reduce_general(window, pidx, mismatches)
-        weight, _ = heaviest_chain(points, pidx.backend)
+        weight, _ = heaviest_chain(points)
     return weight >= threshold
 
 
@@ -452,8 +438,7 @@ def match_all(
     overrides the canonical cut points (gaps must stay <= m); output is
     independent of the override and of ``threads``.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    _validate_k(k)
     mode = resolve_mode(mode, text, pattern)
     if mode == "distinct":
         _validate_distinct(text, "text")
@@ -510,6 +495,7 @@ def match_naive(
     mode: str = "auto",
 ) -> list[int]:
     """Position-by-position matching through the single-alignment check."""
+    _validate_k(k)
     mode = resolve_mode(mode, text, pattern)
     if mode == "distinct":
         _validate_distinct(text, "text")

@@ -22,7 +22,7 @@ from .matcher import (
     match_all,
     verify_window,
 )
-from .seqcore import OrderedIntDict
+from .seqcore import make_key_set
 from .signature import SlidingSignature, compute_signature, signature_hamming
 from .subsequence import (
     WeightedPoint,
@@ -79,26 +79,26 @@ def _perturbed_pair(rng: random.Random, mode: str, m: int, k: int) -> tuple[list
     return a, b
 
 
-def suite_ordered_dict(rng: random.Random, iterations: int) -> list[str]:
-    """OrderedIntDict answers match a sorted-list reference under random
-    interleaved inserts/deletes/queries, on both backends."""
+def suite_key_set(rng: random.Random, iterations: int) -> list[str]:
+    """Ordered key sets answer like a plain set under random interleaved
+    adds/discards/queries, on both backends."""
     bad: list[str] = []
     for backend in ("bittrie", "sorted"):
         universe = 512
-        d = OrderedIntDict(universe, backend)
-        ref: dict[int, int] = {}
-        for step in range(iterations):
+        d = make_key_set(universe, backend)
+        ref: set[int] = set()
+        for _ in range(iterations):
             op = rng.randrange(6)
             x = rng.randrange(universe)
             if op == 0:
-                d.insert(x, step)
-                ref[x] = step
+                d.add(x)
+                ref.add(x)
             elif op == 1:
-                got = d.delete(x)
+                got = d.discard(x)
                 want = x in ref
-                ref.pop(x, None)
+                ref.discard(x)
                 if got != want:
-                    bad.append(f"{backend}: delete({x}) returned {got}, expected {want}")
+                    bad.append(f"{backend}: discard({x}) returned {got}, expected {want}")
             elif op == 2:
                 keys = [key for key in ref if key <= x]
                 want = max(keys) if keys else None
@@ -312,7 +312,7 @@ def suite_match_oracle(rng: random.Random, iterations: int, filter_cap=None) -> 
 
 def all_suites() -> list[Suite]:
     return [
-        Suite("ordered-dict", suite_ordered_dict),
+        Suite("key-set", suite_key_set),
         Suite("subsequence-solvers", suite_subsequence),
         Suite("sliding-signature", suite_sliding),
         Suite("dynstring-stream", suite_dynstring),

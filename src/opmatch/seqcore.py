@@ -1,4 +1,7 @@
-"""Sequence primitives and the ordered integer dictionary.
+"""Sequence primitives and the ordered integer key sets.
+
+The key sets (``make_key_set``) answer predecessor/successor queries for the
+sliding-window value classes and the dynamic string's fragment starts.
 
 Positions are 1-based in every public contract; the lists returned here are
 plain Python lists whose index ``j`` describes position ``j + 1``.
@@ -8,13 +11,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "RankInfo",
     "sorting_permutation",
     "rank_compress",
-    "OrderedIntDict",
     "make_key_set",
     "DuplicateValuesError",
 ]
@@ -305,52 +307,3 @@ def make_key_set(universe: int | None = None, backend: str | None = None):
     if backend == "sorted":
         return _SortedListSet(universe)
     raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-
-
-class OrderedIntDict:
-    """Ordered dictionary over integer keys with predecessor/successor queries.
-
-    pred(x)/succ(x) are inclusive of x itself when present. Inserting an
-    existing key replaces its payload; deleting a missing key is a no-op
-    that returns False.
-    """
-
-    __slots__ = ("_set", "_payload")
-
-    def __init__(self, universe: int | None = None, backend: str | None = None):
-        self._set = make_key_set(universe, backend)
-        self._payload: dict[int, Any] = {}
-
-    def __len__(self) -> int:
-        return len(self._set)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._set
-
-    def insert(self, key: int, payload: Any = None) -> None:
-        self._set.add(key)
-        self._payload[key] = payload
-
-    def delete(self, key: int) -> bool:
-        if self._set.discard(key):
-            self._payload.pop(key, None)
-            return True
-        return False
-
-    def get(self, key: int, default: Any = None) -> Any:
-        return self._payload.get(key, default)
-
-    def pred(self, x: int) -> int | None:
-        return self._set.pred(x)
-
-    def succ(self, x: int) -> int | None:
-        return self._set.succ(x)
-
-    def min(self) -> int | None:
-        return self._set.min()
-
-    def max(self) -> int | None:
-        return self._set.max()
-
-    def keys(self) -> Iterator[int]:
-        return iter(self._set)

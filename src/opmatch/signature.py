@@ -32,7 +32,6 @@ __all__ = [
     "REL_PAD",
     "MIN_PACKED",
     "PAD_PACKED",
-    "SigSymbol",
     "Signature",
     "HammingResult",
     "pack_symbol",
@@ -47,8 +46,6 @@ REL_LT = 0
 REL_EQ = 1
 REL_MIN = 2
 REL_PAD = 3
-
-_REL_NAMES = {REL_LT: "LT", REL_EQ: "EQ", REL_MIN: "NONE-MIN", REL_PAD: "PAD"}
 
 MIN_PACKED = REL_MIN
 PAD_PACKED = REL_PAD
@@ -74,23 +71,6 @@ def format_symbol(packed: int) -> str:
     return "$"
 
 
-@dataclass(frozen=True)
-class SigSymbol:
-    relation: int
-    offset: int
-
-    def packed(self) -> int:
-        return pack_symbol(self.offset, self.relation)
-
-    @classmethod
-    def from_packed(cls, packed: int) -> "SigSymbol":
-        offset, rel = unpack_symbol(packed)
-        return cls(rel, offset)
-
-    def __repr__(self) -> str:
-        return f"SigSymbol({_REL_NAMES[self.relation]}, {self.offset:+d})"
-
-
 @dataclass
 class Signature:
     """Signature of one sequence, stored as packed symbol ints."""
@@ -102,10 +82,6 @@ class Signature:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Signature) and self.packed == other.packed
-
-    @property
-    def symbols(self) -> list[SigSymbol]:
-        return [SigSymbol.from_packed(p) for p in self.packed]
 
     @property
     def offsets(self) -> list[int]:
@@ -217,7 +193,7 @@ class SlidingSignature:
         self.length = length
         self.start = 1
 
-        # Dense per-chunk value relabeling keeps the dictionary universe small.
+        # Dense per-chunk value relabeling keeps the key-set universe small.
         comp = _dense_ranks(chunk)
         self._vals = [0] + comp  # 1-based positions
         universe = max(comp) + 2
@@ -240,9 +216,6 @@ class SlidingSignature:
     def window_view(self) -> list[int]:
         """Packed symbols of the current window, read from the DynString."""
         return self.dyn.materialize_range(self.start, self.start + self.m - 1)
-
-    def window_signature(self) -> Signature:
-        return Signature(self.window_view())
 
     def first_mismatches(self, limit: int):
         """Stream the first mismatches of the current window against the
@@ -267,8 +240,8 @@ class SlidingSignature:
             cand.append(dq_v[-1])  # may stop being the rightmost occurrence
 
         dq_u = occ[u]
-        left = dq_u.popleft()
-        assert left == i, "window bookkeeping out of sync"
+        if dq_u.popleft() != i:
+            raise RuntimeError("window bookkeeping out of sync")
         if not dq_u:
             present.discard(u)
         if not dq_v:
@@ -297,15 +270,13 @@ class SlidingSignature:
                 mirror[p - 1] = sym
 
     def _symbol_at(self, p: int) -> int:
-        """Recompute position p's symbol from the current window dictionary."""
+        """Recompute position p's symbol from the current window key set."""
         v = self._vals[p]
         dq = self._occ[v]
         if dq[-1] != p:
-            if len(dq) >= 2 and dq[-2] == p:
-                nxt = dq[-1]
-            else:  # not reachable from advance(); kept for robustness
-                nxt = min(q for q in dq if q > p)
-            return pack_symbol(nxt - p, REL_EQ)
+            # advance() recomputes only rightmost occurrences and the
+            # arriving value's previous rightmost one, which is now dq[-2]
+            return pack_symbol(dq[-1] - p, REL_EQ)
         w = self._present.pred(v - 1)
         if w is None:
             return MIN_PACKED

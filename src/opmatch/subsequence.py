@@ -4,22 +4,22 @@ Three related problems back the match verifier: a decision-form longest
 strictly increasing subsequence, the heaviest strictly increasing
 subsequence of weighted items, and the heaviest chain of weighted planar
 points (strict dominance in both coordinates, equal points allowed
-together). Exponential brute-force oracles for the latter two live here as
-well so every randomized suite can check the solvers against ground truth.
+together). The solvers take plain tuples: (value, weight) items and
+(x, y, weight) points; ``WeightedSeqItem`` and ``WeightedPoint`` are named
+views of the same tuples. Exponential brute-force oracles for the latter
+two live here as well so every randomized suite can check the solvers
+against ground truth.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Any, Sequence
-
-from .seqcore import OrderedIntDict, rank_compress
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+from typing import Any, NamedTuple, Sequence
 
 __all__ = [
     "WeightedSeqItem",
     "WeightedPoint",
-    "MaxPrefixStructure",
     "lis_length_at_least",
     "heaviest_increasing_subsequence",
     "heaviest_chain",
@@ -30,16 +30,15 @@ __all__ = [
 _BRUTE_CAP = 20
 
 
-@dataclass(frozen=True)
-class WeightedSeqItem:
-    value: int
+class WeightedSeqItem(NamedTuple):
+    value: Any
     weight: int
 
 
-@dataclass(frozen=True)
-class WeightedPoint:
-    """Weighted planar point; coordinates may be ints or tuples (compared
-    lexicographically), as long as all points in one instance agree."""
+class WeightedPoint(NamedTuple):
+    """Weighted planar point; coordinates may be ints, floats or tuples
+    (compared lexicographically), as long as all points in one instance
+    are mutually comparable."""
 
     x: Any
     y: Any
@@ -65,69 +64,37 @@ def lis_length_at_least(seq: Sequence[int], target: int) -> bool:
     return False
 
 
-class MaxPrefixStructure:
-    """Prefix-maximum tracker over value slots 1..universe.
-
-    Conceptually stores v_1..v_universe (all initially unset) and answers
-    max_prefix(p) = the largest value ever set at any slot <= p. Physically
-    it keeps only a strictly increasing staircase of (slot, value) pairs in
-    an ordered dictionary, seeded with a floor entry (0, 0); dominated
-    entries are evicted on update and never needed again.
-    """
-
-    __slots__ = ("_dict", "_check")
-
-    def __init__(self, universe: int, backend: str | None = None, check: bool = False):
-        self._dict = OrderedIntDict(universe + 1, backend)
-        self._dict.insert(0, (0, None))
-        self._check = check
-
-    def max_prefix(self, p: int) -> tuple[int, Any]:
-        """(value, tag) of the best entry at any slot <= p; at least (0, None)."""
-        d = self._dict
-        return d.get(d.pred(p))
-
-    def raise_value(self, slot: int, value: int, tag: Any = None) -> None:
-        d = self._dict
-        k = d.pred(slot)
-        if d.get(k)[0] >= value:
-            return
-        d.insert(slot, (value, tag))
-        s = d.succ(slot + 1)
-        while s is not None and d.get(s)[0] <= value:
-            d.delete(s)
-            s = d.succ(slot + 1)
-        if self._check:
-            self._assert_staircase()
-
-    def _assert_staircase(self) -> None:
-        prev = None
-        for k in self._dict.keys():
-            v = self._dict.get(k)[0]
-            assert prev is None or v > prev, "staircase violated"
-            prev = v
-
-
-def heaviest_increasing_subsequence(
-    items: Sequence[WeightedSeqItem], backend: str | None = None
-) -> tuple[int, list[int]]:
-    """Maximum total weight over strictly increasing subsequences.
+def heaviest_increasing_subsequence(items: Sequence[tuple[Any, int]]) -> tuple[int, list[int]]:
+    """Maximum total weight over strictly increasing subsequences of
+    (value, weight) items.
 
     Returns (weight, witness) where witness lists the chosen 1-based item
     indices in order. With all weights 1 this equals the classic LIS length.
+
+    The staircase holds, in three parallel lists, the best weight of a
+    subsequence ending at or below each stored value, with values and
+    weights both strictly increasing; an empty subsequence of weight 0
+    sits below it. An item extends the best entry with a smaller value,
+    enters at its own value unless an entry at or below that value weighs
+    as much, and evicts the entries above it that it now dominates.
     """
-    if not items:
-        return 0, []
-    comp, _ = rank_compress([it.value for it in items])
-    st = MaxPrefixStructure(len(items) + 1, backend)
+    vals: list[Any] = []
+    best: list[int] = []
+    tags: list[int] = []
     parents: list[int | None] = [None] * len(items)
     best_w = 0
     best_i: int | None = None
-    for i, it in enumerate(items):
-        base, tag = st.max_prefix(comp[i] - 1)
-        r = base + it.weight
-        parents[i] = tag
-        st.raise_value(comp[i], r, i)
+    for i, (v, w) in enumerate(items):
+        j = bisect_left(vals, v)
+        base = best[j - 1] if j else 0
+        r = base + w
+        if r <= (best[j] if j < len(vals) and vals[j] == v else base):
+            continue
+        parents[i] = tags[j - 1] if j else None
+        e = bisect_right(best, r, j)
+        vals[j:e] = (v,)
+        best[j:e] = (r,)
+        tags[j:e] = (i,)
         if r > best_w:
             best_w = r
             best_i = i
@@ -139,41 +106,34 @@ def heaviest_increasing_subsequence(
     return best_w, witness
 
 
-def heaviest_chain(
-    points: Sequence[WeightedPoint], backend: str | None = None
-) -> tuple[int, list[WeightedPoint]]:
-    """Maximum total weight over chains of planar points.
+def heaviest_chain(points: Sequence[tuple[Any, Any, int]]) -> tuple[int, list[WeightedPoint]]:
+    """Maximum total weight over chains of (x, y, weight) planar points.
 
     A chain may contain equal points (their weights add up after duplicate
     collapse) and otherwise requires strict dominance in both coordinates.
-    Duplicates are collapsed, points are ordered by (x asc, y desc), the y
-    coordinates are rank-normalized with ties mapped to equal ranks, and the
-    result is a strict heaviest increasing subsequence: equal ranks exclude
-    same-y pairs, the descending tie order excludes same-x pairs.
+    Duplicates are collapsed and the points ordered by (x asc, y desc); a
+    strictly increasing subsequence of their y values is then exactly a
+    chain: strict y excludes same-y pairs, the descending tie order
+    excludes same-x pairs.
     """
-    if not points:
-        return 0, []
     agg: dict[tuple[Any, Any], int] = {}
-    for p in points:
-        key = (p.x, p.y)
-        agg[key] = agg.get(key, 0) + p.weight
-    order = sorted(agg)
-    order.sort(key=lambda t: t[1], reverse=True)
-    order.sort(key=lambda t: t[0])
-    y_rank = {y: r + 1 for r, y in enumerate(sorted({y for _, y in agg}))}
-    items = [WeightedSeqItem(y_rank[y], agg[(x, y)]) for x, y in order]
-    weight, idx_witness = heaviest_increasing_subsequence(items, backend)
+    for x, y, w in points:
+        key = (x, y)
+        agg[key] = agg.get(key, 0) + w
+    order = sorted(agg, key=itemgetter(1), reverse=True)
+    order.sort(key=itemgetter(0))
+    weight, idx_witness = heaviest_increasing_subsequence([(y, agg[x, y]) for x, y in order])
     witness = [WeightedPoint(*order[i - 1], agg[order[i - 1]]) for i in idx_witness]
     return weight, witness
 
 
-def his_bruteforce(items: Sequence[WeightedSeqItem]) -> int:
+def his_bruteforce(items: Sequence[tuple[Any, int]]) -> int:
     """Exact optimum by enumerating every subset; rejects more than 20 items."""
     n = len(items)
     if n > _BRUTE_CAP:
         raise ValueError(f"brute force capped at {_BRUTE_CAP} items, got {n}")
-    vals = [it.value for it in items]
-    wts = [it.weight for it in items]
+    vals = [v for v, _ in items]
+    wts = [w for _, w in items]
     best = 0
     for mask in range(1 << n):
         prev = None
@@ -191,7 +151,7 @@ def his_bruteforce(items: Sequence[WeightedSeqItem]) -> int:
     return best
 
 
-def chain_bruteforce(points: Sequence[WeightedPoint]) -> int:
+def chain_bruteforce(points: Sequence[tuple[Any, Any, int]]) -> int:
     """Exact optimum by enumerating every subset of (possibly duplicated)
     points; pairs must be equal or strictly dominating either way."""
     n = len(points)
@@ -203,19 +163,19 @@ def chain_bruteforce(points: Sequence[WeightedPoint]) -> int:
         ok = True
         for i in range(len(chosen)):
             for j in range(i + 1, len(chosen)):
-                p, q = chosen[i], chosen[j]
-                if p.x == q.x and p.y == q.y:
+                (px, py, _), (qx, qy, _) = chosen[i], chosen[j]
+                if px == qx and py == qy:
                     continue
-                if p.x < q.x and p.y < q.y:
+                if px < qx and py < qy:
                     continue
-                if p.x > q.x and p.y > q.y:
+                if px > qx and py > qy:
                     continue
                 ok = False
                 break
             if not ok:
                 break
         if ok:
-            total = sum(p.weight for p in chosen)
+            total = sum(w for _, _, w in chosen)
             if total > best:
                 best = total
     return best

@@ -44,6 +44,21 @@ def test_match_bad_input_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["match", *FIG, "--k", "-1"],
+        ["match", *FIG, "--k", "-1", "--algorithm", "naive"],
+        ["verify", *FIG, "--k", "-1", "--at", "4"],
+    ],
+)
+def test_negative_k_exit_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "k must be non-negative" in err
+
+
 def test_match_json_encodes_same_occurrences(capsys):
     _, plain, _ = run_cli(capsys, "match", *FIG, "--k", "1")
     _, as_json, _ = run_cli(capsys, "match", *FIG, "--k", "1", "--json")

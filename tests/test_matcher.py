@@ -153,8 +153,7 @@ def test_witness_fig_example():
 def test_reduce_distinct_no_mismatches_single_item():
     pidx = PatternIndex(FIG_PATTERN, "distinct")
     items = reduce_distinct(FIG_PATTERN, pidx, [])
-    assert len(items) == 1
-    assert items[0].weight == len(FIG_PATTERN) + 1
+    assert items == [(-1, len(FIG_PATTERN) + 1)]
 
 
 def test_reduce_distinct_fig_window_accepts():
@@ -183,13 +182,13 @@ def test_reduce_weights_always_cover_every_position():
         ds = signature_hamming(compute_signature(a, mode), pidx.signature).positions
         if mode == "distinct":
             items = reduce_distinct(a, pidx, ds)
-            assert sum(it.weight for it in items) == m + 1
+            assert sum(w for _, w in items) == m + 1
             assert len(items) == len(ds) + 1
         else:
             parts = _path_parts(a, pidx, ds)
-            assert sum(p.weight for p in parts) == m + 1
+            assert sum(w for _, _, w in parts) == m + 1
             points = reduce_general(a, pidx, ds)
-            assert sum(p.weight for p in points) == m + 1
+            assert sum(w for _, _, w in points) == m + 1
             assert len(points) <= 3 * (len(ds) + 1)
 
 
@@ -220,7 +219,7 @@ def test_reduce_general_merges_identical_points():
     # both sequences constant: every part shares one coordinate pair
     pidx = PatternIndex([7, 7, 7], "general")
     points = reduce_general([5, 5, 5], pidx, [])
-    assert sum(p.weight for p in points) == 4
+    assert sum(w for _, _, w in points) == 4
     weight, _ = heaviest_chain(points)
     assert weight == 4
 
@@ -257,6 +256,41 @@ def test_match_empty_cases():
         match_all([1, 2, 3], [], 0)
     with pytest.raises(ValueError):
         match_all([1, 2, 3], [1], -1)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [k_isomorphic_check, k_isomorphic_witness, k_isomorphic_subset_oracle, match_naive, match_all],
+)
+def test_negative_k_rejected_by_every_entry_point(entry):
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        entry(FIG_PATTERN, FIG_PATTERN, -1)
+
+
+def test_path_weight_check_survives_optimize_flag():
+    # a duplicated mismatch position breaks the path-weight sum; the check
+    # must raise even where ``python -O`` strips asserts
+    import os
+    import subprocess
+    import sys
+
+    import opmatch
+
+    src = os.path.dirname(os.path.dirname(opmatch.__file__))
+    code = (
+        "from opmatch.matcher import PatternIndex, reduce_distinct\n"
+        "pidx = PatternIndex([1, 4, 2, 5, 11], 'distinct')\n"
+        "try:\n"
+        "    reduce_distinct([4, 8, 5, 7, 9], pidx, [2, 2])\n"
+        "except RuntimeError as exc:\n"
+        "    print('raised', __debug__, exc)\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out == "raised False path weights must cover every position\n"
 
 
 def test_match_chunk_rejects_short_chunk():

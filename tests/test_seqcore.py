@@ -4,7 +4,7 @@ import pytest
 
 from opmatch.seqcore import (
     DuplicateValuesError,
-    OrderedIntDict,
+    make_key_set,
     rank_compress,
     sorting_permutation,
 )
@@ -67,42 +67,35 @@ def test_sorting_permutation_sorts_by_value_then_position():
 
 @pytest.mark.parametrize("backend", ["bittrie", "sorted"])
 def test_dict_basic_semantics(backend):
-    d = OrderedIntDict(100, backend)
-    d.insert(3)
-    d.insert(7)
+    d = make_key_set(100, backend)
+    assert d.add(3) is True
+    assert d.add(7) is True
+    assert d.add(7) is False  # present add is a reported no-op
+    assert len(d) == 2
     assert d.pred(5) == 3
     assert d.succ(7) == 7  # inclusive bound
     assert d.pred(3) == 3
-    assert d.delete(3) is True
-    assert d.delete(3) is False  # absent delete is a reported no-op
+    assert d.discard(3) is True
+    assert d.discard(3) is False  # absent discard is a reported no-op
     assert d.pred(5) is None
     assert d.succ(0) == 7
     assert d.min() == 7 and d.max() == 7
 
 
 @pytest.mark.parametrize("backend", ["bittrie", "sorted"])
-def test_dict_insert_replaces_payload(backend):
-    d = OrderedIntDict(16, backend)
-    d.insert(4, "a")
-    d.insert(4, "b")
-    assert len(d) == 1
-    assert d.get(4) == "b"
-
-
-@pytest.mark.parametrize("backend", ["bittrie", "sorted"])
 def test_dict_matches_reference_on_random_interleavings(backend):
     rng = random.Random(11)
     universe = 700
-    d = OrderedIntDict(universe, backend)
+    d = make_key_set(universe, backend)
     ref: set[int] = set()
-    for step in range(100_000):
+    for _ in range(100_000):
         op = rng.randrange(7)
         x = rng.randrange(universe)
         if op <= 1:
-            d.insert(x, step)
+            assert d.add(x) == (x not in ref)
             ref.add(x)
         elif op == 2:
-            assert d.delete(x) == (x in ref)
+            assert d.discard(x) == (x in ref)
             ref.discard(x)
         elif op == 3:
             want = max((y for y in ref if y <= x), default=None)
@@ -115,24 +108,25 @@ def test_dict_matches_reference_on_random_interleavings(backend):
         else:
             assert d.min() == (min(ref) if ref else None)
             assert d.max() == (max(ref) if ref else None)
-    assert sorted(ref) == list(d.keys())
+    assert sorted(ref) == list(d)
+    assert len(d) == len(ref)
 
 
 def test_bittrie_multilevel_universe():
-    d = OrderedIntDict(70_000, "bittrie")
+    d = make_key_set(70_000, "bittrie")
     keys = [0, 1, 255, 256, 65_535, 65_536, 69_999]
     for x in keys:
-        d.insert(x)
-    assert list(d.keys()) == keys
+        d.add(x)
+    assert list(d) == keys
     assert d.pred(65_534) == 256
     assert d.succ(65_537) == 69_999
     assert d.pred(69_998) == 65_536
 
 
 def test_bittrie_rejects_out_of_universe():
-    d = OrderedIntDict(10, "bittrie")
+    d = make_key_set(10, "bittrie")
     with pytest.raises(ValueError):
-        d.insert(10)
+        d.add(10)
 
 
 def test_duplicate_values_error_is_value_error():

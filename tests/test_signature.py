@@ -7,7 +7,6 @@ from opmatch.signature import (
     REL_EQ,
     REL_LT,
     REL_MIN,
-    SigSymbol,
     SlidingSignature,
     compute_signature,
     pack_symbol,
@@ -32,9 +31,9 @@ def test_golden_offsets():
     sig_b = compute_signature(SEQ_B, "distinct")
     assert sig_a.offsets == OFFS_A
     assert sig_b.offsets == OFFS_B
-    assert sig_a.symbols[11] == SigSymbol(REL_MIN, 0)
-    assert sig_b.symbols[11] == SigSymbol(REL_MIN, 0)
-    assert all(s.relation in (REL_LT, REL_MIN) for s in sig_a.symbols)
+    assert unpack_symbol(sig_a.packed[11]) == (0, REL_MIN)
+    assert unpack_symbol(sig_b.packed[11]) == (0, REL_MIN)
+    assert all(unpack_symbol(p)[1] in (REL_LT, REL_MIN) for p in sig_a.packed)
 
 
 def test_golden_hamming_distance():
@@ -63,19 +62,19 @@ def test_hamming_length_mismatch():
 
 def test_sorted_chain_signature():
     sig = compute_signature([1, 2, 3], "distinct")
-    assert sig.symbols == [
-        SigSymbol(REL_MIN, 0),
-        SigSymbol(REL_LT, -1),
-        SigSymbol(REL_LT, -1),
+    assert [unpack_symbol(p) for p in sig.packed] == [
+        (0, REL_MIN),
+        (-1, REL_LT),
+        (-1, REL_LT),
     ]
 
 
 def test_general_mode_with_repeats():
     sig = compute_signature([5, 5, 2], "general")
-    assert sig.symbols == [
-        SigSymbol(REL_EQ, 1),
-        SigSymbol(REL_LT, 1),
-        SigSymbol(REL_MIN, 0),
+    assert [unpack_symbol(p) for p in sig.packed] == [
+        (1, REL_EQ),
+        (1, REL_LT),
+        (0, REL_MIN),
     ]
 
 

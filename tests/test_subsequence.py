@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opmatch.subsequence import (
-    MaxPrefixStructure,
     WeightedPoint,
     WeightedSeqItem,
     chain_bruteforce,
@@ -69,16 +70,30 @@ def test_his_equal_values_never_chain():
     assert weight == 3
 
 
-@pytest.mark.parametrize("backend", ["bittrie", "sorted"])
-def test_his_matches_bruteforce(backend):
+# The solvers bisect raw values, so they must be exact both on the bounded
+# non-negative int keys a ``bittrie`` key set holds and on any mutually
+# comparable keys, as a ``sorted`` key set takes (here -inf, floats and ints
+# mixed, the way ``reduce_general`` emits them).
+_MIXED_KEYS = (float("-inf"), -2.5, -1, 0, 0.5, 3, 3.25, 7)
+
+
+def _random_key(rng, keys, hi):
+    if keys == "bittrie":
+        return rng.randint(0, hi)
+    return rng.choice(_MIXED_KEYS[: hi + 1])
+
+
+@pytest.mark.parametrize("keys", ["bittrie", "sorted"])
+def test_his_matches_bruteforce(keys):
     rng = random.Random(17)
     for _ in range(2000):
         ell = rng.randint(0, 10)
         items = [
-            WeightedSeqItem(rng.randint(0, 7), rng.randint(1, 9)) for _ in range(ell)
+            WeightedSeqItem(_random_key(rng, keys, 7), rng.randint(1, 9))
+            for _ in range(ell)
         ]
         want = his_bruteforce(items)
-        got, witness = heaviest_increasing_subsequence(items, backend)
+        got, witness = heaviest_increasing_subsequence(items)
         assert got == want
         vals = [items[i - 1].value for i in witness]
         assert all(x < y for x, y in zip(vals, vals[1:]))
@@ -114,17 +129,19 @@ def test_chain_empty():
     assert chain_bruteforce([]) == 0
 
 
-@pytest.mark.parametrize("backend", ["bittrie", "sorted"])
-def test_chain_matches_bruteforce(backend):
+@pytest.mark.parametrize("keys", ["bittrie", "sorted"])
+def test_chain_matches_bruteforce(keys):
     rng = random.Random(23)
     for _ in range(2000):
         ell = rng.randint(0, 10)
         pts = [
-            WeightedPoint(rng.randint(0, 4), rng.randint(0, 4), rng.randint(1, 9))
+            WeightedPoint(
+                _random_key(rng, keys, 4), _random_key(rng, keys, 4), rng.randint(1, 9)
+            )
             for _ in range(ell)
         ]
         want = chain_bruteforce(pts)
-        got, chosen = heaviest_chain(pts, backend)
+        got, chosen = heaviest_chain(pts)
         assert got == want
         assert sum(p.weight for p in chosen) == got
         assert chain_bruteforce(chosen) == got  # witness is itself a valid chain
@@ -155,20 +172,124 @@ def test_bruteforce_caps():
         chain_bruteforce([WeightedPoint(0, 0, 1)] * 21)
 
 
-def test_max_prefix_structure_matches_naive_array():
-    rng = random.Random(31)
-    for backend in ("bittrie", "sorted"):
-        universe = 40
-        st = MaxPrefixStructure(universe, backend, check=True)
-        naive = [None] * (universe + 1)
-        for _ in range(3000):
-            if rng.random() < 0.6:
-                slot = rng.randint(1, universe)
-                value = rng.randint(1, 50)
-                st.raise_value(slot, value, slot)
-                if naive[slot] is None or naive[slot] < value:
-                    naive[slot] = value
-            else:
-                p = rng.randint(0, universe)
-                want = max((v for v in naive[: p + 1] if v is not None), default=0)
-                assert st.max_prefix(p)[0] == want
+def test_solvers_take_plain_tuples():
+    assert heaviest_increasing_subsequence([(2, 5), (1, 4), (3, 1)]) == (6, [1, 3])
+    weight, chosen = heaviest_chain([(1, 1, 2), (1, 1, 3), (2, 2, 1)])
+    assert weight == 6
+    assert chosen == [(1, 1, 5), (2, 2, 1)]
+    assert chosen[0].weight == 5
+
+
+# ---------------------------------------------------------------------------
+# beyond the brute-force cap: quadratic DP references, up to ~300 items
+# ---------------------------------------------------------------------------
+
+NEG_INF = float("-inf")
+
+
+def his_dp(items):
+    """O(l^2) reference: best weight of a strictly increasing subsequence
+    ending at each item."""
+    best = []
+    for i, (v, w) in enumerate(items):
+        best.append(w + max((best[j] for j in range(i) if items[j][0] < v), default=0))
+    return max(best, default=0)
+
+
+def chain_dp(points):
+    """O(l^2) reference over the raw points (duplicates kept): in (x, y)
+    order, each point extends the best chain of an earlier point that it
+    equals or strictly dominates."""
+    pts = sorted(points, key=lambda p: (p[0], p[1]))
+    best = []
+    for i, (x, y, w) in enumerate(pts):
+        best.append(
+            w
+            + max(
+                (
+                    best[j]
+                    for j in range(i)
+                    if (pts[j][0], pts[j][1]) == (x, y) or (pts[j][0] < x and pts[j][1] < y)
+                ),
+                default=0,
+            )
+        )
+    return max(best, default=0)
+
+
+@st.composite
+def shaped_values(draw, size):
+    """``size`` values in one of the shapes the solvers must handle: all
+    equal, strictly increasing, strictly decreasing, few distinct, wide
+    random, or ints mixed with -inf (the reductions' floor coordinate)."""
+    shape = draw(st.sampled_from(["equal", "increasing", "decreasing", "few", "wide", "neg-inf"]))
+    if shape == "equal":
+        return [draw(st.integers(-5, 5))] * size
+    if shape in ("increasing", "decreasing"):
+        start = draw(st.integers(-1000, 1000))
+        steps = draw(st.lists(st.integers(1, 50), min_size=size, max_size=size))
+        vals, acc = [], start
+        for d in steps:
+            acc += d
+            vals.append(acc)
+        return vals if shape == "increasing" else vals[::-1]
+    if shape == "few":
+        return draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    if shape == "wide":
+        return draw(st.lists(st.integers(-(10**9), 10**9), min_size=size, max_size=size))
+    return draw(
+        st.lists(st.one_of(st.just(NEG_INF), st.integers(-3, 3)), min_size=size, max_size=size)
+    )
+
+
+def shaped_weights(size):
+    """Unit, small, or widely gapped weights; large gaps force staircase
+    inserts between two entries that dominate neither."""
+    return st.one_of(
+        st.just([1] * size),
+        st.lists(st.integers(1, 9), min_size=size, max_size=size),
+        st.lists(st.sampled_from([1, 2, 1000, 10**6]), min_size=size, max_size=size),
+    )
+
+
+@st.composite
+def his_instances(draw):
+    size = draw(st.integers(0, 300))
+    vals = draw(shaped_values(size))
+    weights = draw(shaped_weights(size))
+    return list(zip(vals, weights))
+
+
+@st.composite
+def chain_instances(draw):
+    size = draw(st.integers(0, 300))
+    xs = draw(shaped_values(size))
+    ys = draw(shaped_values(size))
+    weights = draw(shaped_weights(size))
+    return list(zip(xs, ys, weights))
+
+
+@settings(max_examples=150, deadline=None)
+@given(his_instances())
+def test_his_matches_quadratic_dp(items):
+    got, witness = heaviest_increasing_subsequence(items)
+    assert got == his_dp(items)
+    assert witness == sorted(set(witness))
+    assert all(1 <= i <= len(items) for i in witness)
+    vals = [items[i - 1][0] for i in witness]
+    assert all(x < y for x, y in zip(vals, vals[1:]))
+    assert sum(items[i - 1][1] for i in witness) == got
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_instances())
+def test_chain_matches_quadratic_dp(points):
+    got, chosen = heaviest_chain(points)
+    assert got == chain_dp(points)
+    assert sum(p.weight for p in chosen) == got
+    totals = {}
+    for x, y, w in points:
+        totals[x, y] = totals.get((x, y), 0) + w
+    for p, q in zip(chosen, chosen[1:]):
+        assert p.x < q.x and p.y < q.y
+    assert all(p.weight == totals[p.x, p.y] for p in chosen)
