@@ -63,6 +63,15 @@ def _load_sequences(args) -> tuple[list[int], list[int], int, str]:
     return text, pattern, k if k is not None else 0, mode or "auto"
 
 
+def _add_backend_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--dict-backend",
+        choices=("bittrie", "sorted"),
+        default=os.environ.get("OPMATCH_DICT_BACKEND"),
+        help="ordered key-set backend (default: bittrie)",
+    )
+
+
 def cmd_match(args) -> int:
     text, pattern, k, mode = _load_sequences(args)
     if args.algorithm == "naive":
@@ -196,6 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=("fast", "naive"), default="fast")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
+    _add_backend_flag(p)
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("verify", help="check one alignment and print a witness")
@@ -231,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--naive-cap", type=int, default=5000,
                    help="max windows to time naively before extrapolating")
     p.add_argument("--csv", action="store_true")
+    _add_backend_flag(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("selftest", help="run the randomized oracle suites")
@@ -238,13 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_selftest)
 
-    for sp in sub.choices.values():
-        sp.add_argument(
-            "--dict-backend",
-            choices=("bittrie", "sorted"),
-            default=os.environ.get("OPMATCH_DICT_BACKEND"),
-            help="ordered key-set backend (default: bittrie)",
-        )
     return parser
 
 

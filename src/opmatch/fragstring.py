@@ -80,7 +80,7 @@ class _SparseTable:
         width = 1
         while 2 * width <= len(data):
             prev = rows[-1]
-            rows.append([min(prev[i], prev[i + width]) for i in range(len(prev) - width)])
+            rows.append(list(map(min, prev[:-width], prev[width:])))
             width <<= 1
         self._rows = rows
 

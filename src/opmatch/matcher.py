@@ -143,7 +143,11 @@ def k_isomorphic_witness(
     a: Sequence[int], b: Sequence[int], k: int, mode: str = "auto"
 ) -> list[int] | None:
     """Kept-position certificate (1-based, ascending) of size >= m - k whose
-    elements are jointly increasing in both sequences, or None."""
+    elements are jointly increasing in both sequences, or None.
+
+    General mode passes unit-weight points (a_i, b_i) to the heaviest chain,
+    which merges duplicates, and keeps every position whose point it chose.
+    """
     _validate_k(k)
     m = len(a)
     if len(b) != m:
@@ -157,11 +161,7 @@ def k_isomorphic_witness(
         if weight < m - k:
             return None
         return sorted(order[t - 1] + 1 for t in idx)
-    agg: dict[tuple[int, int], int] = {}
-    for j in range(m):
-        key = (a[j], b[j])
-        agg[key] = agg.get(key, 0) + 1
-    weight, chosen = heaviest_chain([(x, y, w) for (x, y), w in agg.items()])
+    weight, chosen = heaviest_chain([(a[j], b[j], 1) for j in range(m)])
     if weight < m - k:
         return None
     keep = {(x, y) for x, y, _ in chosen}
@@ -325,14 +325,12 @@ def reduce_general(
     window: Sequence[int], pidx: PatternIndex, mismatches: Sequence[int]
 ) -> list[tuple[float | int, float | int, int]]:
     """General-mode reduction: collapse every path part to one (x, y, weight)
-    point at its first position's (window value, pattern value) coordinates
-    and merge identical points. The window is k-isomorphic to the pattern
-    iff the heaviest chain weighs at least (m + 1) - k.
+    point at its first position's (window value, pattern value) coordinates.
+    Parts may share a point; ``heaviest_chain`` merges them, so they are
+    returned unmerged. The window is k-isomorphic to the pattern iff the
+    heaviest chain weighs at least (m + 1) - k.
     """
-    agg: dict[tuple[float | int, float | int], int] = {}
-    for x, y, w in _path_parts(window, pidx, mismatches):
-        agg[x, y] = agg.get((x, y), 0) + w
-    points = [(x, y, w) for (x, y), w in agg.items()]
+    points = _path_parts(window, pidx, mismatches)
     if len(points) > 3 * (len(mismatches) + 1):
         raise RuntimeError("general reduction exceeded 3(|D|+1) points")
     return points

@@ -44,7 +44,7 @@ class RankInfo:
 
 def sorting_permutation(seq: Sequence[int]) -> list[int]:
     """Positions 1..len(seq) ordered by value, ties broken by position."""
-    return sorted(range(1, len(seq) + 1), key=lambda p: seq[p - 1])
+    return [j + 1 for j in sorted(range(len(seq)), key=seq.__getitem__)]
 
 
 def rank_compress(seq: Sequence[int]) -> tuple[list[int], RankInfo]:
@@ -53,7 +53,7 @@ def rank_compress(seq: Sequence[int]) -> tuple[list[int], RankInfo]:
     the input. Deterministic and idempotent on its own output.
     """
     m = len(seq)
-    perm = sorting_permutation(seq)
+    order = sorted(range(m), key=seq.__getitem__)
     compressed = [0] * m
     rank = [0] * m
     equal_rank = [0] * m
@@ -61,19 +61,19 @@ def rank_compress(seq: Sequence[int]) -> tuple[list[int], RankInfo]:
     d = 0
     i = 0
     while i < m:
-        v = seq[perm[i] - 1]
+        v = seq[order[i]]
         j = i
-        while j < m and seq[perm[j] - 1] == v:
+        while j < m and seq[order[j]] == v:
             j += 1
         d += 1
         for t in range(i, j):
-            p = perm[t] - 1
+            p = order[t]
             compressed[p] = d
             rank[p] = i
             equal_rank[p] = t - i
             rep[p] = j - i
         i = j
-    return compressed, RankInfo(perm, rank, equal_rank, rep)
+    return compressed, RankInfo([j + 1 for j in order], rank, equal_rank, rep)
 
 
 # ---------------------------------------------------------------------------

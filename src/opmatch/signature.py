@@ -18,7 +18,6 @@ On duplicate-free input both modes agree symbol for symbol.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -99,29 +98,36 @@ def compute_signature(seq: Sequence[int], mode: str = "distinct") -> Signature:
     """
     if mode not in ("distinct", "general"):
         raise ValueError(f"unknown mode {mode!r}")
-    m = len(seq)
-    order = sorted(range(m), key=lambda j: (seq[j], j))
-    out = [0] * m
-    prev_leftmost: int | None = None
-    i = 0
-    while i < m:
-        v = seq[order[i]]
-        j = i
-        while j < m and seq[order[j]] == v:
-            j += 1
-        if mode == "distinct" and j - i > 1:
-            raise DuplicateValuesError(f"value {v} repeats; distinct mode requires unique values")
-        occ = order[i:j]
-        for t in range(len(occ) - 1):
-            out[occ[t]] = pack_symbol(occ[t + 1] - occ[t], REL_EQ)
-        rightmost = occ[-1]
-        if prev_leftmost is None:
-            out[rightmost] = MIN_PACKED
+    return Signature(_class_walk(seq, sorted(range(len(seq)), key=seq.__getitem__), mode))
+
+
+def _class_walk(seq: Sequence[int], order: list[int], mode: str) -> list[int]:
+    """Packed symbols of positions 0..len(order)-1 of ``seq``, given exactly
+    those positions ordered by value, ties by position.
+
+    Each value class is one run of ``order``. Every occurrence but the last
+    points at the next one (EQ); the rightmost points at the leftmost
+    occurrence of the class below (LT), or is NONE-MIN in the lowest class.
+    """
+    out = [0] * len(order)
+    below = leftmost = prev = -1
+    prev_v = None
+    for p in order:
+        v = seq[p]
+        if v == prev_v:
+            if mode == "distinct":
+                raise DuplicateValuesError(f"value {v} repeats; distinct mode requires unique values")
+            out[prev] = pack_symbol(p - prev, REL_EQ)
         else:
-            out[rightmost] = pack_symbol(prev_leftmost - rightmost, REL_LT)
-        prev_leftmost = occ[0]
-        i = j
-    return Signature(out)
+            if prev >= 0:
+                out[prev] = MIN_PACKED if below < 0 else pack_symbol(below - prev, REL_LT)
+                below = leftmost
+            leftmost = p
+            prev_v = v
+        prev = p
+    if prev >= 0:
+        out[prev] = MIN_PACKED if below < 0 else pack_symbol(below - prev, REL_LT)
+    return out
 
 
 @dataclass
@@ -167,6 +173,16 @@ class SlidingSignature:
     arriving position's symbol, the displaced rightmost occurrence of the
     arriving value, and the rightmost occurrences of the value classes just
     above the departing and arriving values.
+
+    Set-up sorts the chunk once. That one order gives the dense value ranks,
+    the occurrence links ``_nxt[p]`` (the next chunk position holding the
+    same value, 0 for none) and the first window's signature. The window's
+    value classes are then flat per-rank ints: ``_first[v]`` and ``_last[v]``
+    hold the leftmost and rightmost occurrence in the window (0 when absent),
+    and the ``_present`` key set holds the ranks present. Since a window
+    holds every chunk position between its ends, the occurrences of one
+    value in it follow the ``_nxt`` links from ``_first[v]`` to ``_last[v]``,
+    so set-up and every list stay O(m) words.
     """
 
     def __init__(
@@ -186,29 +202,51 @@ class SlidingSignature:
             raise ValueError(f"chunk of length {length} exceeds 2m = {2 * m}")
         if mode not in ("distinct", "general"):
             raise ValueError(f"unknown mode {mode!r}")
-        if mode == "distinct" and len(set(chunk)) != length:
-            raise DuplicateValuesError("distinct mode requires a duplicate-free chunk")
         self.mode = mode
         self.m = m
         self.length = length
         self.start = 1
 
-        # Dense per-chunk value relabeling keeps the key-set universe small.
-        comp = _dense_ranks(chunk)
-        self._vals = [0] + comp  # 1-based positions
-        universe = max(comp) + 2
-        self._present = make_key_set(universe, backend)
-        self._occ: list[deque[int]] = [deque() for _ in range(universe)]
-        for p in range(1, m + 1):
-            v = self._vals[p]
-            if not self._occ[v]:
-                self._present.add(v)
-            self._occ[v].append(p)
+        order = sorted(range(length), key=chunk.__getitem__)
+        # 1-based position tables; dense ranks keep the key-set universe small
+        vals = [0] * (length + 1)
+        nxt = [0] * (length + 1)
+        rank = 0
+        prev = -1
+        prev_v = None
+        for j in order:
+            v = chunk[j]
+            p = j + 1
+            if v == prev_v:
+                nxt[prev] = p
+            else:
+                rank += 1
+                prev_v = v
+            vals[p] = rank
+            prev = p
+        if mode == "distinct" and rank != length:
+            raise DuplicateValuesError("distinct mode requires a duplicate-free chunk")
+        self._vals = vals
+        self._nxt = nxt
+        first = [0] * (rank + 2)
+        last = [0] * (rank + 2)
+        present = make_key_set(rank + 2, backend)
+        window_order = [j for j in order if j < m]
+        for j in window_order:
+            p = j + 1
+            v = vals[p]
+            if not first[v]:
+                first[v] = p
+                present.add(v)
+            last[v] = p
+        self._first = first
+        self._last = last
+        self._present = present
 
-        first = compute_signature(chunk[:m], mode)
-        mirror = list(first.packed) + [PAD_PACKED] * m
+        packed = _class_walk(chunk, window_order, mode)
+        mirror = packed + [PAD_PACKED] * m
         if ref is None:
-            ref = RefString(first.packed)
+            ref = RefString(packed)
         self.ref = ref
         self.dyn = DynString(ref, mirror, backend)
         self._mirror = mirror
@@ -229,41 +267,41 @@ class SlidingSignature:
         if i + m > self.length:
             raise ValueError("cannot advance: window would leave the chunk")
         vals = self._vals
-        occ = self._occ
+        first = self._first
+        last = self._last
         present = self._present
+        arriving = i + m
         u = vals[i]
-        v = vals[i + m]
+        v = vals[arriving]
 
-        cand = [i + m]
-        dq_v = occ[v]
-        if dq_v:
-            cand.append(dq_v[-1])  # may stop being the rightmost occurrence
-
-        dq_u = occ[u]
-        if dq_u.popleft() != i:
+        if first[u] != i:
             raise RuntimeError("window bookkeeping out of sync")
-        if not dq_u:
+        if last[u] == i:
+            first[u] = last[u] = 0
             present.discard(u)
-        if not dq_v:
+        else:
+            first[u] = self._nxt[i]
+        cand = [arriving]
+        old = last[v]
+        if old:
+            cand.append(old)  # may stop being the rightmost occurrence
+        else:
+            first[v] = arriving
             present.add(v)
-        dq_v.append(i + m)
+        last[v] = arriving
 
+        # every candidate lies in the new window; skip the repeats
         su = present.succ(u + 1)
-        if su is not None:
-            cand.append(occ[su][-1])
+        if su is not None and su != v:
+            cand.append(last[su])
         sv = present.succ(v + 1)
-        if sv is not None:
-            cand.append(occ[sv][-1])
+        if sv is not None and sv != su:
+            cand.append(last[sv])
 
-        self.start = i = i + 1
-        hi = i + m - 1
+        self.start = i + 1
         mirror = self._mirror
         dyn = self.dyn
-        seen = set()
         for p in cand:
-            if p < i or p > hi or p in seen:
-                continue
-            seen.add(p)
             sym = self._symbol_at(p)
             if mirror[p - 1] != sym:
                 dyn.replace(p, sym)
@@ -272,17 +310,9 @@ class SlidingSignature:
     def _symbol_at(self, p: int) -> int:
         """Recompute position p's symbol from the current window key set."""
         v = self._vals[p]
-        dq = self._occ[v]
-        if dq[-1] != p:
-            # advance() recomputes only rightmost occurrences and the
-            # arriving value's previous rightmost one, which is now dq[-2]
-            return pack_symbol(dq[-1] - p, REL_EQ)
+        if self._last[v] != p:
+            return pack_symbol(self._nxt[p] - p, REL_EQ)
         w = self._present.pred(v - 1)
         if w is None:
             return MIN_PACKED
-        return pack_symbol(self._occ[w][0] - p, REL_LT)
-
-
-def _dense_ranks(seq: Sequence[int]) -> list[int]:
-    ranks = {v: r + 1 for r, v in enumerate(sorted(set(seq)))}
-    return [ranks[v] for v in seq]
+        return pack_symbol(self._first[w] - p, REL_LT)

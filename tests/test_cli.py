@@ -270,6 +270,31 @@ def test_dict_backend_flag(capsys):
     assert a == b
 
 
+def test_dict_backend_env_default(monkeypatch):
+    from opmatch.cli import build_parser
+
+    monkeypatch.setenv("OPMATCH_DICT_BACKEND", "sorted")
+    parser = build_parser()
+    assert parser.parse_args(["match", *FIG]).dict_backend == "sorted"
+    assert parser.parse_args(["bench"]).dict_backend == "sorted"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest"],
+        ["verify", *FIG],
+        ["signature", "--seq", "1 2"],
+        ["gen", "--n", "5", "--m", "2"],
+    ],
+)
+def test_dict_backend_rejected_where_unused(argv, capsys):
+    # only match and bench build key sets from the flag
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--dict-backend", "sorted"])
+    assert exc.value.code == 2
+
+
 def test_selftest_deterministic_across_processes():
     import subprocess
     import sys

@@ -216,12 +216,28 @@ def test_reductions_decide_like_subset_oracle():
 
 
 def test_reduce_general_merges_identical_points():
-    # both sequences constant: every part shares one coordinate pair
-    pidx = PatternIndex([7, 7, 7], "general")
-    points = reduce_general([5, 5, 5], pidx, [])
-    assert sum(w for _, _, w in points) == 4
-    weight, _ = heaviest_chain(points)
-    assert weight == 4
+    # On few-valued input, two path parts can start at the same (window
+    # value, pattern value) point; heaviest_chain merges them, so the
+    # reduction hands them over unmerged.
+    rng = random.Random(41)
+    cases = 0
+    while cases < 20:
+        m = rng.randint(3, 12)
+        window = [rng.randint(0, 3) for _ in range(m)]
+        pidx = PatternIndex([rng.randint(0, 3) for _ in range(m)], "general")
+        mism = signature_hamming(compute_signature(window, "general"), pidx.signature).positions
+        parts = _path_parts(window, pidx, mism)
+        merged = {}
+        for x, y, w in parts:
+            merged[x, y] = merged.get((x, y), 0) + w
+        if len(merged) == len(parts):
+            continue
+        cases += 1
+        assert reduce_general(window, pidx, mism) == parts
+        by_hand = [(x, y, w) for (x, y), w in merged.items()]
+        assert heaviest_chain(parts) == heaviest_chain(by_hand)
+    # only the summed weight of the two (1, 1) points beats the (0, 2) point
+    assert heaviest_chain([(1, 1, 2), (0, 2, 3), (1, 1, 2)]) == (4, [(1, 1, 4)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
+import itertools
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opmatch.seqcore import DuplicateValuesError
 from opmatch.signature import (
@@ -241,3 +245,60 @@ def test_sliding_rejects_short_chunk():
 def test_sliding_distinct_rejects_duplicates():
     with pytest.raises(DuplicateValuesError):
         SlidingSignature([1, 1, 2], 2, "distinct")
+
+
+# ---------------------------------------------------------------------------
+# adversarial chunk shapes, both backends and both modes
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def sliding_cases(draw):
+    """(chunk, m, backend): a chunk of length m, 2m or in between, in one of
+    the shapes that stress the value-class bookkeeping."""
+    m = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    length = draw(st.sampled_from([m, 2 * m, draw(st.integers(m, 2 * m))]))
+    shape = draw(st.sampled_from(["equal", "sawtooth", "few", "increasing", "decreasing"]))
+    if shape == "equal":
+        chunk = [draw(st.integers(-5, 5))] * length
+    elif shape == "sawtooth":
+        period = draw(st.integers(1, max(1, length)))
+        # with the position added in, every tooth repeats the shape, not the values
+        lift = draw(st.booleans())
+        chunk = [(i % period) * length + (i if lift else 0) for i in range(length)]
+    elif shape == "few":
+        chunk = draw(st.lists(st.integers(0, 2), min_size=length, max_size=length))
+    else:
+        steps = draw(st.lists(st.integers(1, 10**6), min_size=length, max_size=length))
+        chunk = list(itertools.accumulate(steps))
+        if shape == "decreasing":
+            chunk.reverse()
+    return chunk, m, draw(st.sampled_from(["bittrie", "sorted"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sliding_cases())
+def test_sliding_matches_from_scratch_on_adversarial_shapes(case):
+    chunk, m, backend = case
+    modes = ["general"] + (["distinct"] if len(set(chunk)) == len(chunk) else [])
+    for mode in modes:
+        sliding = SlidingSignature(chunk, m, mode, backend=backend)
+        for i in range(1, len(chunk) - m + 2):
+            want = compute_signature(chunk[i - 1 : i - 1 + m], mode).packed
+            assert sliding.window_view() == want, (mode, i)
+            if i + m <= len(chunk):
+                sliding.advance()
+        with pytest.raises(ValueError):
+            sliding.advance()
+
+
+def test_sliding_setup_memory_is_linear():
+    # set-up keeps O(m) words: flat per-position and per-rank int lists
+    chunk = random.Random(5).sample(range(10**6), 20_000)
+    tracemalloc.start()
+    try:
+        SlidingSignature(chunk, 10_000, "distinct")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"chunk set-up peaked at {peak / 2**20:.1f} MiB"
