@@ -71,17 +71,24 @@ def _lcp_array(seq: list[int], sa: list[int]) -> tuple[list[int], list[int]]:
 
 
 class _SparseTable:
-    """Static range-minimum over an int array; O(n log n) build, O(1) query."""
+    """Static range-minimum over an int array; O(n log n) build, O(1) query.
+
+    Row d holds the minima of all windows of width 2^d. Building stops at the
+    first all-zero row: every window that wide or wider has minimum 0, so
+    every deeper row is that same list (a query of width 2^d reads only
+    indices below n - 2^d + 1, which it covers).
+    """
 
     __slots__ = ("_rows",)
 
     def __init__(self, data: list[int]):
         rows = [list(data)]
         width = 1
-        while 2 * width <= len(data):
+        while 2 * width <= len(data) and any(rows[-1]):
             prev = rows[-1]
             rows.append(list(map(min, prev[:-width], prev[width:])))
             width <<= 1
+        rows += [rows[-1]] * (len(data).bit_length() - len(rows))
         self._rows = rows
 
     def min(self, lo: int, hi: int) -> int:

@@ -4,20 +4,18 @@ tuples plus a seeded generator that can plant true occurrences."""
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass, field
 
 __all__ = ["Instance", "parse_instance", "parse_int_list", "generate_instance"]
 
-_SPLIT = re.compile(r"[,\s]+")
 _KNOWN_KEYS = ("text", "pattern", "k", "mode", "planted")
 
 
 def parse_int_list(raw: str) -> list[int]:
     """Whitespace/comma-separated signed decimal integers."""
-    parts = [p for p in _SPLIT.split(raw.strip()) if p]
+    parts = raw.replace(",", " ").split()
     try:
-        return [int(p) for p in parts]
+        return list(map(int, parts))
     except ValueError as exc:
         raise ValueError(f"not an integer list: {raw.strip()!r}") from exc
 

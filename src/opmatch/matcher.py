@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .fragstring import RefString
@@ -175,7 +176,7 @@ def k_isomorphic_witness(
 
 class PatternIndex:
     """Immutable preprocessing of one pattern: rank tables, signature, the
-    LCP-ready reference over the signature, and per-value occurrence lists."""
+    LCP-ready reference over the signature, and flat per-class tables."""
 
     def __init__(self, pattern: Sequence[int], mode: str = "auto", backend: str | None = None):
         mode = resolve_mode(mode, pattern)
@@ -193,18 +194,16 @@ class PatternIndex:
         self.num_classes = max(comp)
         self.signature = compute_signature(pattern, mode)
         self.ref = RefString(self.signature.packed)
-        # per-class tables (index 0 unused)
-        occ: list[list[int]] = [[] for _ in range(self.num_classes + 1)]
+        # per-class tables (index 0 unused): rightmost occurrence (1-based),
+        # occurrence count, and the number of positions in lower classes
+        class_last = [0] * (self.num_classes + 1)
+        class_rep = [0] * (self.num_classes + 1)
         for p, c in enumerate(comp, start=1):
-            occ[c].append(p)
-        self.class_occ = occ
-        self.class_rep = [0] + [len(o) for o in occ[1:]]
-        class_rank = [0] * (self.num_classes + 1)
-        total = 0
-        for c in range(1, self.num_classes + 1):
-            class_rank[c] = total
-            total += self.class_rep[c]
-        self.class_rank = class_rank
+            class_last[c] = p
+            class_rep[c] += 1
+        self.class_last = class_last
+        self.class_rep = class_rep
+        self.class_rank = list(accumulate(class_rep[:-1], initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +253,7 @@ def _path_parts(
     """
     m = pidx.m
     class_of = pidx.class_of_pos
-    class_occ = pidx.class_occ
+    class_last = pidx.class_last
     class_rep = pidx.class_rep
     class_rank = pidx.class_rank
     equal_rank = pidx.rank_info.equal_rank
@@ -295,9 +294,9 @@ def _path_parts(
         mid_lo = c0 + 1
         if mid_lo <= mid_hi:
             w = class_rank[mid_hi] + class_rep[mid_hi] - class_rank[mid_lo]
-            pos = class_occ[mid_lo][-1]
+            pos = class_last[mid_lo]
             parts.append((window[pos - 1], pattern[pos - 1], w))
-        pos = class_occ[suffix_cls][-1]
+        pos = class_last[suffix_cls]
         parts.append((window[pos - 1], pattern[pos - 1], suffix_weight))
 
     # the floor path starts below every value class
@@ -358,18 +357,21 @@ def verify_window(
 
 @dataclass
 class MatchStats:
-    """Counters for one matching run."""
+    """Counters for one matching run. ``dyn_scans`` counts the windows whose
+    mismatches the DynString scan found, not the direct mirror scan."""
 
     windows: int = 0
     filtered: int = 0
     verified: int = 0
     occurrences: int = 0
+    dyn_scans: int = 0
 
     def merge(self, other: "MatchStats") -> None:
         self.windows += other.windows
         self.filtered += other.filtered
         self.verified += other.verified
         self.occurrences += other.occurrences
+        self.dyn_scans += other.dyn_scans
 
     @property
     def pruning_rate(self) -> float:
@@ -413,6 +415,7 @@ def match_chunk(
         i += 1
     if stats is not None:
         stats.occurrences += len(out)
+        stats.dyn_scans += sliding.dyn_scans
     return out
 
 

@@ -19,9 +19,11 @@ On duplicate-free input both modes agree symbol for symbol.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count, islice
+from operator import ne
 from typing import Sequence
 
-from .fragstring import DynString, RefString
+from .fragstring import DynString, MismatchStream, RefString
 from .seqcore import DuplicateValuesError, make_key_set
 
 __all__ = [
@@ -48,6 +50,10 @@ REL_PAD = 3
 
 MIN_PACKED = REL_MIN
 PAD_PACKED = REL_PAD
+
+# The direct scan reads at most _DIRECT_SPAN * (limit + 1) symbols of a
+# window: O(k), inside the filter's amortized O(k + log log m) per window.
+_DIRECT_SPAN = 8
 
 
 def pack_symbol(offset: int, relation: int) -> int:
@@ -165,14 +171,27 @@ def signature_hamming(
 class SlidingSignature:
     """Signature of an m-length window sliding over a chunk of <= 2m values.
 
-    The current signature is stored in a DynString of length 2m aligned to
-    absolute chunk positions (window start i reads [i, i+m-1]); positions
+    The current symbols live in ``_mirror``, a flat list of length 2m aligned
+    to absolute chunk positions (window start i reads [i, i+m-1]); positions
     past the initial window start as PAD and are written before any window
-    reaches them. A mirror array of the current symbols makes update
-    detection O(1), so each advance performs at most four replacements: the
-    arriving position's symbol, the displaced rightmost occurrence of the
-    arriving value, and the rightmost occurrences of the value classes just
-    above the departing and arriving values.
+    reaches them. Each advance rewrites at most four mirror symbols: the
+    arriving position's, the displaced rightmost occurrence of the arriving
+    value, and the rightmost occurrences of the value classes just above the
+    departing and arriving values.
+
+    ``first_mismatches`` decides most windows by comparing the window's first
+    8(limit + 1) mirror symbols with the reference directly: that settles
+    every window with more than ``limit`` mismatches in that span, and every
+    window no longer than the span. The other windows, those with a long
+    matched stretch, go to a DynString over the same 2m positions, whose LCP
+    jumps cross matched fragments. A one-bit predictor skips the direct scan
+    after a DynString scan showed that the span could not have decided the
+    window. The DynString is kept in sync lazily: ``advance`` appends the
+    positions whose symbol changed to ``_stale``, and every DynString read
+    (the fallback scan and ``window_view``) first replays those positions
+    from the mirror and clears the list, so the DynString gets at most the
+    replacements an eager update would give it. ``dyn_scans`` counts the
+    windows the DynString decided.
 
     Set-up sorts the chunk once. That one order gives the dense value ranks,
     the occurrence links ``_nxt[p]`` (the next chunk position holding the
@@ -250,15 +269,54 @@ class SlidingSignature:
         self.ref = ref
         self.dyn = DynString(ref, mirror, backend)
         self._mirror = mirror
+        self._stale: list[int] = []
+        self._direct = True
+        self.dyn_scans = 0
+
+    def _sync(self) -> None:
+        """Replay the symbols changed since the last DynString read."""
+        stale = self._stale
+        if stale:
+            mirror = self._mirror
+            replace = self.dyn.replace
+            for p in stale:
+                replace(p, mirror[p - 1])
+            stale.clear()
 
     def window_view(self) -> list[int]:
         """Packed symbols of the current window, read from the DynString."""
+        self._sync()
         return self.dyn.materialize_range(self.start, self.start + self.m - 1)
 
-    def first_mismatches(self, limit: int):
-        """Stream the first mismatches of the current window against the
-        reference; see DynString.first_mismatches."""
-        return self.dyn.first_mismatches(self.start, limit)
+    def first_mismatches(self, limit: int) -> MismatchStream:
+        """The first mismatches of the current window against the reference,
+        as DynString.first_mismatches reports them: increasing 1-based window
+        positions, truncated after limit + 1."""
+        if limit < 0:
+            raise ValueError("limit must be non-negative")
+        m = self.m
+        span = min(m, _DIRECT_SPAN * (limit + 1))
+        if self._direct:
+            i = self.start
+            head = self._mirror[i - 1 : i - 1 + span]
+            found = list(islice(compress(count(1), map(ne, head, self.ref.symbols)), limit + 1))
+            if len(found) > limit:
+                return MismatchStream(found, True)
+            if span == m:
+                return MismatchStream(found, False)
+        # _sync inlined: on exact-match-heavy text this runs for every window
+        stale = self._stale
+        if stale:
+            mirror = self._mirror
+            replace = self.dyn.replace
+            for p in stale:
+                replace(p, mirror[p - 1])
+            stale.clear()
+        stream = self.dyn.first_mismatches(self.start, limit)
+        self.dyn_scans += 1
+        # try the direct scan next time only if it could have decided this window
+        self._direct = span == m or (stream.truncated and stream.positions[-1] <= span)
+        return stream
 
     def advance(self) -> None:
         """Slide the window one position to the right."""
@@ -300,12 +358,12 @@ class SlidingSignature:
 
         self.start = i + 1
         mirror = self._mirror
-        dyn = self.dyn
+        stale = self._stale
         for p in cand:
             sym = self._symbol_at(p)
             if mirror[p - 1] != sym:
-                dyn.replace(p, sym)
                 mirror[p - 1] = sym
+                stale.append(p)
 
     def _symbol_at(self, p: int) -> int:
         """Recompute position p's symbol from the current window key set."""

@@ -214,6 +214,7 @@ def test_instance_roundtrip_and_unknown_key():
 def test_parse_int_list_formats():
     assert parse_int_list("1, 2,  -3") == [1, 2, -3]
     assert parse_int_list(" 4\n5 ") == [4, 5]
+    assert parse_int_list(",1,,2\t3") == [1, 2, 3]
     with pytest.raises(ValueError):
         parse_int_list("1 2 three")
 

@@ -46,6 +46,28 @@ def test_lcp_larger_alphabet_and_m200():
         assert ref.lcp(i, j) == naive_lcp(syms, i, j)
 
 
+@pytest.mark.parametrize(
+    "syms, rows",
+    [
+        (random.Random(47).sample(range(-500, 500), 150), 1),
+        ([3] * 120 + random.Random(48).choices(range(4), k=80), 8),
+        (random.Random(49).choices(range(301), k=200), 3),
+        ([5], None),
+    ],
+    ids=["all-distinct", "constant-run-then-random", "few-repeats", "m1"],
+)
+def test_lcp_with_sparse_table_cut_at_zero_row(syms, rows):
+    # the sparse table builds rows up to its first all-zero row, which the
+    # deeper rows share
+    ref = RefString(syms)
+    m = len(syms)
+    if rows is not None:  # m = 1 has no LCP array, hence no table
+        assert len({id(row) for row in ref._rmq._rows}) == rows
+    for i in range(1, m + 1):  # every pair, so also the full rank range
+        for j in range(1, m + 1):
+            assert ref.lcp(i, j) == naive_lcp(syms, i, j), (i, j)
+
+
 def test_refstring_rejects_empty():
     with pytest.raises(ValueError):
         RefString([])

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opmatch.fragstring import RefString
+from opmatch.matcher import MatchStats, match_all
 from opmatch.seqcore import DuplicateValuesError
 from opmatch.signature import (
     REL_EQ,
@@ -302,3 +304,85 @@ def test_sliding_setup_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, f"chunk set-up peaked at {peak / 2**20:.1f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# the hybrid filter: direct mirror scan with the DynString as fallback
+# ---------------------------------------------------------------------------
+
+
+def _spliced(draw_int, length: int, segments: int) -> list[int]:
+    """An increasing run of ``length`` values with ``segments`` stretches of
+    few random values spliced in; ``draw_int(lo, hi)`` draws one int."""
+    out = list(range(length))
+    for _ in range(segments):
+        lo = draw_int(0, length - 1)
+        hi = draw_int(lo, min(length, lo + max(1, length // 3)))
+        out[lo:hi] = [draw_int(0, 8) + lo for _ in range(hi - lo)]
+    return out
+
+
+def _tie_broken(seq: list[int]) -> list[int]:
+    """Distinct ranks of ``seq``, ties broken by position."""
+    ranks = [0] * len(seq)
+    for r, j in enumerate(sorted(range(len(seq)), key=seq.__getitem__)):
+        ranks[j] = r
+    return ranks
+
+
+@st.composite
+def hybrid_cases(draw):
+    """(chunk, pattern, limit, stride, backend). Windows inside an increasing
+    stretch agree with the mostly increasing pattern over long runs and go to
+    the DynString; windows over random stretches are decided by the direct
+    scan. ``limit`` is drawn both where the direct span 8(limit + 1) is
+    shorter than m and where it covers the whole window."""
+    m = draw(st.integers(1, 80))
+    length = draw(st.integers(m, 2 * m))
+
+    def ints(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    chunk = _spliced(ints, length, ints(0, 3))
+    pattern = _spliced(ints, m, ints(0, 2))
+    limit = draw(st.integers(0, 2) | st.integers(0, max(0, m // 4)))
+    stride = draw(st.integers(1, 5))
+    return chunk, pattern, limit, stride, draw(st.sampled_from(["bittrie", "sorted"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hybrid_cases())
+def test_hybrid_filter_matches_hamming(case):
+    chunk, pattern, limit, stride, backend = case
+    m = len(pattern)
+    for mode, text, pat in (
+        ("general", chunk, pattern),
+        ("distinct", _tie_broken(chunk), _tie_broken(pattern)),
+    ):
+        ref_sig = compute_signature(pat, mode)
+        sliding = SlidingSignature(text, m, mode, ref=RefString(ref_sig.packed), backend=backend)
+        windows = len(text) - m + 1
+        for i in range(1, windows + 1):
+            want_sig = compute_signature(text[i - 1 : i - 1 + m], mode)
+            want = signature_hamming(want_sig, ref_sig, cap=limit)
+            got = sliding.first_mismatches(limit)
+            assert (got.positions, got.truncated) == (want.positions, want.exceeded), (mode, i)
+            if i % stride == 0:
+                assert sliding.window_view() == want_sig.packed, (mode, i)
+            if i < windows:
+                sliding.advance()
+        assert 0 <= sliding.dyn_scans <= windows
+
+
+def test_match_stats_count_dyn_scans():
+    # an increasing text with random stretches spliced in, against an
+    # increasing pattern: windows over the random stretches are decided by
+    # the direct scan, the long exact matches by the DynString
+    rng = random.Random(23)
+    text = _spliced(rng.randint, 3000, 20)
+    pattern = list(range(100))
+    for backend in ("bittrie", "sorted"):
+        stats = MatchStats()
+        match_all(text, pattern, 1, "general", backend=backend, stats=stats)
+        # match_all sums the per-chunk counts with MatchStats.merge
+        assert 0 < stats.dyn_scans < stats.windows
