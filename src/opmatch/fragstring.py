@@ -256,7 +256,8 @@ class DynString:
                 if pos > end_window:
                     break  # matched to the window end mid-fragment
                 out.append(pos - i + 1)
-                self._compact(anchor, gap_fulls, i)
+                if len(gap_fulls) >= 3:
+                    self._compact(gap_fulls, i)
                 gap_fulls = []
                 anchor = pos + 1
                 pos += 1
@@ -273,7 +274,8 @@ class DynString:
                     gap_fulls.append(s)
             else:
                 out.append(pos - i + 1)
-                self._compact(anchor, gap_fulls, i)
+                if len(gap_fulls) >= 3:
+                    self._compact(gap_fulls, i)
                 gap_fulls = []
                 anchor = pos + 1
                 if len(out) > limit:
@@ -283,18 +285,17 @@ class DynString:
             s = pos
             if pos <= end_window:
                 payload = frag[s]
-        if not truncated:
-            self._compact(anchor, gap_fulls, i)
+        if not truncated and len(gap_fulls) >= 3:
+            self._compact(gap_fulls, i)
         return MismatchStream(out, truncated)
 
-    def _compact(self, anchor: int, fulls: list[int], window_start: int) -> None:
-        """Merge >= 3 fully matched fragments into one reference substring.
+    def _compact(self, fulls: list[int], window_start: int) -> None:
+        """Merge the >= 3 fully matched fragments ``fulls`` into one
+        reference substring; callers pass only runs that long.
 
         The merged content equals the reference over the matched range, so
         the replacement fragment is the corresponding reference substring.
         """
-        if len(fulls) < 3:
-            return
         starts = self._starts
         frag = self._frag
         first = fulls[0]

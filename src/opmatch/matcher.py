@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from operator import sub
 from typing import Sequence
 
 from .fragstring import RefString
-from .seqcore import DuplicateValuesError, rank_compress
-from .signature import SlidingSignature, compute_signature
+from .seqcore import DuplicateValuesError
+from .signature import Signature, SlidingSignature, _class_walk
 from .subsequence import heaviest_chain, heaviest_increasing_subsequence, lis_length_at_least
 
 __all__ = [
@@ -68,6 +68,15 @@ def _validate_k(k: int) -> None:
         raise ValueError("k must be non-negative")
 
 
+def _validate_ints(seq: Sequence[int], name: str) -> None:
+    """Every value must be exactly an ``int``: floats, bools, strings and
+    other types order differently or not at all, so they are refused."""
+    types = set(map(type, seq))
+    if not types <= {int}:
+        found = ", ".join(sorted(t.__name__ for t in types - {int}))
+        raise TypeError(f"{name} values must be int, got {found}")
+
+
 # ---------------------------------------------------------------------------
 # Ground-truth oracles
 # ---------------------------------------------------------------------------
@@ -83,6 +92,8 @@ def k_isomorphic_subset_oracle(a: Sequence[int], b: Sequence[int], k: int) -> bo
     Capped at length 14.
     """
     _validate_k(k)
+    _validate_ints(a, "first sequence")
+    _validate_ints(b, "second sequence")
     m = len(a)
     if len(b) != m:
         raise ValueError("sequences must have equal length")
@@ -127,6 +138,8 @@ def k_isomorphic_check(
     compares the heaviest chain weight against m - k.
     """
     _validate_k(k)
+    _validate_ints(a, "first sequence")
+    _validate_ints(b, "second sequence")
     m = len(a)
     if len(b) != m:
         raise ValueError("sequences must have equal length")
@@ -150,6 +163,8 @@ def k_isomorphic_witness(
     which merges duplicates, and keeps every position whose point it chose.
     """
     _validate_k(k)
+    _validate_ints(a, "first sequence")
+    _validate_ints(b, "second sequence")
     m = len(a)
     if len(b) != m:
         raise ValueError("sequences must have equal length")
@@ -176,34 +191,60 @@ def k_isomorphic_witness(
 
 class PatternIndex:
     """Immutable preprocessing of one pattern: rank tables, signature, the
-    LCP-ready reference over the signature, and flat per-class tables."""
+    LCP-ready reference over the signature, and flat per-class tables.
+
+    One sort of the pattern gives every table. Per position (1-based list
+    ``rank``, index 0 unused) the count of smaller pattern values; per
+    position (0-indexed lists) the dense class id ``class_of_pos`` in
+    1..num_classes and ``equal_rank``, the count of equal values to its
+    left; per class (index 0 unused) the rightmost occurrence
+    ``class_last`` (1-based), the occurrence count ``class_rep`` and the
+    number of positions in lower classes ``class_rank``.
+    """
 
     def __init__(self, pattern: Sequence[int], mode: str = "auto", backend: str | None = None):
+        _validate_ints(pattern, "pattern")
         mode = resolve_mode(mode, pattern)
         if not pattern:
             raise ValueError("pattern must be non-empty")
         if mode == "distinct":
             _validate_distinct(pattern, "pattern")
         self.pattern = list(pattern)
-        self.m = len(pattern)
+        self.m = m = len(pattern)
         self.mode = mode
         self.backend = backend
-        comp, info = rank_compress(pattern)
-        self.rank_info = info
-        self.class_of_pos = comp  # dense class ids 1..num_classes, 0-indexed by position
-        self.num_classes = max(comp)
-        self.signature = compute_signature(pattern, mode)
+        order = sorted(range(m), key=pattern.__getitem__)
+        self.signature = Signature(_class_walk(pattern, order, mode))
         self.ref = RefString(self.signature.packed)
-        # per-class tables (index 0 unused): rightmost occurrence (1-based),
-        # occurrence count, and the number of positions in lower classes
-        class_last = [0] * (self.num_classes + 1)
-        class_rep = [0] * (self.num_classes + 1)
-        for p, c in enumerate(comp, start=1):
-            class_last[c] = p
+        rank = [0] * (m + 1)
+        class_of = [0] * m
+        equal_rank = [0] * m
+        class_last = [0]
+        class_rep = [0]
+        class_rank = [0]
+        c = start = 0
+        prev_v = None
+        for t, p in enumerate(order):
+            v = pattern[p]
+            if v != prev_v:
+                class_rep.append(0)
+                class_last.append(0)
+                class_rank.append(t)
+                c += 1
+                start = t
+                prev_v = v
+            rank[p + 1] = start
+            class_of[p] = c
+            equal_rank[p] = t - start
             class_rep[c] += 1
+            class_last[c] = p + 1
+        self.rank = rank
+        self.class_of_pos = class_of
+        self.equal_rank = equal_rank
+        self.num_classes = c
         self.class_last = class_last
         self.class_rep = class_rep
-        self.class_rank = list(accumulate(class_rep[:-1], initial=0))
+        self.class_rank = class_rank
 
 
 # ---------------------------------------------------------------------------
@@ -221,23 +262,16 @@ def reduce_distinct(
     k-isomorphic to the pattern iff the heaviest increasing subsequence
     weighs at least (m + 1) - k.
     """
-    m = pidx.m
-    b_rank = pidx.rank_info.rank
-    ds = list(mismatches)
-    weight_of: dict[int, int] = {}
-    by_rank = sorted(ds, key=lambda p: b_rank[p - 1])
-    prev_pos = 0
-    prev_rank = -1
-    for p in by_rank:
-        r = b_rank[p - 1]
-        weight_of[prev_pos] = r - prev_rank
-        prev_pos, prev_rank = p, r
-    weight_of[prev_pos] = m - prev_rank
-    by_window = sorted(ds, key=lambda p: window[p - 1])
-    items = [(-1, weight_of[0])]
-    items += [(b_rank[p - 1], weight_of[p]) for p in by_window]
-    if sum(w for _, w in items) != m + 1:
+    rank = pidx.rank
+    by_rank = sorted(mismatches, key=rank.__getitem__)
+    # path t starts at cuts[t] (the floor path at rank -1) and runs to the next cut
+    cuts = [-1, *map(rank.__getitem__, by_rank), pidx.m]
+    weights = list(map(sub, cuts[1:], cuts))
+    if 0 in weights:  # a repeated position leaves an empty path
         raise RuntimeError("path weights must cover every position")
+    values = [0, *[window[p - 1] for p in by_rank]]  # index 0: the floor, never sorted
+    items = [(-1, weights[0])]
+    items += [(cuts[t], weights[t]) for t in sorted(range(1, len(cuts) - 1), key=values.__getitem__)]
     return items
 
 
@@ -256,7 +290,7 @@ def _path_parts(
     class_last = pidx.class_last
     class_rep = pidx.class_rep
     class_rank = pidx.class_rank
-    equal_rank = pidx.rank_info.equal_rank
+    equal_rank = pidx.equal_rank
     pattern = pidx.pattern
     top = pidx.num_classes
 
@@ -343,6 +377,16 @@ def verify_window(
     threshold = pidx.m + 1 - k
     if pidx.mode == "distinct":
         items = reduce_distinct(window, pidx, mismatches)
+        # The items one pass keeps while their ranks rise form an increasing
+        # subsequence: a lower bound that accepts most matching windows alone.
+        weight = 0
+        top = -2
+        for v, w in items:
+            if v > top:
+                top = v
+                weight += w
+        if weight >= threshold:
+            return True
         weight, _ = heaviest_increasing_subsequence(items)
     else:
         points = reduce_general(window, pidx, mismatches)
@@ -440,6 +484,8 @@ def match_all(
     independent of the override and of ``threads``.
     """
     _validate_k(k)
+    _validate_ints(text, "text")
+    _validate_ints(pattern, "pattern")
     mode = resolve_mode(mode, text, pattern)
     if mode == "distinct":
         _validate_distinct(text, "text")
@@ -497,6 +543,8 @@ def match_naive(
 ) -> list[int]:
     """Position-by-position matching through the single-alignment check."""
     _validate_k(k)
+    _validate_ints(text, "text")
+    _validate_ints(pattern, "pattern")
     mode = resolve_mode(mode, text, pattern)
     if mode == "distinct":
         _validate_distinct(text, "text")

@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from opmatch import matcher
 from opmatch.matcher import (
     MatchStats,
     PatternIndex,
@@ -283,6 +286,26 @@ def test_negative_k_rejected_by_every_entry_point(entry):
         entry(FIG_PATTERN, FIG_PATTERN, -1)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda bad, good: match_all(bad, good[:2], 0),
+        lambda bad, good: match_naive(good, bad[:2], 0),
+        lambda bad, good: k_isomorphic_check(good, bad, 0),
+        lambda bad, good: k_isomorphic_witness(bad, good, 0),
+        lambda bad, good: k_isomorphic_subset_oracle(good, bad, 0),
+        lambda bad, good: PatternIndex(bad),
+    ],
+    ids=["match_all", "match_naive", "k_isomorphic_check", "k_isomorphic_witness",
+         "k_isomorphic_subset_oracle", "PatternIndex"],
+)
+def test_non_int_values_rejected_by_every_entry_point(entry):
+    good = [1, 2, 3]
+    for bad in (["a", "b", "c"], [1.0, 2.0, 3.0], [1, 2.5, 3], [True, False, True]):
+        with pytest.raises(TypeError, match="values must be int"):
+            entry(bad, good)
+
+
 def test_path_weight_check_survives_optimize_flag():
     # a duplicated mismatch position breaks the path-weight sum; the check
     # must raise even where ``python -O`` strips asserts
@@ -463,3 +486,145 @@ def test_filter_bound_is_tight_in_practice():
         assert d <= 3 * k
         seen.add((k, d))
     assert any(d == 3 * k for k, d in seen)
+
+
+# ---------------------------------------------------------------------------
+# adversarial shapes: both verification routes, and match_all against
+# the per-position reference
+# ---------------------------------------------------------------------------
+
+
+def _greedy_weight(items):
+    """Weight of the items one pass keeps while their values rise."""
+    weight, top = 0, None
+    for v, w in items:
+        if top is None or v > top:
+            top, weight = v, weight + w
+    return weight
+
+
+def _adjacent_swaps(draw, seq):
+    out = list(seq)
+    if len(out) > 1:
+        for j in draw(st.lists(st.integers(0, len(out) - 2), max_size=len(out))):
+            out[j], out[j + 1] = out[j + 1], out[j]
+    return out
+
+
+def _distinct_shape(draw, m):
+    shape = draw(st.sampled_from(["near-sorted", "decreasing", "sawtooth", "random"]))
+    if shape == "near-sorted":
+        return _adjacent_swaps(draw, range(m))
+    if shape == "decreasing":
+        return list(range(m, 0, -1))
+    if shape == "sawtooth":
+        period = draw(st.integers(1, m))
+        return [(i % period) * m + i for i in range(m)]
+    return list(draw(st.permutations(range(m))))
+
+
+@st.composite
+def distinct_verify_cases(draw):
+    """(window, pattern, k): distinct windows of adversarial shapes against a
+    pattern of such a shape or the window itself with adjacent swaps."""
+    m = draw(st.integers(1, 20))
+    window = _distinct_shape(draw, m)
+    if draw(st.booleans()):
+        pattern = _adjacent_swaps(draw, window)
+    else:
+        pattern = _distinct_shape(draw, m)
+    return window, pattern, draw(st.integers(0, 4))
+
+
+def test_verify_window_routes_agree_with_oracles(monkeypatch):
+    # verify_window accepts on the greedy lower bound alone and calls the
+    # staircase only when that bound falls short; count both routes
+    staircase = matcher.heaviest_increasing_subsequence
+    solved = []
+
+    def counted(items):
+        solved.append(items)
+        return staircase(items)
+
+    monkeypatch.setattr(matcher, "heaviest_increasing_subsequence", counted)
+    routes = {"greedy": 0, "staircase": 0}
+
+    @settings(max_examples=400, deadline=None)
+    @given(distinct_verify_cases())
+    @example(([0, 1, 2, 3], [0, 1, 2, 3], 0))  # greedy weight exactly m + 1 - k
+    @example(([0, 1, 2, 3, 4], [3, 0, 1, 2, 4], 1))  # greedy short, staircase accepts
+    @example(([3, 2, 0, 1], [0, 1, 2, 3], 1))  # greedy one short, rejected
+    def check(case):
+        window, pattern, k = case
+        m = len(pattern)
+        want = k_isomorphic_check(window, pattern, k)
+        if m <= 14:
+            assert k_isomorphic_subset_oracle(window, pattern, k) == want
+        pidx = PatternIndex(pattern, "distinct")
+        ds = signature_hamming(compute_signature(window, "distinct"), pidx.signature).positions
+        if len(ds) > 3 * k:
+            assert want is False
+            return
+        solved.clear()
+        assert verify_window(window, pidx, ds, k) == want
+        if solved:
+            assert _greedy_weight(solved[0]) < m + 1 - k
+            routes["staircase"] += 1
+        else:
+            routes["greedy"] += 1
+
+    check()
+    assert routes["greedy"] > 0 and routes["staircase"] > 0, routes
+
+
+def _any_shape(draw, length):
+    shape = draw(st.sampled_from(["increasing", "decreasing", "sawtooth", "equal", "few", "random"]))
+    if shape == "equal":
+        return [draw(st.integers(-3, 3))] * length
+    if shape == "sawtooth":
+        period = draw(st.integers(1, max(1, length)))
+        lift = draw(st.booleans())  # lifted teeth repeat the shape, not the values
+        return [(i % period) * length + (i if lift else 0) for i in range(length)]
+    if shape == "few":
+        return draw(st.lists(st.integers(0, 2), min_size=length, max_size=length))
+    if shape == "random":
+        return list(draw(st.permutations(range(length))))
+    steps = draw(st.lists(st.integers(1, 5), min_size=length, max_size=length))
+    seq = list(itertools.accumulate(steps))
+    return seq[::-1] if shape == "decreasing" else seq
+
+
+@st.composite
+def match_cases(draw):
+    """(text, pattern, k, chunk_starts, backend) over monotone, sawtooth,
+    all-equal, few-valued and random shapes, with m = 1, n = m, k >= m,
+    ints far beyond 64 bits and random chunk cut points."""
+    m = draw(st.sampled_from([1, draw(st.integers(1, 10))]))
+    n = draw(st.sampled_from([m, draw(st.integers(m, 40))]))
+    text = _any_shape(draw, n)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - m))
+        pattern = _adjacent_swaps(draw, text[i : i + m])
+    else:
+        pattern = _any_shape(draw, m)
+    scale = draw(st.sampled_from([1, 10**12, 2**70]))
+    shift = draw(st.sampled_from([0, -(2**80)]))
+    text = [v * scale + shift for v in text]
+    pattern = [v * scale - shift for v in pattern]
+    k = draw(st.sampled_from([0, 1, 2, m, m + draw(st.integers(1, 3))]))
+    chunk_starts = None
+    if draw(st.booleans()):
+        chunk_starts = [1]
+        while chunk_starts[-1] <= n - m:
+            chunk_starts.append(chunk_starts[-1] + draw(st.integers(1, m)))
+    return text, pattern, k, chunk_starts, draw(st.sampled_from(["bittrie", "sorted"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(match_cases())
+def test_match_all_equals_naive_on_adversarial_shapes(case):
+    text, pattern, k, chunk_starts, backend = case
+    want = match_naive(text, pattern, k)
+    assert match_all(text, pattern, k, backend=backend, chunk_starts=chunk_starts) == want
+    if len(set(text)) == len(text) and len(set(pattern)) == len(pattern):
+        assert match_all(text, pattern, k, "general", backend=backend) == want
