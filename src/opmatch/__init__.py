@@ -18,7 +18,7 @@ from .matcher import (
     match_all,
     match_naive,
 )
-from .seqcore import DuplicateValuesError, rank_compress, sorting_permutation
+from .seqcore import DuplicateValuesError
 from .signature import Signature, SlidingSignature, compute_signature, signature_hamming
 from .subsequence import (
     WeightedPoint,
@@ -47,8 +47,6 @@ __all__ = [
     "lis_length_at_least",
     "match_all",
     "match_naive",
-    "rank_compress",
     "signature_hamming",
-    "sorting_permutation",
     "__version__",
 ]

@@ -47,7 +47,11 @@ def _load_sequences(args) -> tuple[list[int], list[int], int, str]:
     text = pattern = None
     k = mode = None
     if args.file:
-        raw = sys.stdin.read() if args.file == "-" else open(args.file).read()
+        if args.file == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(args.file) as fh:
+                raw = fh.read()
         inst = parse_instance(raw)
         text, pattern, k, mode = inst.text, inst.pattern, inst.k, inst.mode
     if getattr(args, "text", None) is not None:
@@ -141,6 +145,8 @@ class _BenchRow:
 
 
 def cmd_bench(args) -> int:
+    if args.naive_cap < 1:
+        raise ValueError("--naive-cap must be at least 1")
     rng = random.Random(args.seed)
     rows: list[_BenchRow] = []
     for n in parse_int_list(args.n_grid):

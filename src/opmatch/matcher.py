@@ -402,13 +402,15 @@ def verify_window(
 @dataclass
 class MatchStats:
     """Counters for one matching run. ``dyn_scans`` counts the windows whose
-    mismatches the DynString scan found, not the direct mirror scan."""
+    mismatches the DynString scan found, not the direct mirror scan, and
+    ``dyn_builds`` the chunks whose DynString was built at all."""
 
     windows: int = 0
     filtered: int = 0
     verified: int = 0
     occurrences: int = 0
     dyn_scans: int = 0
+    dyn_builds: int = 0
 
     def merge(self, other: "MatchStats") -> None:
         self.windows += other.windows
@@ -416,6 +418,7 @@ class MatchStats:
         self.verified += other.verified
         self.occurrences += other.occurrences
         self.dyn_scans += other.dyn_scans
+        self.dyn_builds += other.dyn_builds
 
     @property
     def pruning_rate(self) -> float:
@@ -460,6 +463,7 @@ def match_chunk(
     if stats is not None:
         stats.occurrences += len(out)
         stats.dyn_scans += sliding.dyn_scans
+        stats.dyn_builds += sliding.dyn_built
     return out
 
 
@@ -481,9 +485,11 @@ def match_all(
     positions; each chunk owns the window starts before the next chunk
     begins, so every occurrence is found exactly once. ``chunk_starts``
     overrides the canonical cut points (gaps must stay <= m); output is
-    independent of the override and of ``threads``.
+    independent of the override and of ``threads``, which must be at least 1.
     """
     _validate_k(k)
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     _validate_ints(text, "text")
     _validate_ints(pattern, "pattern")
     mode = resolve_mode(mode, text, pattern)

@@ -1,22 +1,15 @@
-"""Sequence primitives and the ordered integer key sets.
+"""The distinct-values error and the ordered integer key sets.
 
 The key sets (``make_key_set``) answer predecessor/successor queries for the
-sliding-window value classes and the dynamic string's fragment starts.
-
-Positions are 1-based in every public contract; the lists returned here are
-plain Python lists whose index ``j`` describes position ``j + 1``.
+dynamic string's fragment starts.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 __all__ = [
-    "RankInfo",
-    "sorting_permutation",
-    "rank_compress",
     "make_key_set",
     "DuplicateValuesError",
 ]
@@ -24,56 +17,6 @@ __all__ = [
 
 class DuplicateValuesError(ValueError):
     """Raised when an operation that requires pairwise-distinct values sees a repeat."""
-
-
-@dataclass
-class RankInfo:
-    """Order bookkeeping for one integer sequence.
-
-    sort_perm   positions 1..m ordered by (value, position); stable.
-    rank        per position: count of strictly smaller elements.
-    equal_rank  per position: count of equal elements strictly to its left.
-    rep_count   per position: total occurrences of its value.
-    """
-
-    sort_perm: list[int]
-    rank: list[int]
-    equal_rank: list[int]
-    rep_count: list[int]
-
-
-def sorting_permutation(seq: Sequence[int]) -> list[int]:
-    """Positions 1..len(seq) ordered by value, ties broken by position."""
-    return [j + 1 for j in sorted(range(len(seq)), key=seq.__getitem__)]
-
-
-def rank_compress(seq: Sequence[int]) -> tuple[list[int], RankInfo]:
-    """Relabel values to 1..d (d = number of distinct values), preserving
-    every order relation including equalities, and return the RankInfo of
-    the input. Deterministic and idempotent on its own output.
-    """
-    m = len(seq)
-    order = sorted(range(m), key=seq.__getitem__)
-    compressed = [0] * m
-    rank = [0] * m
-    equal_rank = [0] * m
-    rep = [0] * m
-    d = 0
-    i = 0
-    while i < m:
-        v = seq[order[i]]
-        j = i
-        while j < m and seq[order[j]] == v:
-            j += 1
-        d += 1
-        for t in range(i, j):
-            p = order[t]
-            compressed[p] = d
-            rank[p] = i
-            equal_rank[p] = t - i
-            rep[p] = j - i
-        i = j
-    return compressed, RankInfo([j + 1 for j in order], rank, equal_rank, rep)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from operator import ne
 from typing import Sequence
 
 from .fragstring import DynString, MismatchStream, RefString
-from .seqcore import DuplicateValuesError, make_key_set
+from .seqcore import DuplicateValuesError
 
 __all__ = [
     "REL_LT",
@@ -41,6 +41,7 @@ __all__ = [
     "compute_signature",
     "signature_hamming",
     "SlidingSignature",
+    "window_predecessors",
 ]
 
 REL_LT = 0
@@ -168,6 +169,78 @@ def signature_hamming(
     return HammingResult(len(positions), positions)
 
 
+def window_predecessors(
+    vals: Sequence[int], order: Sequence[int], last: Sequence[int], m: int
+) -> list[int]:
+    """Window predecessor of every arriving position of one chunk, offline.
+
+    ``vals[p]`` is the dense value rank (1..R) of 1-based chunk position p
+    (``vals[0]`` is unused), ``order`` the 0-based chunk positions ordered by
+    value, ties by position, and ``last[r]`` the rightmost occurrence of rank
+    r in the first window [1, m], 0 when absent (length R + 2). Entry i of the
+    result, for i in 1..L - m, belongs to a = i + m, the position that arrives
+    when the window leaves i: it is the largest rank below ``vals[a]`` present
+    in [i + 1, a - 1], the new window without a, or 0 when there is none.
+
+    The window is split at m. For its part past m, [m + 1, a - 1], the ranks
+    of positions m + 1..L form a linked list that is unlinked in the order
+    a = L..m + 1, so when a is reached the list holds the ranks of m + 1..a.
+    Its part up to m, [i + 1, m], only shrinks as i grows, so a "largest alive
+    rank <= x" union-find with path halving answers it: a rank dies when its
+    rightmost occurrence up to m leaves the window, and a rank absent from
+    [1, m] is dead from the start. The predecessor is the larger answer. Both
+    passes are linear but for the path halving, which keeps the whole pass
+    within the O(m log m) of the chunk's sort.
+    """
+    length = len(vals) - 1
+    top = len(last) - 1
+    # ranks of m+1..L, linked with the sentinels 0 and top; lead[r] is rank
+    # r's leftmost position past m. up[r] is the union-find parent: r while
+    # r is alive, else a smaller rank with every rank in between dead.
+    below = [0] * (top + 1)
+    above = [0] * (top + 1)
+    lead = [0] * (top + 1)
+    up = [0] * (top + 1)
+    tail = alive = 0
+    for j in order:
+        v = vals[j + 1]
+        if j < m:
+            up[v] = alive = v
+        else:
+            up[v] = alive
+            if v != tail:
+                lead[v] = j + 1
+                above[tail] = v
+                below[v] = tail
+                tail = v
+    above[tail] = top
+    below[top] = tail
+
+    pred = [0] * (length - m + 1)
+    for a in range(length, m, -1):
+        v = vals[a]
+        w = below[v]
+        pred[a - m] = w
+        if lead[v] == a:
+            x = above[v]
+            above[w] = x
+            below[x] = w
+
+    for i, u, x in zip(range(1, length - m + 1), vals[1:], vals[m + 1 :]):
+        if last[u] == i:
+            up[u] = up[u - 1]
+        x -= 1
+        y = up[x]
+        while y != x:  # path halving
+            y = up[y]
+            up[x] = y
+            x = y
+            y = up[x]
+        if x > pred[i]:
+            pred[i] = x
+    return pred
+
+
 class SlidingSignature:
     """Signature of an m-length window sliding over a chunk of <= 2m values.
 
@@ -179,6 +252,22 @@ class SlidingSignature:
     value, and the rightmost occurrences of the value classes just above the
     departing and arriving values.
 
+    Set-up sorts the chunk once. That one order gives the dense value ranks,
+    the occurrence links ``_nxt[p]`` (the next chunk position holding the
+    same value, 0 for none), the first window's signature and the window
+    predecessors of ``window_predecessors``. The window's value classes are
+    flat per-rank ints: ``_first[v]`` and ``_last[v]`` hold the leftmost and
+    rightmost occurrence in the window (0 when absent), and the ranks present
+    form a doubly linked list, ``_below[v]`` and ``_above[v]``, with the
+    sentinels 0 and R + 1. Since a window holds every chunk position between
+    its ends, the occurrences of one value in it follow the ``_nxt`` links
+    from ``_first[v]`` to ``_last[v]``, so set-up and every list stay O(m)
+    words. ``advance`` unlinks a departing class in O(1); its old upper
+    neighbour is the class above the departing value, whose rightmost
+    occurrence may need a new symbol. An arriving class links in above its
+    precomputed window predecessor. So no query searches: upkeep is O(1) per
+    window after the offline pass.
+
     ``first_mismatches`` decides most windows by comparing the window's first
     8(limit + 1) mirror symbols with the reference directly: that settles
     every window with more than ``limit`` mismatches in that span, and every
@@ -186,22 +275,18 @@ class SlidingSignature:
     matched stretch, go to a DynString over the same 2m positions, whose LCP
     jumps cross matched fragments. A one-bit predictor skips the direct scan
     after a DynString scan showed that the span could not have decided the
-    window. The DynString is kept in sync lazily: ``advance`` appends the
-    positions whose symbol changed to ``_stale``, and every DynString read
-    (the fallback scan and ``window_view``) first replays those positions
-    from the mirror and clears the list, so the DynString gets at most the
-    replacements an eager update would give it. ``dyn_scans`` counts the
-    windows the DynString decided.
+    window. ``dyn_scans`` counts the windows the DynString decided.
 
-    Set-up sorts the chunk once. That one order gives the dense value ranks,
-    the occurrence links ``_nxt[p]`` (the next chunk position holding the
-    same value, 0 for none) and the first window's signature. The window's
-    value classes are then flat per-rank ints: ``_first[v]`` and ``_last[v]``
-    hold the leftmost and rightmost occurrence in the window (0 when absent),
-    and the ``_present`` key set holds the ranks present. Since a window
-    holds every chunk position between its ends, the occurrences of one
-    value in it follow the ``_nxt`` links from ``_first[v]`` to ``_last[v]``,
-    so set-up and every list stay O(m) words.
+    The DynString is built from the mirror on its first read (``dyn``, which
+    the fallback scan and ``window_view`` go through), so a chunk whose
+    windows the direct scan decides alone never builds one. Until then the
+    mirror changes only by literal replacements, so the DynString built late
+    equals one built at set-up and kept up to date. After that it is kept in
+    sync lazily: ``advance`` appends the positions whose symbol changed to
+    ``_stale``, and every DynString read first replays those positions from
+    the mirror and clears the list, so the DynString gets at most the
+    replacements an eager update would give it. ``backend`` selects the key
+    set of the DynString's fragment starts.
     """
 
     def __init__(
@@ -227,7 +312,7 @@ class SlidingSignature:
         self.start = 1
 
         order = sorted(range(length), key=chunk.__getitem__)
-        # 1-based position tables; dense ranks keep the key-set universe small
+        # 1-based position tables over dense value ranks
         vals = [0] * (length + 1)
         nxt = [0] * (length + 1)
         rank = 0
@@ -247,46 +332,73 @@ class SlidingSignature:
             raise DuplicateValuesError("distinct mode requires a duplicate-free chunk")
         self._vals = vals
         self._nxt = nxt
-        first = [0] * (rank + 2)
-        last = [0] * (rank + 2)
-        present = make_key_set(rank + 2, backend)
+        top = rank + 1
+        first = [0] * (top + 1)
+        last = [0] * (top + 1)
+        below = [0] * (top + 1)
+        above = [0] * (top + 1)
         window_order = [j for j in order if j < m]
+        tail = 0
         for j in window_order:
             p = j + 1
             v = vals[p]
-            if not first[v]:
+            if v != tail:
                 first[v] = p
-                present.add(v)
+                above[tail] = v
+                below[v] = tail
+                tail = v
             last[v] = p
+        above[tail] = top
+        below[top] = tail
+        self._pred = window_predecessors(vals, order, last, m)
         self._first = first
         self._last = last
-        self._present = present
+        self._below = below
+        self._above = above
+        self._top = top
 
         packed = _class_walk(chunk, window_order, mode)
-        mirror = packed + [PAD_PACKED] * m
         if ref is None:
             ref = RefString(packed)
         self.ref = ref
-        self.dyn = DynString(ref, mirror, backend)
-        self._mirror = mirror
+        self._backend = backend
+        self._dyn: DynString | None = None
+        self._mirror = packed + [PAD_PACKED] * m
         self._stale: list[int] = []
         self._direct = True
         self.dyn_scans = 0
 
-    def _sync(self) -> None:
-        """Replay the symbols changed since the last DynString read."""
+    @property
+    def dyn(self) -> DynString:
+        """The DynString over the chunk's 2m positions, built from the mirror
+        on first access. It holds the symbols as of its last read; ``_sync``
+        brings it up to date."""
+        dyn = self._dyn
+        if dyn is None:
+            dyn = self._dyn = DynString(self.ref, self._mirror, self._backend)
+            self._stale.clear()
+        return dyn
+
+    @property
+    def dyn_built(self) -> bool:
+        """Whether this chunk's DynString has been built."""
+        return self._dyn is not None
+
+    def _sync(self) -> DynString:
+        """The DynString, with the symbols changed since its last read replayed."""
+        dyn = self.dyn
         stale = self._stale
         if stale:
             mirror = self._mirror
-            replace = self.dyn.replace
+            replace = dyn.replace
             for p in stale:
                 replace(p, mirror[p - 1])
             stale.clear()
+        return dyn
 
     def window_view(self) -> list[int]:
         """Packed symbols of the current window, read from the DynString."""
-        self._sync()
-        return self.dyn.materialize_range(self.start, self.start + self.m - 1)
+        return self._sync().materialize_range(self.start, self.start + self.m - 1)
 
     def first_mismatches(self, limit: int) -> MismatchStream:
         """The first mismatches of the current window against the reference,
@@ -305,14 +417,17 @@ class SlidingSignature:
             if span == m:
                 return MismatchStream(found, False)
         # _sync inlined: on exact-match-heavy text this runs for every window
+        dyn = self._dyn
         stale = self._stale
-        if stale:
+        if dyn is None:
+            dyn = self.dyn
+        elif stale:
             mirror = self._mirror
-            replace = self.dyn.replace
+            replace = dyn.replace
             for p in stale:
                 replace(p, mirror[p - 1])
             stale.clear()
-        stream = self.dyn.first_mismatches(self.start, limit)
+        stream = dyn.first_mismatches(self.start, limit)
         self.dyn_scans += 1
         # try the direct scan next time only if it could have decided this window
         self._direct = span == m or (stream.truncated and stream.positions[-1] <= span)
@@ -327,7 +442,8 @@ class SlidingSignature:
         vals = self._vals
         first = self._first
         last = self._last
-        present = self._present
+        below = self._below
+        above = self._above
         arriving = i + m
         u = vals[i]
         v = vals[arriving]
@@ -335,25 +451,42 @@ class SlidingSignature:
         if first[u] != i:
             raise RuntimeError("window bookkeeping out of sync")
         if last[u] == i:
+            # the class leaves: unlink it; its old upper neighbour is succ(u + 1)
             first[u] = last[u] = 0
-            present.discard(u)
+            su = above[u]
+            w = below[u]
+            above[w] = su
+            below[su] = w
         else:
             first[u] = self._nxt[i]
+            su = 0  # u stays linked: read its neighbour once v is in
         cand = [arriving]
         old = last[v]
         if old:
             cand.append(old)  # may stop being the rightmost occurrence
         else:
+            # a new class links in above its window predecessor
             first[v] = arriving
-            present.add(v)
+            w = self._pred[i]
+            x = above[w]
+            above[w] = v
+            below[v] = w
+            above[v] = x
+            below[x] = v
         last[v] = arriving
 
-        # every candidate lies in the new window; skip the repeats
-        su = present.succ(u + 1)
-        if su is not None and su != v:
+        # su becomes succ(u + 1) in the new window: v when it just linked in
+        # between u and u's old upper neighbour. Every candidate lies in the
+        # new window; skip the repeats.
+        if not su:
+            su = above[u]
+        elif u < v < su:
+            su = v
+        top = self._top
+        if su != v and su != top:
             cand.append(last[su])
-        sv = present.succ(v + 1)
-        if sv is not None and sv != su:
+        sv = above[v]
+        if sv != su and sv != top:
             cand.append(last[sv])
 
         self.start = i + 1
@@ -366,11 +499,11 @@ class SlidingSignature:
                 stale.append(p)
 
     def _symbol_at(self, p: int) -> int:
-        """Recompute position p's symbol from the current window key set."""
+        """Recompute position p's symbol from the current window's classes."""
         v = self._vals[p]
         if self._last[v] != p:
             return pack_symbol(self._nxt[p] - p, REL_EQ)
-        w = self._present.pred(v - 1)
-        if w is None:
+        w = self._below[v]
+        if not w:
             return MIN_PACKED
         return pack_symbol(self._first[w] - p, REL_LT)

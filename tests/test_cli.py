@@ -111,6 +111,49 @@ def test_match_from_file_and_stdin(tmp_path, capsys, monkeypatch):
     assert code == 1
 
 
+def test_instance_file_is_closed(tmp_path, capsys, monkeypatch):
+    import builtins
+
+    path = tmp_path / "inst.txt"
+    path.write_text(Instance(text=[1, 10, 6, 4, 8, 5, 7, 9, 3], pattern=[1, 4, 2, 5, 11], k=1).to_text())
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        fh = builtins.open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr("opmatch.cli.open", tracking_open, raising=False)
+    for argv in (["match", "--file", str(path)], ["verify", "--file", str(path), "--at", "4"]):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+    assert len(opened) == 2
+    assert all(fh.closed for fh in opened)
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exit_two(capsys, threads):
+    code, out, err = run_cli(capsys, "match", *FIG, "--k", "1", "--threads", threads)
+    assert (code, out) == (2, "")
+    assert "threads must be at least 1" in err
+    code, out, err = run_cli(
+        capsys, "bench", "--n-grid", "100", "--m-grid", "10", "--threads", threads
+    )
+    assert (code, out) == (2, "")
+    assert "threads must be at least 1" in err
+    with pytest.raises(ValueError):
+        match_all([1, 10, 6, 4, 8, 5, 7, 9, 3], [1, 4, 2, 5, 11], 1, threads=int(threads))
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_bench_naive_cap_below_one_exit_two(capsys, cap):
+    code, out, err = run_cli(
+        capsys, "bench", "--n-grid", "100", "--m-grid", "10", "--naive-cap", cap
+    )
+    assert (code, out) == (2, "")
+    assert "--naive-cap must be at least 1" in err
+
+
 def test_verify_fig_window(capsys):
     code, out, _ = run_cli(capsys, "verify", *FIG, "--at", "4", "--k", "1")
     assert code == 0

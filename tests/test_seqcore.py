@@ -2,67 +2,7 @@ import random
 
 import pytest
 
-from opmatch.seqcore import (
-    DuplicateValuesError,
-    make_key_set,
-    rank_compress,
-    sorting_permutation,
-)
-
-
-def test_rank_compress_distinct_example():
-    compressed, info = rank_compress([10, 6, 4, 8])
-    assert compressed == [4, 2, 1, 3]
-    assert info.rank == [3, 1, 0, 2]
-    assert info.equal_rank == [0, 0, 0, 0]
-    assert info.rep_count == [1, 1, 1, 1]
-
-
-def test_rank_compress_identity_on_ranks():
-    compressed, _ = rank_compress([1, 2, 3])
-    assert compressed == [1, 2, 3]
-
-
-def test_rank_compress_with_repeats():
-    compressed, info = rank_compress([5, 5, 2])
-    assert compressed == [2, 2, 1]
-    assert info.equal_rank == [0, 1, 0]
-    assert info.rep_count == [2, 2, 1]
-
-
-def test_rank_compress_idempotent():
-    rng = random.Random(5)
-    for _ in range(200):
-        seq = [rng.randint(-50, 50) for _ in range(rng.randint(0, 40))]
-        compressed, _ = rank_compress(seq)
-        again, _ = rank_compress(compressed)
-        assert again == compressed
-
-
-def test_rank_compress_preserves_all_pairwise_relations():
-    rng = random.Random(6)
-    for _ in range(200):
-        seq = [rng.randint(-20, 20) for _ in range(rng.randint(0, 25))]
-        compressed, _ = rank_compress(seq)
-        for i in range(len(seq)):
-            for j in range(len(seq)):
-                assert (seq[i] < seq[j]) == (compressed[i] < compressed[j])
-                assert (seq[i] == seq[j]) == (compressed[i] == compressed[j])
-
-
-def test_sorting_permutation_examples():
-    assert sorting_permutation([4, 8, 5, 7, 9]) == [1, 3, 4, 2, 5]
-    assert sorting_permutation([1, 2, 3]) == [1, 2, 3]
-    assert sorting_permutation([3, 3]) == [1, 2]
-
-
-def test_sorting_permutation_sorts_by_value_then_position():
-    rng = random.Random(7)
-    for _ in range(100):
-        seq = [rng.randint(0, 10) for _ in range(rng.randint(0, 30))]
-        perm = sorting_permutation(seq)
-        decorated = [(seq[p - 1], p) for p in perm]
-        assert decorated == sorted(decorated)
+from opmatch.seqcore import DuplicateValuesError, make_key_set
 
 
 @pytest.mark.parametrize("backend", ["bittrie", "sorted"])

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from opmatch.signature import (
     pack_symbol,
     signature_hamming,
     unpack_symbol,
+    window_predecessors,
 )
 
 SEQ_A = [11, 4, 12, 1, 9, 3, 10, 7, 2, 5, 13, 0, 6, 8]
@@ -294,6 +296,63 @@ def test_sliding_matches_from_scratch_on_adversarial_shapes(case):
             sliding.advance()
 
 
+# ---------------------------------------------------------------------------
+# the offline window predecessors behind advance's linked lists
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def predecessor_cases(draw):
+    """(chunk, m): a chunk of length m..2m, m = 1 included, in a monotone,
+    sawtooth, all-equal or few-distinct-values shape."""
+    m = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    length = draw(st.sampled_from([m, 2 * m, draw(st.integers(m, 2 * m))]))
+    shape = draw(st.sampled_from(["increasing", "decreasing", "sawtooth", "equal", "few"]))
+    if shape == "increasing":
+        chunk = list(range(length))
+    elif shape == "decreasing":
+        chunk = list(range(length, 0, -1))
+    elif shape == "sawtooth":
+        period = draw(st.integers(1, length))
+        chunk = [i % period for i in range(length)]
+    elif shape == "equal":
+        chunk = [draw(st.integers(-5, 5))] * length
+    else:
+        chunk = draw(st.lists(st.integers(0, 3), min_size=length, max_size=length))
+    return chunk, m
+
+
+def _predecessor_inputs(chunk, m):
+    """vals, order and last for window_predecessors, built independently of set-up."""
+    dense = sorted(set(chunk))
+    vals = [0] + [bisect_left(dense, x) + 1 for x in chunk]
+    order = sorted(range(len(chunk)), key=chunk.__getitem__)
+    last = [0] * (len(dense) + 2)
+    for p in range(1, m + 1):
+        last[vals[p]] = p
+    return vals, order, last
+
+
+def _predecessors_by_bisect(vals, m):
+    """Entry i: the largest rank below that of a = i + m in [i + 1, a - 1]."""
+    out = [0] * (len(vals) - m)
+    for i in range(1, len(out)):
+        present = sorted(set(vals[i + 1 : i + m]))
+        t = bisect_left(present, vals[i + m])
+        out[i] = present[t - 1] if t else 0
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(predecessor_cases())
+def test_window_predecessors_match_bisect(case):
+    chunk, m = case
+    # general mode ranks the values as they are, distinct mode their tie-broken ranks
+    for seq in (chunk, _tie_broken(chunk)):
+        vals, order, last = _predecessor_inputs(seq, m)
+        assert window_predecessors(vals, order, last, m) == _predecessors_by_bisect(vals, m)
+
+
 def test_sliding_setup_memory_is_linear():
     # set-up keeps O(m) words: flat per-position and per-rank int lists
     chunk = random.Random(5).sample(range(10**6), 20_000)
@@ -374,6 +433,45 @@ def test_hybrid_filter_matches_hamming(case):
         assert 0 <= sliding.dyn_scans <= windows
 
 
+@settings(max_examples=150, deadline=None)
+@given(hybrid_cases(), st.data())
+def test_lazy_dynstring_matches_eager_twin(case, data):
+    # window i is the first read of ``lazy``; ``twin`` read every window before it
+    chunk, pattern, limit, _, backend = case
+    m = len(pattern)
+    view_first = data.draw(st.booleans())
+    for mode, text, pat in (
+        ("general", chunk, pattern),
+        ("distinct", _tie_broken(chunk), _tie_broken(pattern)),
+    ):
+        ref_sig = compute_signature(pat, mode)
+        ref = RefString(ref_sig.packed)
+        i = data.draw(st.integers(1, len(text) - m + 1))
+        lazy = SlidingSignature(text, m, mode, ref=ref, backend=backend)
+        twin = SlidingSignature(text, m, mode, ref=ref, backend=backend)
+        for _ in range(i - 1):
+            twin.window_view()
+            twin.first_mismatches(limit)
+            twin.advance()
+            lazy.advance()
+        assert not lazy.dyn_built
+        want_sig = compute_signature(text[i - 1 : i - 1 + m], mode)
+        want = signature_hamming(want_sig, ref_sig, cap=limit)
+        if view_first:
+            assert lazy.window_view() == twin.window_view() == want_sig.packed
+            assert lazy.dyn_built
+        got = lazy.first_mismatches(limit)
+        other = twin.first_mismatches(limit)
+        assert (got.positions, got.truncated) == (other.positions, other.truncated)
+        assert (got.positions, got.truncated) == (want.positions, want.exceeded)
+        # the built DynString itself, read at window i against the twin's
+        twin.window_view()
+        got = lazy.dyn.first_mismatches(i, limit)
+        other = twin.dyn.first_mismatches(i, limit)
+        assert (got.positions, got.truncated) == (other.positions, other.truncated)
+        assert lazy.window_view() == want_sig.packed
+
+
 def test_match_stats_count_dyn_scans():
     # an increasing text with random stretches spliced in, against an
     # increasing pattern: windows over the random stretches are decided by
@@ -386,3 +484,13 @@ def test_match_stats_count_dyn_scans():
         match_all(text, pattern, 1, "general", backend=backend, stats=stats)
         # match_all sums the per-chunk counts with MatchStats.merge
         assert 0 < stats.dyn_scans < stats.windows
+        chunks = len(range(1, len(text) - len(pattern) + 2, len(pattern)))
+        assert 0 < stats.dyn_builds <= chunks
+    # every window of a shuffled text has more than 3k mismatches in the
+    # direct span, so no chunk builds a DynString
+    shuffled = list(range(3000))
+    rng.shuffle(shuffled)
+    stats = MatchStats()
+    match_all(shuffled, pattern, 1, "general", stats=stats)
+    assert stats.windows == stats.filtered
+    assert stats.dyn_scans == stats.dyn_builds == 0
