@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -67,13 +66,13 @@ def _load_sequences(args) -> tuple[list[int], list[int], int, str]:
     return text, pattern, k if k is not None else 0, mode or "auto"
 
 
-def _add_backend_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--dict-backend",
-        choices=("bittrie", "sorted"),
-        default=os.environ.get("OPMATCH_DICT_BACKEND"),
-        help="ordered key-set backend (default: bittrie)",
-    )
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """Flags that still parse but select nothing: the chunks run one after
+    another, and the fragment starts are always kept in a bit trie."""
+    p.add_argument("--threads", type=int, default=1,
+                   help="must be at least 1; selects nothing (chunks run sequentially)")
+    p.add_argument("--dict-backend", choices=("bittrie", "sorted"), default=None,
+                   help="selects nothing (the fragment starts are always a bit trie)")
 
 
 def cmd_match(args) -> int:
@@ -81,9 +80,7 @@ def cmd_match(args) -> int:
     if args.algorithm == "naive":
         occurrences = match_naive(text, pattern, k, mode)
     else:
-        occurrences = match_all(
-            text, pattern, k, mode, threads=args.threads, backend=args.dict_backend
-        )
+        occurrences = match_all(text, pattern, k, mode, threads=args.threads)
     if args.json:
         print(json.dumps(occurrences))
     else:
@@ -157,10 +154,7 @@ def cmd_bench(args) -> int:
                 inst = generate_instance(rng, n, m, k, args.mode)
                 stats = MatchStats()
                 t0 = time.perf_counter()
-                occ = match_all(
-                    inst.text, inst.pattern, k, inst.mode,
-                    threads=args.threads, backend=args.dict_backend, stats=stats,
-                )
+                occ = match_all(inst.text, inst.pattern, k, inst.mode, threads=args.threads, stats=stats)
                 fast = time.perf_counter() - t0
                 rows.append(_BenchRow(n, m, k, "fast", fast, stats.pruning_rate, len(occ), False))
                 if "naive" in args.algorithms:
@@ -209,9 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="report all occurrence positions")
     _add_io_flags(p)
     p.add_argument("--algorithm", choices=("fast", "naive"), default="fast")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
-    _add_backend_flag(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("verify", help="check one alignment and print a witness")
@@ -243,11 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("distinct", "general"), default="distinct")
     p.add_argument("--algorithms", default="fast,naive")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--naive-cap", type=int, default=5000,
                    help="max windows to time naively before extrapolating")
     p.add_argument("--csv", action="store_true")
-    _add_backend_flag(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("selftest", help="run the randomized oracle suites")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .seqcore import make_key_set
+from .seqcore import BitTrieSet
 
 __all__ = ["RefString", "DynString", "MismatchStream"]
 
@@ -143,16 +143,16 @@ class DynString:
 
     Fragments are kept as a dict from absolute start position to payload
     (an int for a single literal symbol, or a (ref_start, length) tuple for
-    a reference substring) with the starts in an ordered key set for
-    predecessor lookups. The tiling covers [1, 2m] exactly at all times.
+    a reference substring) with the starts in a bit trie for predecessor
+    lookups. The tiling covers [1, 2m] exactly at all times.
     """
 
-    def __init__(self, ref: RefString, initial: Sequence[int], backend: str | None = None):
+    def __init__(self, ref: RefString, initial: Sequence[int]):
         self.ref = ref
         self.n = 2 * ref.m
         if len(initial) != self.n:
             raise ValueError(f"initial content must have length {self.n}, got {len(initial)}")
-        self._starts = make_key_set(self.n + 2, backend)
+        self._starts = BitTrieSet(self.n + 2)
         self._frag: dict[int, int | tuple[int, int]] = {}
         for p, sym in enumerate(initial, start=1):
             self._starts.add(p)

@@ -200,9 +200,13 @@ class PatternIndex:
     left; per class (index 0 unused) the rightmost occurrence
     ``class_last`` (1-based), the occurrence count ``class_rep`` and the
     number of positions in lower classes ``class_rank``.
+
+    ``dict_backend`` selects nothing, like the CLI's ``--dict-backend``: it
+    is accepted and ignored so that callers which still pass the retired
+    key-set choice keep working.
     """
 
-    def __init__(self, pattern: Sequence[int], mode: str = "auto", backend: str | None = None):
+    def __init__(self, pattern: Sequence[int], mode: str = "auto", dict_backend: object = None):
         _validate_ints(pattern, "pattern")
         mode = resolve_mode(mode, pattern)
         if not pattern:
@@ -212,7 +216,6 @@ class PatternIndex:
         self.pattern = list(pattern)
         self.m = m = len(pattern)
         self.mode = mode
-        self.backend = backend
         order = sorted(range(m), key=pattern.__getitem__)
         self.signature = Signature(_class_walk(pattern, order, mode))
         self.ref = RefString(self.signature.packed)
@@ -412,14 +415,6 @@ class MatchStats:
     dyn_scans: int = 0
     dyn_builds: int = 0
 
-    def merge(self, other: "MatchStats") -> None:
-        self.windows += other.windows
-        self.filtered += other.filtered
-        self.verified += other.verified
-        self.occurrences += other.occurrences
-        self.dyn_scans += other.dyn_scans
-        self.dyn_builds += other.dyn_builds
-
     @property
     def pruning_rate(self) -> float:
         return self.filtered / self.windows if self.windows else 0.0
@@ -441,7 +436,7 @@ def match_chunk(
         raise ValueError("chunk shorter than the pattern")
     cap = 3 * k if filter_cap is None else filter_cap
     last_start = min(owned if owned is not None else m, length - m + 1)
-    sliding = SlidingSignature(chunk, m, pidx.mode, ref=pidx.ref, backend=pidx.backend)
+    sliding = SlidingSignature(chunk, m, pidx.mode, ref=pidx.ref)
     out: list[int] = []
     i = 1
     while True:
@@ -473,7 +468,6 @@ def match_all(
     k: int,
     mode: str = "auto",
     threads: int = 1,
-    backend: str | None = None,
     stats: MatchStats | None = None,
     filter_cap: int | None = None,
     chunk_starts: Sequence[int] | None = None,
@@ -485,7 +479,8 @@ def match_all(
     positions; each chunk owns the window starts before the next chunk
     begins, so every occurrence is found exactly once. ``chunk_starts``
     overrides the canonical cut points (gaps must stay <= m); output is
-    independent of the override and of ``threads``, which must be at least 1.
+    independent of the override. The chunks run one after another in this
+    process: ``threads`` selects nothing, but must still be at least 1.
     """
     _validate_k(k)
     if threads < 1:
@@ -502,7 +497,7 @@ def match_all(
         raise ValueError("pattern must be non-empty")
     if m > n:
         return []
-    pidx = PatternIndex(pattern, mode, backend)
+    pidx = PatternIndex(pattern, mode)
     total = n - m + 1
     if chunk_starts is None:
         starts = list(range(1, total + 1, m))
@@ -512,32 +507,10 @@ def match_all(
             raise ValueError("chunk starts must begin at 1 and advance by at most m")
         starts = [c for c in starts if c <= total]
 
-    jobs = []
-    for t, c in enumerate(starts):
-        nxt = starts[t + 1] if t + 1 < len(starts) else total + 1
-        owned = nxt - c
-        chunk = text[c - 1 : c - 1 + 2 * m]
-        jobs.append((c, chunk, owned))
-
-    def run(job):
-        c, chunk, owned = job
-        st = MatchStats() if stats is not None else None
-        occ = match_chunk(chunk, pidx, k, owned, st, filter_cap)
-        return [c - 1 + r for r in occ], st
-
-    if threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
     out: list[int] = []
-    for occ, st in results:
-        out.extend(occ)
-        if stats is not None and st is not None:
-            stats.merge(st)
+    for c, nxt in zip(starts, starts[1:] + [total + 1]):
+        occ = match_chunk(text[c - 1 : c - 1 + 2 * m], pidx, k, nxt - c, stats, filter_cap)
+        out.extend(c - 1 + r for r in occ)
     return out
 
 

@@ -22,7 +22,7 @@ from .matcher import (
     match_all,
     verify_window,
 )
-from .seqcore import make_key_set
+from .seqcore import BitTrieSet
 from .signature import SlidingSignature, compute_signature, signature_hamming
 from .subsequence import (
     WeightedPoint,
@@ -80,45 +80,26 @@ def _perturbed_pair(rng: random.Random, mode: str, m: int, k: int) -> tuple[list
 
 
 def suite_key_set(rng: random.Random, iterations: int) -> list[str]:
-    """Ordered key sets answer like a plain set under random interleaved
-    adds/discards/queries, on both backends."""
-    bad: list[str] = []
-    for backend in ("bittrie", "sorted"):
-        universe = 512
-        d = make_key_set(universe, backend)
-        ref: set[int] = set()
-        for _ in range(iterations):
-            op = rng.randrange(6)
-            x = rng.randrange(universe)
-            if op == 0:
-                d.add(x)
-                ref.add(x)
-            elif op == 1:
-                got = d.discard(x)
-                want = x in ref
-                ref.discard(x)
-                if got != want:
-                    bad.append(f"{backend}: discard({x}) returned {got}, expected {want}")
-            elif op == 2:
-                keys = [key for key in ref if key <= x]
-                want = max(keys) if keys else None
-                if d.pred(x) != want:
-                    bad.append(f"{backend}: pred({x}) = {d.pred(x)}, expected {want}")
-            elif op == 3:
-                keys = [key for key in ref if key >= x]
-                want = min(keys) if keys else None
-                if d.succ(x) != want:
-                    bad.append(f"{backend}: succ({x}) = {d.succ(x)}, expected {want}")
-            elif op == 4:
-                if (x in d) != (x in ref):
-                    bad.append(f"{backend}: contains({x}) wrong")
-            else:
-                want = min(ref) if ref else None
-                if d.min() != want:
-                    bad.append(f"{backend}: min() = {d.min()}, expected {want}")
-            if bad:
-                return bad
-    return bad
+    """The bit trie answers like a plain set under random interleaved adds
+    and discards, each followed by a predecessor query at its key."""
+    universe = 512
+    d = BitTrieSet(universe)
+    ref: set[int] = set()
+    for _ in range(iterations):
+        x = rng.randrange(universe)
+        if rng.random() < 0.6:
+            op, got, want = "add", d.add(x), x not in ref
+            ref.add(x)
+        else:
+            op, got, want = "discard", d.discard(x), x in ref
+            ref.discard(x)
+        below = max((key for key in ref if key <= x), default=None)
+        if got != want or d.pred(x) != below or len(d) != len(ref):
+            return [
+                f"{op}({x}) returned {got}, expected {want}; then pred({x}) = {d.pred(x)}, "
+                f"expected {below}; size {len(d)}, expected {len(ref)}"
+            ]
+    return []
 
 
 def suite_subsequence(rng: random.Random, iterations: int) -> list[str]:
@@ -162,23 +143,22 @@ def suite_subsequence(rng: random.Random, iterations: int) -> list[str]:
 
 def suite_sliding(rng: random.Random, iterations: int) -> list[str]:
     """After every advance, the window view of the maintained signature
-    equals a from-scratch recomputation, on both backends and modes."""
+    equals a from-scratch recomputation, in both modes."""
     bad: list[str] = []
-    for it in range(iterations):
+    for _ in range(iterations):
         mode = "distinct" if rng.random() < 0.5 else "general"
-        backend = "bittrie" if it % 2 == 0 else "sorted"
         m = rng.randint(1, 16)
         length = rng.randint(m, 2 * m)
         if mode == "distinct":
             chunk = rng.sample(range(100), length)
         else:
             chunk = [rng.randrange(max(2, m // 2 + 1)) for _ in range(length)]
-        sliding = SlidingSignature(chunk, m, mode, backend=backend)
+        sliding = SlidingSignature(chunk, m, mode)
         for i in range(1, length - m + 2):
             want = compute_signature(chunk[i - 1 : i - 1 + m], mode).packed
             got = sliding.window_view()
             if got != want:
-                bad.append(f"sliding {mode}/{backend} m={m} chunk={chunk} window {i}")
+                bad.append(f"sliding {mode} m={m} chunk={chunk} window {i}")
                 break
             if i + m <= length:
                 sliding.advance()
@@ -191,14 +171,13 @@ def suite_dynstring(rng: random.Random, iterations: int) -> list[str]:
     """Mismatch streams and materializations agree with a shadow array under
     random replace/stream sequences."""
     bad: list[str] = []
-    for it in range(iterations):
-        backend = "bittrie" if it % 2 == 0 else "sorted"
+    for _ in range(iterations):
         m = rng.randint(1, 24)
         alphabet = rng.randint(1, 6)
         ref_syms = [rng.randrange(alphabet) for _ in range(m)]
         ref = RefString(ref_syms)
         shadow = [rng.randrange(alphabet + 1) for _ in range(2 * m)]
-        dyn = DynString(ref, shadow, backend=backend)
+        dyn = DynString(ref, shadow)
         shadow = list(shadow)
         for _ in range(rng.randint(1, 30)):
             if rng.random() < 0.5:

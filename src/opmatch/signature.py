@@ -282,11 +282,10 @@ class SlidingSignature:
     windows the direct scan decides alone never builds one. Until then the
     mirror changes only by literal replacements, so the DynString built late
     equals one built at set-up and kept up to date. After that it is kept in
-    sync lazily: ``advance`` appends the positions whose symbol changed to
-    ``_stale``, and every DynString read first replays those positions from
-    the mirror and clears the list, so the DynString gets at most the
-    replacements an eager update would give it. ``backend`` selects the key
-    set of the DynString's fragment starts.
+    sync lazily: once it is built, ``advance`` appends the positions whose
+    symbol changed to ``_stale``, and every DynString read first replays
+    those positions from the mirror and clears the list, so the DynString
+    gets at most the replacements an eager update would give it.
     """
 
     def __init__(
@@ -295,7 +294,6 @@ class SlidingSignature:
         m: int,
         mode: str = "general",
         ref: RefString | None = None,
-        backend: str | None = None,
     ):
         length = len(chunk)
         if m < 1:
@@ -361,7 +359,6 @@ class SlidingSignature:
         if ref is None:
             ref = RefString(packed)
         self.ref = ref
-        self._backend = backend
         self._dyn: DynString | None = None
         self._mirror = packed + [PAD_PACKED] * m
         self._stale: list[int] = []
@@ -375,8 +372,7 @@ class SlidingSignature:
         brings it up to date."""
         dyn = self._dyn
         if dyn is None:
-            dyn = self._dyn = DynString(self.ref, self._mirror, self._backend)
-            self._stale.clear()
+            dyn = self._dyn = DynString(self.ref, self._mirror)
         return dyn
 
     @property
@@ -492,11 +488,13 @@ class SlidingSignature:
         self.start = i + 1
         mirror = self._mirror
         stale = self._stale
+        built = self._dyn is not None
         for p in cand:
             sym = self._symbol_at(p)
             if mirror[p - 1] != sym:
                 mirror[p - 1] = sym
-                stale.append(p)
+                if built:
+                    stale.append(p)
 
     def _symbol_at(self, p: int) -> int:
         """Recompute position p's symbol from the current window's classes."""

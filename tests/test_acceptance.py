@@ -155,14 +155,13 @@ def test_criterion_6_structure_suites():
 
     from opmatch.fragstring import DynString, RefString
 
-    for case in range(cases):
-        backend = "bittrie" if case % 2 == 0 else "sorted"
+    for _ in range(cases):
         m = rng.randint(1, 24)
         alphabet = rng.randint(1, 5)
         syms = [rng.randrange(alphabet) for _ in range(m)]
         ref = RefString(syms)
         shadow = [rng.randrange(alphabet + 1) for _ in range(2 * m)]
-        dyn = DynString(ref, list(shadow), backend=backend)
+        dyn = DynString(ref, list(shadow))
         for _ in range(8):
             if rng.random() < 0.5:
                 x = rng.randint(1, 2 * m)
@@ -184,19 +183,18 @@ def test_criterion_6_structure_suites():
 
     for case in range(cases):
         mode = "distinct" if case % 2 == 0 else "general"
-        backend = "bittrie" if case % 4 < 2 else "sorted"
         m = min(rng.randint(1, 64), rng.randint(1, 64))
         length = rng.randint(m, 2 * m)
         if mode == "distinct":
             chunk = rng.sample(range(10 * length + 10), length)
         else:
             chunk = [rng.randint(0, max(1, m // 2)) for _ in range(length)]
-        sliding = SlidingSignature(chunk, m, mode, backend=backend)
+        sliding = SlidingSignature(chunk, m, mode)
         for i in range(1, length - m + 2):
             assert (
                 sliding.window_view()
                 == compute_signature(chunk[i - 1 : i - 1 + m], mode).packed
-            ), (mode, backend, m, chunk, i)
+            ), (mode, m, chunk, i)
             if i + m <= length:
                 sliding.advance()
 

@@ -176,14 +176,13 @@ def test_stream_rerun_is_identical_after_compaction():
 
 def test_randomized_shadow_equivalence():
     rng = random.Random(53)
-    for case in range(400):
-        backend = "bittrie" if case % 2 == 0 else "sorted"
+    for _ in range(400):
         m = rng.randint(1, 32)
         alphabet = rng.randint(1, 5)
         syms = [rng.randrange(alphabet) for _ in range(m)]
         ref = RefString(syms)
         shadow = [rng.randrange(alphabet + 1) for _ in range(2 * m)]
-        dyn = DynString(ref, list(shadow), backend=backend)
+        dyn = DynString(ref, list(shadow))
         for _ in range(rng.randint(1, 40)):
             if rng.random() < 0.5:
                 x = rng.randint(1, 2 * m)

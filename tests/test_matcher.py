@@ -430,15 +430,6 @@ def test_match_threads_give_identical_output():
         assert match_all(text, pattern, 2, threads=threads) == want
 
 
-def test_match_backends_agree():
-    rng = random.Random(107)
-    text = [rng.randrange(5) for _ in range(300)]
-    pattern = [rng.randrange(5) for _ in range(9)]
-    assert match_all(text, pattern, 2, backend="bittrie") == match_all(
-        text, pattern, 2, backend="sorted"
-    )
-
-
 def test_match_stats_accounting():
     rng = random.Random(109)
     text = rng.sample(range(9000), 900)
@@ -596,7 +587,7 @@ def _any_shape(draw, length):
 
 @st.composite
 def match_cases(draw):
-    """(text, pattern, k, chunk_starts, backend) over monotone, sawtooth,
+    """(text, pattern, k, chunk_starts) over monotone, sawtooth,
     all-equal, few-valued and random shapes, with m = 1, n = m, k >= m,
     ints far beyond 64 bits and random chunk cut points."""
     m = draw(st.sampled_from([1, draw(st.integers(1, 10))]))
@@ -617,14 +608,14 @@ def match_cases(draw):
         chunk_starts = [1]
         while chunk_starts[-1] <= n - m:
             chunk_starts.append(chunk_starts[-1] + draw(st.integers(1, m)))
-    return text, pattern, k, chunk_starts, draw(st.sampled_from(["bittrie", "sorted"]))
+    return text, pattern, k, chunk_starts
 
 
 @settings(max_examples=400, deadline=None)
 @given(match_cases())
 def test_match_all_equals_naive_on_adversarial_shapes(case):
-    text, pattern, k, chunk_starts, backend = case
+    text, pattern, k, chunk_starts = case
     want = match_naive(text, pattern, k)
-    assert match_all(text, pattern, k, backend=backend, chunk_starts=chunk_starts) == want
+    assert match_all(text, pattern, k, chunk_starts=chunk_starts) == want
     if len(set(text)) == len(text) and len(set(pattern)) == len(pattern):
-        assert match_all(text, pattern, k, "general", backend=backend) == want
+        assert match_all(text, pattern, k, "general") == want

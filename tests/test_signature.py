@@ -159,19 +159,18 @@ def test_sliding_every_step_consistent_both_modes():
     rng = random.Random(13)
     for case in range(600):
         mode = "distinct" if case % 2 == 0 else "general"
-        backend = "bittrie" if case % 4 < 2 else "sorted"
         m = rng.randint(1, 32)
         length = rng.randint(m, 2 * m)
         if mode == "distinct":
             chunk = rng.sample(range(10 * length + 10), length)
         else:
             chunk = [rng.randint(0, max(1, m // 2)) for _ in range(length)]
-        sliding = SlidingSignature(chunk, m, mode, backend=backend)
+        sliding = SlidingSignature(chunk, m, mode)
         for i in range(1, length - m + 2):
             assert (
                 sliding.window_view()
                 == compute_signature(chunk[i - 1 : i - 1 + m], mode).packed
-            ), (mode, backend, m, chunk, i)
+            ), (mode, m, chunk, i)
             if i + m <= length:
                 sliding.advance()
 
@@ -252,13 +251,13 @@ def test_sliding_distinct_rejects_duplicates():
 
 
 # ---------------------------------------------------------------------------
-# adversarial chunk shapes, both backends and both modes
+# adversarial chunk shapes, both modes
 # ---------------------------------------------------------------------------
 
 
 @st.composite
 def sliding_cases(draw):
-    """(chunk, m, backend): a chunk of length m, 2m or in between, in one of
+    """(chunk, m): a chunk of length m, 2m or in between, in one of
     the shapes that stress the value-class bookkeeping."""
     m = draw(st.one_of(st.just(1), st.integers(1, 40)))
     length = draw(st.sampled_from([m, 2 * m, draw(st.integers(m, 2 * m))]))
@@ -277,16 +276,16 @@ def sliding_cases(draw):
         chunk = list(itertools.accumulate(steps))
         if shape == "decreasing":
             chunk.reverse()
-    return chunk, m, draw(st.sampled_from(["bittrie", "sorted"]))
+    return chunk, m
 
 
 @settings(max_examples=200, deadline=None)
 @given(sliding_cases())
 def test_sliding_matches_from_scratch_on_adversarial_shapes(case):
-    chunk, m, backend = case
+    chunk, m = case
     modes = ["general"] + (["distinct"] if len(set(chunk)) == len(chunk) else [])
     for mode in modes:
-        sliding = SlidingSignature(chunk, m, mode, backend=backend)
+        sliding = SlidingSignature(chunk, m, mode)
         for i in range(1, len(chunk) - m + 2):
             want = compute_signature(chunk[i - 1 : i - 1 + m], mode).packed
             assert sliding.window_view() == want, (mode, i)
@@ -391,7 +390,7 @@ def _tie_broken(seq: list[int]) -> list[int]:
 
 @st.composite
 def hybrid_cases(draw):
-    """(chunk, pattern, limit, stride, backend). Windows inside an increasing
+    """(chunk, pattern, limit, stride). Windows inside an increasing
     stretch agree with the mostly increasing pattern over long runs and go to
     the DynString; windows over random stretches are decided by the direct
     scan. ``limit`` is drawn both where the direct span 8(limit + 1) is
@@ -406,20 +405,20 @@ def hybrid_cases(draw):
     pattern = _spliced(ints, m, ints(0, 2))
     limit = draw(st.integers(0, 2) | st.integers(0, max(0, m // 4)))
     stride = draw(st.integers(1, 5))
-    return chunk, pattern, limit, stride, draw(st.sampled_from(["bittrie", "sorted"]))
+    return chunk, pattern, limit, stride
 
 
 @settings(max_examples=300, deadline=None)
 @given(hybrid_cases())
 def test_hybrid_filter_matches_hamming(case):
-    chunk, pattern, limit, stride, backend = case
+    chunk, pattern, limit, stride = case
     m = len(pattern)
     for mode, text, pat in (
         ("general", chunk, pattern),
         ("distinct", _tie_broken(chunk), _tie_broken(pattern)),
     ):
         ref_sig = compute_signature(pat, mode)
-        sliding = SlidingSignature(text, m, mode, ref=RefString(ref_sig.packed), backend=backend)
+        sliding = SlidingSignature(text, m, mode, ref=RefString(ref_sig.packed))
         windows = len(text) - m + 1
         for i in range(1, windows + 1):
             want_sig = compute_signature(text[i - 1 : i - 1 + m], mode)
@@ -437,7 +436,7 @@ def test_hybrid_filter_matches_hamming(case):
 @given(hybrid_cases(), st.data())
 def test_lazy_dynstring_matches_eager_twin(case, data):
     # window i is the first read of ``lazy``; ``twin`` read every window before it
-    chunk, pattern, limit, _, backend = case
+    chunk, pattern, limit, _ = case
     m = len(pattern)
     view_first = data.draw(st.booleans())
     for mode, text, pat in (
@@ -447,8 +446,8 @@ def test_lazy_dynstring_matches_eager_twin(case, data):
         ref_sig = compute_signature(pat, mode)
         ref = RefString(ref_sig.packed)
         i = data.draw(st.integers(1, len(text) - m + 1))
-        lazy = SlidingSignature(text, m, mode, ref=ref, backend=backend)
-        twin = SlidingSignature(text, m, mode, ref=ref, backend=backend)
+        lazy = SlidingSignature(text, m, mode, ref=ref)
+        twin = SlidingSignature(text, m, mode, ref=ref)
         for _ in range(i - 1):
             twin.window_view()
             twin.first_mismatches(limit)
@@ -479,13 +478,12 @@ def test_match_stats_count_dyn_scans():
     rng = random.Random(23)
     text = _spliced(rng.randint, 3000, 20)
     pattern = list(range(100))
-    for backend in ("bittrie", "sorted"):
-        stats = MatchStats()
-        match_all(text, pattern, 1, "general", backend=backend, stats=stats)
-        # match_all sums the per-chunk counts with MatchStats.merge
-        assert 0 < stats.dyn_scans < stats.windows
-        chunks = len(range(1, len(text) - len(pattern) + 2, len(pattern)))
-        assert 0 < stats.dyn_builds <= chunks
+    stats = MatchStats()
+    match_all(text, pattern, 1, "general", stats=stats)
+    # every chunk adds its counts to the caller's stats
+    assert 0 < stats.dyn_scans < stats.windows
+    chunks = len(range(1, len(text) - len(pattern) + 2, len(pattern)))
+    assert 0 < stats.dyn_builds <= chunks
     # every window of a shuffled text has more than 3k mismatches in the
     # direct span, so no chunk builds a DynString
     shuffled = list(range(3000))
@@ -494,3 +492,28 @@ def test_match_stats_count_dyn_scans():
     match_all(shuffled, pattern, 1, "general", stats=stats)
     assert stats.windows == stats.filtered
     assert stats.dyn_scans == stats.dyn_builds == 0
+
+
+def test_stale_positions_wait_for_the_dynstring():
+    # a shuffled chunk against an increasing pattern: the direct scan decides
+    # every window, so no DynString is built and advance records no changes for one
+    rng = random.Random(31)
+    m = 100
+    chunk = list(range(2 * m))
+    rng.shuffle(chunk)
+    ref = RefString(compute_signature(list(range(m)), "general").packed)
+    sliding = SlidingSignature(chunk, m, "general", ref=ref)
+    for i in range(1, m + 2):
+        assert sliding.first_mismatches(1).truncated
+        if i <= m:
+            sliding.advance()
+    assert not sliding.dyn_built
+    assert sliding._stale == []
+    # once the DynString exists, advance records the changed positions and
+    # the next read replays them
+    sliding = SlidingSignature(chunk, m, "general", ref=ref)
+    assert sliding.dyn.fragment_count() == 2 * m  # built from the mirror, one literal per position
+    sliding.advance()
+    assert m + 1 in sliding._stale  # the arriving position's PAD was overwritten
+    assert sliding.window_view() == compute_signature(chunk[1 : m + 1], "general").packed
+    assert sliding._stale == []

@@ -70,10 +70,10 @@ def test_his_equal_values_never_chain():
     assert weight == 3
 
 
-# The solvers bisect raw values, so they must be exact both on the bounded
-# non-negative int keys a ``bittrie`` key set holds and on any mutually
-# comparable keys, as a ``sorted`` key set takes (here -inf, floats and ints
-# mixed, the way ``reduce_general`` emits them).
+# The solvers bisect raw values, so they must be exact both on bounded
+# non-negative int keys (case "bittrie") and on any mutually comparable keys
+# (case "sorted": -inf, floats and ints mixed, the way ``reduce_general``
+# emits them).
 _MIXED_KEYS = (float("-inf"), -2.5, -1, 0, 0.5, 3, 3.25, 7)
 
 
