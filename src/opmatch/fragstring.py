@@ -2,13 +2,14 @@
 
 RefString preprocesses a fixed symbol string (suffix array, LCP array,
 sparse-table range minimum) so the longest common prefix of any two of its
-suffixes is an O(1) query. DynString represents a string of length 2m as a
-tiling of fragments, each either a substring of the reference or a single
-literal symbol; replacing one symbol splits at most one fragment into
-three, and streaming the first mismatches of a window against the reference
-jumps across matched fragments with LCP queries, compacting runs of three
-or more fully matched fragments back into single reference substrings so
-the traversal stays amortized constant per mismatch.
+suffixes is an O(1) query. DynString holds a string of length 2m as a flat
+symbol list plus an index of reference fragments, stretches known to equal a
+substring of the reference; every other position is a single-symbol
+fragment. Replacing one symbol splits at most one reference fragment in two,
+and streaming the first mismatches of a window against the reference jumps
+across reference fragments with LCP queries, compacting runs of three or
+more fully matched fragments back into single reference fragments so the
+traversal stays amortized constant per mismatch.
 """
 
 from __future__ import annotations
@@ -139,12 +140,14 @@ class MismatchStream:
 
 
 class DynString:
-    """Length-2m symbol string stored as a fragment tiling over a reference.
+    """Length-2m symbol string over a reference: a flat list of its symbols
+    plus an index of its reference fragments.
 
-    Fragments are kept as a dict from absolute start position to payload
-    (an int for a single literal symbol, or a (ref_start, length) tuple for
-    a reference substring) with the starts in a bit trie for predecessor
-    lookups. The tiling covers [1, 2m] exactly at all times.
+    A reference fragment is a stretch known to equal a substring of the
+    reference. The index is a dict from a fragment's absolute start to
+    its (ref_start, length), with the starts in a bit trie for predecessor
+    lookups. Fragments are disjoint; every position outside them is a
+    single-symbol fragment, read straight from the list.
     """
 
     def __init__(self, ref: RefString, initial: Sequence[int]):
@@ -152,67 +155,54 @@ class DynString:
         self.n = 2 * ref.m
         if len(initial) != self.n:
             raise ValueError(f"initial content must have length {self.n}, got {len(initial)}")
+        self._sym = list(initial)
         self._starts = BitTrieSet(self.n + 2)
-        self._frag: dict[int, int | tuple[int, int]] = {}
-        for p, sym in enumerate(initial, start=1):
-            self._starts.add(p)
-            self._frag[p] = sym
+        self._frag: dict[int, tuple[int, int]] = {}
+        self._singles = self.n  # positions outside every reference fragment
 
     def fragment_count(self) -> int:
-        return len(self._frag)
+        """Reference fragments plus one per position outside them."""
+        return len(self._frag) + self._singles
 
     def replace(self, x: int, symbol: int) -> None:
-        """Overwrite the symbol at position x; splits a reference fragment
-        into at most three pieces."""
+        """Overwrite the symbol at position x; splits the reference fragment
+        covering x, if any, into at most two pieces around it."""
         if not (1 <= x <= self.n):
             raise ValueError(f"position {x} outside [1, {self.n}]")
+        self._sym[x - 1] = symbol
         starts = self._starts
         frag = self._frag
         s = starts.pred(x)
-        payload = frag[s]
-        if type(payload) is tuple:
-            rs, ln = payload
-            end = s + ln - 1
-            if x > s:
-                frag[s] = (rs, x - s)
-                starts.add(x)
-            if x < end:
-                starts.add(x + 1)
-                frag[x + 1] = (rs + (x - s) + 1, end - x)
-        frag[x] = symbol
+        payload = frag.get(s)
+        if payload is None or s + payload[1] <= x:
+            return  # x was a single symbol already
+        rs, ln = payload
+        end = s + ln - 1
+        self._singles += 1
+        if x > s:
+            frag[s] = (rs, x - s)
+        else:
+            del frag[s]
+            starts.discard(s)
+        if x < end:
+            starts.add(x + 1)
+            frag[x + 1] = (rs + (x - s) + 1, end - x)
 
     def materialize(self) -> list[int]:
-        return self.materialize_range(1, self.n)
+        return list(self._sym)
 
     def materialize_range(self, lo: int, hi: int) -> list[int]:
         """Symbols at positions lo..hi, inclusive."""
         if not (1 <= lo and hi <= self.n and lo <= hi):
             raise ValueError(f"range [{lo}, {hi}] outside [1, {self.n}]")
-        out: list[int] = []
-        frag = self._frag
-        sym = self.ref.symbols
-        s = self._starts.pred(lo)
-        pos = lo
-        while pos <= hi:
-            payload = frag[s]
-            if type(payload) is tuple:
-                rs, ln = payload
-                take_lo = pos - s
-                take_hi = min(s + ln - 1, hi) - s
-                out.extend(sym[rs - 1 + take_lo : rs + take_hi])
-                pos = s + take_hi + 1
-                s = s + ln
-            else:
-                out.append(payload)
-                pos += 1
-                s = pos
-        return out
+        return self._sym[lo - 1 : hi]
 
     def first_mismatches(self, i: int, limit: int) -> MismatchStream:
         """All window positions p in [1, m] with content[i + p - 1] differing
         from the reference at p, in increasing order, truncated after
-        limit + 1. Runs of >= 3 fragments fully contained in a matched gap
-        are compacted into a single reference substring fragment.
+        limit + 1. Runs of >= 3 fragments (single symbols included) fully
+        contained in a matched gap are compacted into a single reference
+        fragment.
         """
         ref = self.ref
         m = ref.m
@@ -220,8 +210,8 @@ class DynString:
             raise ValueError(f"window start {i} outside [1, {m + 1}]")
         if limit < 0:
             raise ValueError("limit must be non-negative")
-        starts = self._starts
-        frag = self._frag
+        piece = self._frag.get
+        cur = self._sym
         sym = ref.symbols
         lcp = ref.lcp
 
@@ -232,10 +222,13 @@ class DynString:
         truncated = False
 
         pos = i
-        s = starts.pred(i)
-        payload = frag[s]
+        # payload: the reference fragment at s, or None for the single symbol at pos
+        s = self._starts.pred(i)
+        payload = piece(s)
+        if payload is not None and s + payload[1] <= i:
+            payload = None
         while pos <= end_window:
-            if type(payload) is tuple:
+            if payload is not None:
                 rs, ln = payload
                 fend = s + ln - 1
                 run = lcp(rs + (pos - s), pos - i + 1)
@@ -249,9 +242,9 @@ class DynString:
                     # matched through the fragment end
                     if s >= anchor:
                         gap_fulls.append(s)
-                    s = fend + 1
+                    s = pos
                     if pos <= end_window:
-                        payload = frag[s]
+                        payload = piece(s)
                     continue
                 if pos > end_window:
                     break  # matched to the window end mid-fragment
@@ -265,13 +258,12 @@ class DynString:
                     truncated = True
                     break
                 if pos > fend:
-                    s = fend + 1
-                    payload = frag[s]
+                    s = pos
+                    payload = piece(s)
                 continue
-            # single literal fragment
-            if payload == sym[pos - i]:
-                if s >= anchor:
-                    gap_fulls.append(s)
+            # single symbol; it lies inside the gap, which starts at or before pos
+            if cur[pos - 1] == sym[pos - i]:
+                gap_fulls.append(pos)
             else:
                 out.append(pos - i + 1)
                 if len(gap_fulls) >= 3:
@@ -282,16 +274,16 @@ class DynString:
                     truncated = True
                     break
             pos += 1
-            s = pos
             if pos <= end_window:
-                payload = frag[s]
+                s = pos
+                payload = piece(s)
         if not truncated and len(gap_fulls) >= 3:
             self._compact(gap_fulls, i)
         return MismatchStream(out, truncated)
 
     def _compact(self, fulls: list[int], window_start: int) -> None:
         """Merge the >= 3 fully matched fragments ``fulls`` into one
-        reference substring; callers pass only runs that long.
+        reference fragment; callers pass only runs that long.
 
         The merged content equals the reference over the matched range, so
         the replacement fragment is the corresponding reference substring.
@@ -300,19 +292,35 @@ class DynString:
         frag = self._frag
         first = fulls[0]
         last = fulls[-1]
-        last_payload = frag[last]
-        last_end = last + (last_payload[1] if type(last_payload) is tuple else 1) - 1
+        tail = frag.get(last)
+        end = last + (tail[1] if tail is not None else 1)
+        singles = 0
         for s in fulls[1:]:
-            starts.discard(s)
-            del frag[s]
-        frag[first] = (first - window_start + 1, last_end - first + 1)
+            if frag.pop(s, None) is None:
+                singles += 1
+            else:
+                starts.discard(s)
+        if first not in frag:
+            singles += 1
+            starts.add(first)
+        frag[first] = (first - window_start + 1, end - first)
+        self._singles -= singles
 
     def check_tiling(self) -> None:
-        """Assert the fragments tile [1, 2m] exactly (test helper)."""
-        pos = 1
-        while pos <= self.n:
-            assert pos in self._frag, f"no fragment starts at {pos}"
-            payload = self._frag[pos]
-            pos += payload[1] if type(payload) is tuple else 1
-        assert pos == self.n + 1, "tiling overruns the string"
-        assert len(self._frag) == len(self._starts)
+        """Raise RuntimeError unless the reference fragments are disjoint, lie
+        in [1, 2m] and equal the reference over their spans, and their starts
+        are exactly the trie's keys (a test helper that ``python -O`` keeps)."""
+        sym = self.ref.symbols
+        end = 0  # last position of the previous fragment
+        for s, (rs, ln) in sorted(self._frag.items()):
+            if s <= end or ln < 1 or s + ln - 1 > self.n:
+                raise RuntimeError(f"fragment at {s} overlaps another or leaves [1, {self.n}]")
+            if rs < 1 or self._sym[s - 1 : s - 1 + ln] != sym[rs - 1 : rs - 1 + ln]:
+                raise RuntimeError(f"fragment at {s} differs from the reference")
+            if self._starts.pred(s) != s:
+                raise RuntimeError(f"fragment start {s} is missing from the trie")
+            end = s + ln - 1
+        if len(self._starts) != len(self._frag):
+            raise RuntimeError("the trie holds a key that starts no fragment")
+        if self._singles != self.n - sum(ln for _, ln in self._frag.values()):
+            raise RuntimeError("single-symbol count out of sync")

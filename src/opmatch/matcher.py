@@ -77,6 +77,28 @@ def _validate_ints(seq: Sequence[int], name: str) -> None:
         raise TypeError(f"{name} values must be int, got {found}")
 
 
+def _check_inputs(
+    a: Sequence[int], b: Sequence[int], k: int, mode: str, aligned: bool
+) -> str:
+    """The input contract of the public matching entry points; returns the
+    resolved mode. ``aligned`` means a and b are one alignment of two
+    equal-length sequences; otherwise a is a text and b a non-empty pattern.
+    Both need k >= 0, int values and, in distinct mode, unique values."""
+    names = ("first sequence", "second sequence") if aligned else ("text", "pattern")
+    _validate_k(k)
+    _validate_ints(a, names[0])
+    _validate_ints(b, names[1])
+    if aligned and len(a) != len(b):
+        raise ValueError("sequences must have equal length")
+    mode = resolve_mode(mode, a, b)
+    if mode == "distinct":
+        _validate_distinct(a, names[0])
+        _validate_distinct(b, names[1])
+    if not aligned and len(b) < 1:
+        raise ValueError("pattern must be non-empty")
+    return mode
+
+
 # ---------------------------------------------------------------------------
 # Ground-truth oracles
 # ---------------------------------------------------------------------------
@@ -137,16 +159,9 @@ def k_isomorphic_check(
     general mode builds unit-weight points (a_i, b_i), merges duplicates, and
     compares the heaviest chain weight against m - k.
     """
-    _validate_k(k)
-    _validate_ints(a, "first sequence")
-    _validate_ints(b, "second sequence")
+    mode = _check_inputs(a, b, k, mode, aligned=True)
     m = len(a)
-    if len(b) != m:
-        raise ValueError("sequences must have equal length")
-    mode = resolve_mode(mode, a, b)
     if mode == "distinct":
-        _validate_distinct(a, "first sequence")
-        _validate_distinct(b, "second sequence")
         order = sorted(range(m), key=lambda j: a[j])
         return lis_length_at_least([b[j] for j in order], m - k)
     weight, _ = heaviest_chain([(a[j], b[j], 1) for j in range(m)])
@@ -162,16 +177,9 @@ def k_isomorphic_witness(
     General mode passes unit-weight points (a_i, b_i) to the heaviest chain,
     which merges duplicates, and keeps every position whose point it chose.
     """
-    _validate_k(k)
-    _validate_ints(a, "first sequence")
-    _validate_ints(b, "second sequence")
+    mode = _check_inputs(a, b, k, mode, aligned=True)
     m = len(a)
-    if len(b) != m:
-        raise ValueError("sequences must have equal length")
-    mode = resolve_mode(mode, a, b)
     if mode == "distinct":
-        _validate_distinct(a, "first sequence")
-        _validate_distinct(b, "second sequence")
         order = sorted(range(m), key=lambda j: a[j])
         weight, idx = heaviest_increasing_subsequence([(b[j], 1) for j in order])
         if weight < m - k:
@@ -278,15 +286,18 @@ def reduce_distinct(
     return items
 
 
-def _path_parts(
+def reduce_general(
     window: Sequence[int], pidx: PatternIndex, mismatches: Sequence[int]
 ) -> list[tuple[float | int, float | int, int]]:
-    """Split every maximal agreement path into its leading equal-value run,
-    the run of whole value classes in the middle, and the trailing
-    (possibly partial) class run, one part each: (window value, pattern
-    value, weight) at the part's first position. The floor path starts at
-    the virtual position 0, at (-inf, -inf); the weights of all parts sum
-    to m + 1 including it.
+    """General-mode reduction: split every maximal agreement path into its
+    leading equal-value run, the run of whole value classes in the middle,
+    and the trailing (possibly partial) class run, and collapse each part to
+    one (window value, pattern value, weight) point at its first position.
+    The floor path starts at the virtual position 0, at (-inf, -inf); the
+    weights of all points sum to m + 1 including it, and there are at most
+    3(|D| + 1) points. Parts may share a point; ``heaviest_chain`` merges
+    them, so they are returned unmerged. The window is k-isomorphic to the
+    pattern iff the heaviest chain weighs at least (m + 1) - k.
     """
     m = pidx.m
     class_of = pidx.class_of_pos
@@ -354,22 +365,9 @@ def _path_parts(
 
     if sum(w for _, _, w in parts) != m + 1:
         raise RuntimeError("path weights must cover every position")
-    return parts
-
-
-def reduce_general(
-    window: Sequence[int], pidx: PatternIndex, mismatches: Sequence[int]
-) -> list[tuple[float | int, float | int, int]]:
-    """General-mode reduction: collapse every path part to one (x, y, weight)
-    point at its first position's (window value, pattern value) coordinates.
-    Parts may share a point; ``heaviest_chain`` merges them, so they are
-    returned unmerged. The window is k-isomorphic to the pattern iff the
-    heaviest chain weighs at least (m + 1) - k.
-    """
-    points = _path_parts(window, pidx, mismatches)
-    if len(points) > 3 * (len(mismatches) + 1):
+    if len(parts) > 3 * (len(mismatches) + 1):
         raise RuntimeError("general reduction exceeded 3(|D|+1) points")
-    return points
+    return parts
 
 
 def verify_window(
@@ -482,19 +480,11 @@ def match_all(
     independent of the override. The chunks run one after another in this
     process: ``threads`` selects nothing, but must still be at least 1.
     """
-    _validate_k(k)
+    mode = _check_inputs(text, pattern, k, mode, aligned=False)
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    _validate_ints(text, "text")
-    _validate_ints(pattern, "pattern")
-    mode = resolve_mode(mode, text, pattern)
-    if mode == "distinct":
-        _validate_distinct(text, "text")
-        _validate_distinct(pattern, "pattern")
     n = len(text)
     m = len(pattern)
-    if m < 1:
-        raise ValueError("pattern must be non-empty")
     if m > n:
         return []
     pidx = PatternIndex(pattern, mode)
@@ -503,7 +493,7 @@ def match_all(
         starts = list(range(1, total + 1, m))
     else:
         starts = list(chunk_starts)
-        if starts[0] != 1 or any(b <= a or b - a > m for a, b in zip(starts, starts[1:])):
+        if starts[:1] != [1] or any(b <= a or b - a > m for a, b in zip(starts, starts[1:])):
             raise ValueError("chunk starts must begin at 1 and advance by at most m")
         starts = [c for c in starts if c <= total]
 
@@ -521,16 +511,8 @@ def match_naive(
     mode: str = "auto",
 ) -> list[int]:
     """Position-by-position matching through the single-alignment check."""
-    _validate_k(k)
-    _validate_ints(text, "text")
-    _validate_ints(pattern, "pattern")
-    mode = resolve_mode(mode, text, pattern)
-    if mode == "distinct":
-        _validate_distinct(text, "text")
-        _validate_distinct(pattern, "pattern")
+    mode = _check_inputs(text, pattern, k, mode, aligned=False)
     n, m = len(text), len(pattern)
-    if m < 1:
-        raise ValueError("pattern must be non-empty")
     return [
         i + 1
         for i in range(n - m + 1)

@@ -279,13 +279,15 @@ class SlidingSignature:
 
     The DynString is built from the mirror on its first read (``dyn``, which
     the fallback scan and ``window_view`` go through), so a chunk whose
-    windows the direct scan decides alone never builds one. Until then the
-    mirror changes only by literal replacements, so the DynString built late
-    equals one built at set-up and kept up to date. After that it is kept in
-    sync lazily: once it is built, ``advance`` appends the positions whose
-    symbol changed to ``_stale``, and every DynString read first replays
-    those positions from the mirror and clears the list, so the DynString
-    gets at most the replacements an eager update would give it.
+    windows the direct scan decides alone never builds one. A build copies
+    the mirror and indexes no reference fragment. Only a DynString scan
+    creates fragments, and replacing a symbol outside them changes the list
+    alone, so the DynString built late equals one built at set-up and kept
+    up to date. After that it is kept in sync lazily: once it is built,
+    ``advance`` appends the positions whose symbol changed to ``_stale``, and
+    every DynString read first replays those positions from the mirror and
+    clears the list, so the DynString gets at most the replacements an eager
+    update would give it.
     """
 
     def __init__(

@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
+
+import opmatch
 
 from opmatch.fragstring import DynString, RefString
 
@@ -80,6 +86,23 @@ def test_dyn_init_roundtrip_and_fragment_count():
     assert dyn.materialize() == content
     assert dyn.fragment_count() == 6
     dyn.check_tiling()
+
+
+def test_dyn_build_seeds_nothing_per_position():
+    # a build copies the symbols into one list and indexes no fragment yet
+    m = 10_000
+    rng = random.Random(5)
+    ref = RefString(rng.sample(range(10**6), m))
+    initial = [rng.randrange(10**6) for _ in range(2 * m)]
+    tracemalloc.start()
+    try:
+        dyn = DynString(ref, initial)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**19, f"a DynString build retained {retained / 2**20:.2f} MiB"
+    assert dyn.fragment_count() == 2 * m
+    assert dyn.materialize() == initial
 
 
 def test_dyn_init_wrong_length():
@@ -212,3 +235,32 @@ def test_compaction_reduces_fragments_on_matching_scan():
     # the fully matched window collapses into one fragment
     assert dyn.fragment_count() <= m + 2
     assert dyn.materialize() == syms + [-1] * m
+
+
+def test_tiling_check_survives_optimize_flag():
+    # each corruption of the fragment index must raise even where
+    # ``python -O`` strips asserts
+    src = os.path.dirname(os.path.dirname(opmatch.__file__))
+    code = (
+        "from opmatch.fragstring import DynString, RefString\n"
+        "for how in ('d._starts.discard(1)', 'd._frag[2] = (2, 2); d._starts.add(2)',\n"
+        "            'd._sym[1] = 9'):\n"
+        "    d = DynString(RefString([1, 2, 3]), [1, 2, 3] * 2)\n"
+        "    d.first_mismatches(1, 0)  # the matched window becomes one fragment at 1\n"
+        "    d.check_tiling()\n"
+        "    exec(how)\n"
+        "    try:\n"
+        "        d.check_tiling()\n"
+        "    except RuntimeError as exc:\n"
+        "        print('raised', __debug__, exc)\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out.splitlines() == [
+        "raised False fragment start 1 is missing from the trie",
+        "raised False fragment at 2 overlaps another or leaves [1, 6]",
+        "raised False fragment at 1 differs from the reference",
+    ]

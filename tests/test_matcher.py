@@ -9,7 +9,6 @@ from opmatch import matcher
 from opmatch.matcher import (
     MatchStats,
     PatternIndex,
-    _path_parts,
     k_isomorphic_check,
     k_isomorphic_subset_oracle,
     k_isomorphic_witness,
@@ -188,7 +187,7 @@ def test_reduce_weights_always_cover_every_position():
             assert sum(w for _, w in items) == m + 1
             assert len(items) == len(ds) + 1
         else:
-            parts = _path_parts(a, pidx, ds)
+            parts = reduce_general(a, pidx, ds)
             assert sum(w for _, _, w in parts) == m + 1
             points = reduce_general(a, pidx, ds)
             assert sum(w for _, _, w in points) == m + 1
@@ -229,7 +228,7 @@ def test_reduce_general_merges_identical_points():
         window = [rng.randint(0, 3) for _ in range(m)]
         pidx = PatternIndex([rng.randint(0, 3) for _ in range(m)], "general")
         mism = signature_hamming(compute_signature(window, "general"), pidx.signature).positions
-        parts = _path_parts(window, pidx, mism)
+        parts = reduce_general(window, pidx, mism)
         merged = {}
         for x, y, w in parts:
             merged[x, y] = merged.get((x, y), 0) + w
@@ -419,6 +418,13 @@ def test_match_invariant_under_chunk_boundaries():
         while starts[-1] <= n - m:
             starts.append(starts[-1] + rng.randint(1, m))
         assert match_all(text, pattern, k, chunk_starts=starts) == want
+
+
+@pytest.mark.parametrize("starts", [[], [2], [1, 1], [1, 6]], ids=["empty", "late", "repeat", "wide"])
+def test_match_rejects_bad_chunk_starts(starts):
+    text = list(range(12))
+    with pytest.raises(ValueError, match="chunk starts must begin at 1"):
+        match_all(text, [1, 2, 3], 0, chunk_starts=starts)
 
 
 def test_match_threads_give_identical_output():
