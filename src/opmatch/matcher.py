@@ -18,9 +18,9 @@ subsequence instance (distinct values) or a heaviest chain instance
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import sub
+from itertools import compress
+from operator import ne, sub
 from typing import Sequence
 
 from .fragstring import RefString
@@ -159,7 +159,12 @@ def k_isomorphic_check(
     general mode builds unit-weight points (a_i, b_i), merges duplicates, and
     compares the heaviest chain weight against m - k.
     """
-    mode = _check_inputs(a, b, k, mode, aligned=True)
+    return _k_isomorphic(a, b, k, _check_inputs(a, b, k, mode, aligned=True))
+
+
+def _k_isomorphic(a: Sequence[int], b: Sequence[int], k: int, mode: str) -> bool:
+    """The decision of ``k_isomorphic_check`` for inputs that already meet
+    its contract, with the mode resolved."""
     m = len(a)
     if mode == "distinct":
         order = sorted(range(m), key=lambda j: a[j])
@@ -198,16 +203,20 @@ def k_isomorphic_witness(
 
 
 class PatternIndex:
-    """Immutable preprocessing of one pattern: rank tables, signature, the
-    LCP-ready reference over the signature, and flat per-class tables.
+    """Immutable preprocessing of one pattern: its signature, the LCP-ready
+    reference over the signature, and flat int tables over the path that the
+    signature links.
 
-    One sort of the pattern gives every table. Per position (1-based list
-    ``rank``, index 0 unused) the count of smaller pattern values; per
-    position (0-indexed lists) the dense class id ``class_of_pos`` in
-    1..num_classes and ``equal_rank``, the count of equal values to its
-    left; per class (index 0 unused) the rightmost occurrence
-    ``class_last`` (1-based), the occurrence count ``class_rep`` and the
-    number of positions in lower classes ``class_rank``.
+    That path visits the value classes in ascending order and each class
+    from its rightmost occurrence to its leftmost: an occurrence's EQ symbol
+    points at the next occurrence to its right, and a class's rightmost
+    occurrence points down at the leftmost of the class below (LT) or at the
+    floor (NONE-MIN). ``order`` lists the 0-based positions in path order,
+    that is by value, ties by descending position; ``rank`` (1-based, index
+    0 unused) is its inverse, the path step of each position, which in
+    distinct mode is the count of smaller values. ``class_lo`` and
+    ``class_hi`` give, per step, the first and the last step of its value
+    class. One sort of the pattern gives every table.
 
     ``dict_backend`` selects nothing, like the CLI's ``--dict-backend``: it
     is accepted and ignored so that callers which still pass the retired
@@ -224,38 +233,27 @@ class PatternIndex:
         self.pattern = list(pattern)
         self.m = m = len(pattern)
         self.mode = mode
-        order = sorted(range(m), key=pattern.__getitem__)
+        steps = list(range(m))  # one int object per index, shared by every table
+        order = sorted(steps, key=pattern.__getitem__)
         self.signature = Signature(_class_walk(pattern, order, mode))
         self.ref = RefString(self.signature.packed)
+        values = list(map(pattern.__getitem__, order))
+        class_lo = steps.copy()
+        class_hi = steps.copy()
+        lo = 0
+        for hi in [*compress(range(m - 1), map(ne, values, values[1:])), m - 1]:
+            if hi > lo:  # a repeated value: the path enters at its rightmost occurrence
+                order[lo : hi + 1] = reversed(order[lo : hi + 1])
+                class_lo[lo : hi + 1] = [lo] * (hi + 1 - lo)
+                class_hi[lo : hi + 1] = [hi] * (hi + 1 - lo)
+            lo = hi + 1
         rank = [0] * (m + 1)
-        class_of = [0] * m
-        equal_rank = [0] * m
-        class_last = [0]
-        class_rep = [0]
-        class_rank = [0]
-        c = start = 0
-        prev_v = None
-        for t, p in enumerate(order):
-            v = pattern[p]
-            if v != prev_v:
-                class_rep.append(0)
-                class_last.append(0)
-                class_rank.append(t)
-                c += 1
-                start = t
-                prev_v = v
-            rank[p + 1] = start
-            class_of[p] = c
-            equal_rank[p] = t - start
-            class_rep[c] += 1
-            class_last[c] = p + 1
+        for t, p in zip(steps, order):
+            rank[p + 1] = t
+        self.order = order
         self.rank = rank
-        self.class_of_pos = class_of
-        self.equal_rank = equal_rank
-        self.num_classes = c
-        self.class_last = class_last
-        self.class_rep = class_rep
-        self.class_rank = class_rank
+        self.class_lo = class_lo
+        self.class_hi = class_hi
 
 
 # ---------------------------------------------------------------------------
@@ -289,82 +287,44 @@ def reduce_distinct(
 def reduce_general(
     window: Sequence[int], pidx: PatternIndex, mismatches: Sequence[int]
 ) -> list[tuple[float | int, float | int, int]]:
-    """General-mode reduction: split every maximal agreement path into its
-    leading equal-value run, the run of whole value classes in the middle,
-    and the trailing (possibly partial) class run, and collapse each part to
-    one (window value, pattern value, weight) point at its first position.
-    The floor path starts at the virtual position 0, at (-inf, -inf); the
-    weights of all points sum to m + 1 including it, and there are at most
+    """General-mode reduction. The signature mismatches cut the pattern's
+    signature path (see ``PatternIndex``) at their steps into maximal
+    agreement paths. The floor path starts at step -1, below every class,
+    at (-inf, -inf), and the last path ends at step m, a virtual class above
+    the top. Each path splits into its leading run inside the class it
+    starts in, the run of whole value classes in the middle, and the
+    (possibly partial) class it stops in; each part collapses to one (window
+    value, pattern value, weight) point at its first step. The weights of
+    all points sum to m + 1 including the floor's, and there are at most
     3(|D| + 1) points. Parts may share a point; ``heaviest_chain`` merges
     them, so they are returned unmerged. The window is k-isomorphic to the
     pattern iff the heaviest chain weighs at least (m + 1) - k.
     """
     m = pidx.m
-    class_of = pidx.class_of_pos
-    class_last = pidx.class_last
-    class_rep = pidx.class_rep
-    class_rank = pidx.class_rank
-    equal_rank = pidx.equal_rank
+    order = pidx.order
+    class_lo = pidx.class_lo
+    class_hi = pidx.class_hi
     pattern = pidx.pattern
-    top = pidx.num_classes
+    cuts = sorted(map(pidx.rank.__getitem__, mismatches))
 
-    d_by_class: dict[int, list[int]] = {}
-    for p in mismatches:
-        d_by_class.setdefault(class_of[p - 1], []).append(equal_rank[p - 1] + 1)
-    for idxs in d_by_class.values():
-        idxs.sort()
-    d_classes = sorted(d_by_class)
+    parts: list[tuple[float | int, float | int, int]] = [(_SENTINEL, _SENTINEL, 1)]
+    end = -1  # the last step of the class the current path starts in
+    for a, b in zip([-1, *cuts], [*cuts, m]):
+        if a >= 0:
+            end = class_hi[a]
+            run = (b if b <= end else end + 1) - a
+            if run < 1:  # a repeated position leaves an empty path
+                raise RuntimeError("path weights must cover every position")
+            p = order[a]
+            parts.append((window[p], pattern[p], run))
+        if b > end + 1:  # the path leaves its first class
+            lo = class_lo[b - 1]  # the first step of the class it stops in
+            if lo > end + 1:
+                p = order[end + 1]
+                parts.append((window[p], pattern[p], lo - end - 1))
+            p = order[lo]
+            parts.append((window[p], pattern[p], b - lo))
 
-    parts: list[tuple[float | int, float | int, int]] = []
-
-    def scan_upward(c0: int) -> None:
-        """Emit the middle and suffix parts of the path leaving class c0."""
-        if c0 >= top:
-            return
-        t = bisect_right(d_classes, c0)
-        c_star = d_classes[t] if t < len(d_classes) else None
-        if c_star is None:
-            suffix_cls, suffix_weight = top, class_rep[top]
-            mid_hi = top - 1
-        elif d_by_class[c_star][-1] == class_rep[c_star]:
-            # the entry point (rightmost occurrence) of c_star is a mismatch
-            if c_star - 1 == c0:
-                return
-            suffix_cls, suffix_weight = c_star - 1, class_rep[c_star - 1]
-            mid_hi = c_star - 2
-        else:
-            # the walk enters c_star and stops above its highest mismatch
-            suffix_cls = c_star
-            suffix_weight = class_rep[c_star] - d_by_class[c_star][-1]
-            mid_hi = c_star - 1
-        if suffix_cls == c0:
-            return
-        mid_lo = c0 + 1
-        if mid_lo <= mid_hi:
-            w = class_rank[mid_hi] + class_rep[mid_hi] - class_rank[mid_lo]
-            pos = class_last[mid_lo]
-            parts.append((window[pos - 1], pattern[pos - 1], w))
-        pos = class_last[suffix_cls]
-        parts.append((window[pos - 1], pattern[pos - 1], suffix_weight))
-
-    # the floor path starts below every value class
-    parts.append((_SENTINEL, _SENTINEL, 1))
-    scan_upward(0)
-
-    for p in mismatches:
-        c = class_of[p - 1]
-        idx = equal_rank[p - 1] + 1
-        in_class = d_by_class[c]
-        t = bisect_left(in_class, idx)
-        lower = in_class[t - 1] if t else 0
-        run = idx - lower
-        reached_leftmost = lower == 0
-        parts.append((window[p - 1], pattern[p - 1], run))
-        if reached_leftmost:
-            scan_upward(c)
-
-    if sum(w for _, _, w in parts) != m + 1:
-        raise RuntimeError("path weights must cover every position")
     if len(parts) > 3 * (len(mismatches) + 1):
         raise RuntimeError("general reduction exceeded 3(|D|+1) points")
     return parts
@@ -510,11 +470,8 @@ def match_naive(
     k: int,
     mode: str = "auto",
 ) -> list[int]:
-    """Position-by-position matching through the single-alignment check."""
+    """Position-by-position matching through the single-alignment check; the
+    input contract is checked once, not per window."""
     mode = _check_inputs(text, pattern, k, mode, aligned=False)
     n, m = len(text), len(pattern)
-    return [
-        i + 1
-        for i in range(n - m + 1)
-        if k_isomorphic_check(text[i : i + m], pattern, k, mode)
-    ]
+    return [i + 1 for i in range(n - m + 1) if _k_isomorphic(text[i : i + m], pattern, k, mode)]

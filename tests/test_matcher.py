@@ -187,8 +187,6 @@ def test_reduce_weights_always_cover_every_position():
             assert sum(w for _, w in items) == m + 1
             assert len(items) == len(ds) + 1
         else:
-            parts = reduce_general(a, pidx, ds)
-            assert sum(w for _, _, w in parts) == m + 1
             points = reduce_general(a, pidx, ds)
             assert sum(w for _, _, w in points) == m + 1
             assert len(points) <= 3 * (len(ds) + 1)
@@ -235,11 +233,70 @@ def test_reduce_general_merges_identical_points():
         if len(merged) == len(parts):
             continue
         cases += 1
-        assert reduce_general(window, pidx, mism) == parts
         by_hand = [(x, y, w) for (x, y), w in merged.items()]
         assert heaviest_chain(parts) == heaviest_chain(by_hand)
     # only the summed weight of the two (1, 1) points beats the (0, 2) point
     assert heaviest_chain([(1, 1, 2), (0, 2, 3), (1, 1, 2)]) == (4, [(1, 1, 4)])
+
+
+# Value classes of PIN_PATTERN, in path order (each from its rightmost
+# occurrence to its leftmost; 1-based positions): value 1 at 5, 2; value 2 at
+# 10, 7, 3; value 3 at 6, 1; value 4 at 8, 4; value 5 (the top) at 9.
+PIN_PATTERN = [3, 1, 2, 4, 1, 3, 2, 4, 5, 2]
+PIN_WINDOW = [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]  # window value = 10 * position
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "pattern, mismatches, points",
+    [
+        # the floor path crosses the four lower classes whole and stops in the top one
+        (PIN_PATTERN, [], [(-INF, -INF, 1), (50, 1, 9), (90, 5, 1)]),
+        # one class: the floor path stops above the highest mismatch
+        ([7] * 5, [2, 4], [(-INF, -INF, 1), (20, 7, 2), (40, 7, 2), (50, 7, 1)]),
+        # the rightmost occurrences of the two lowest classes: the paths from
+        # the floor and from value 1 end where they enter their next class
+        (PIN_PATTERN, [5, 10], [(-INF, -INF, 1), (50, 1, 2), (60, 3, 4), (90, 5, 1), (100, 2, 3)]),
+        # the same with the whole class of value 2 in between
+        (
+            PIN_PATTERN,
+            [5, 6],
+            [(-INF, -INF, 1), (50, 1, 2), (60, 3, 2), (80, 4, 2), (90, 5, 1), (100, 2, 3)],
+        ),
+        # a leftmost occurrence, then two whole classes up to a rightmost one
+        (
+            PIN_PATTERN,
+            [2, 8],
+            [(-INF, -INF, 1), (20, 1, 1), (50, 1, 1), (60, 3, 2), (80, 4, 2), (90, 5, 1),
+             (100, 2, 3)],
+        ),
+        # below its class's rightmost occurrence: the floor path stops inside value 2
+        (
+            PIN_PATTERN,
+            [7],
+            [(-INF, -INF, 1), (50, 1, 2), (60, 3, 4), (70, 2, 2), (90, 5, 1), (100, 2, 1)],
+        ),
+        # the top class: nothing lies above it
+        (PIN_PATTERN, [9], [(-INF, -INF, 1), (50, 1, 7), (80, 4, 2), (90, 5, 1)]),
+        # every position: one point of weight 1 each
+        (
+            PIN_PATTERN,
+            list(range(1, 11)),
+            [(-INF, -INF, 1), *((10 * p, v, 1) for p, v in enumerate(PIN_PATTERN, 1))],
+        ),
+    ],
+    ids=["no-mismatch", "one-class", "rightmost-right-above", "rightmost-class-between",
+         "two-classes-between", "below-rightmost", "top-class", "every-position"],
+)
+def test_reduce_general_literal_points(pattern, mismatches, points):
+    pidx = PatternIndex(pattern, "general")
+    assert sorted(reduce_general(PIN_WINDOW[: len(pattern)], pidx, mismatches)) == sorted(points)
+
+
+def test_reduce_general_rejects_repeated_mismatch():
+    pidx = PatternIndex(PIN_PATTERN, "general")
+    with pytest.raises(RuntimeError, match="path weights must cover every position"):
+        reduce_general(PIN_WINDOW, pidx, [7, 7])
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +307,24 @@ def test_reduce_general_merges_identical_points():
 def test_match_all_fig_instance():
     assert match_all(FIG_TEXT, FIG_PATTERN, 1) == [4]
     assert match_naive(FIG_TEXT, FIG_PATTERN, 1) == [4]
+
+
+def test_match_naive_checks_inputs_once(monkeypatch):
+    # the input contract runs once per call, not once per window
+    calls = []
+    validate = matcher._validate_ints
+
+    def counted(seq, name):
+        calls.append(name)
+        validate(seq, name)
+
+    monkeypatch.setattr(matcher, "_validate_ints", counted)
+    for n in (30, 300):
+        text = random.Random(n).sample(range(10 * n), n)
+        calls.clear()
+        got = match_naive(text, FIG_PATTERN, 1)
+        assert calls == ["text", "pattern"]
+        assert got == match_all(text, FIG_PATTERN, 1)
 
 
 def test_match_chunk_fig_instance():
