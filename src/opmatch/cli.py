@@ -76,11 +76,13 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_match(args) -> int:
+    if args.threads < 1:
+        raise ValueError("threads must be at least 1")
     text, pattern, k, mode = _load_sequences(args)
     if args.algorithm == "naive":
         occurrences = match_naive(text, pattern, k, mode)
     else:
-        occurrences = match_all(text, pattern, k, mode, threads=args.threads)
+        occurrences = match_all(text, pattern, k, mode)
     if args.json:
         print(json.dumps(occurrences))
     else:
@@ -142,6 +144,8 @@ class _BenchRow:
 
 
 def cmd_bench(args) -> int:
+    if args.threads < 1:
+        raise ValueError("threads must be at least 1")
     if args.naive_cap < 1:
         raise ValueError("--naive-cap must be at least 1")
     rng = random.Random(args.seed)
@@ -154,7 +158,7 @@ def cmd_bench(args) -> int:
                 inst = generate_instance(rng, n, m, k, args.mode)
                 stats = MatchStats()
                 t0 = time.perf_counter()
-                occ = match_all(inst.text, inst.pattern, k, inst.mode, threads=args.threads, stats=stats)
+                occ = match_all(inst.text, inst.pattern, k, inst.mode, stats=stats)
                 fast = time.perf_counter() - t0
                 rows.append(_BenchRow(n, m, k, "fast", fast, stats.pruning_rate, len(occ), False))
                 if "naive" in args.algorithms:

@@ -140,14 +140,20 @@ class MismatchStream:
 
 
 class DynString:
-    """Length-2m symbol string over a reference: a flat list of its symbols
-    plus an index of its reference fragments.
+    """Length-2m symbol string over a reference: a flat list of its symbols,
+    ``symbols`` (a copy of the initial content), plus an index of its
+    reference fragments.
 
     A reference fragment is a stretch known to equal a substring of the
     reference. The index is a dict from a fragment's absolute start to
     its (ref_start, length), with the starts in a bit trie for predecessor
     lookups. Fragments are disjoint; every position outside them is a
     single-symbol fragment, read straight from the list.
+
+    ``replace`` writes ``symbols`` and splits the fragment it hits. A caller
+    may also write ``symbols`` directly, but must then replay each written
+    position through ``replace`` before the next ``first_mismatches``, so
+    that no fragment covers a symbol that differs from the reference.
     """
 
     def __init__(self, ref: RefString, initial: Sequence[int]):
@@ -155,7 +161,7 @@ class DynString:
         self.n = 2 * ref.m
         if len(initial) != self.n:
             raise ValueError(f"initial content must have length {self.n}, got {len(initial)}")
-        self._sym = list(initial)
+        self.symbols = list(initial)
         self._starts = BitTrieSet(self.n + 2)
         self._frag: dict[int, tuple[int, int]] = {}
         self._singles = self.n  # positions outside every reference fragment
@@ -169,7 +175,7 @@ class DynString:
         covering x, if any, into at most two pieces around it."""
         if not (1 <= x <= self.n):
             raise ValueError(f"position {x} outside [1, {self.n}]")
-        self._sym[x - 1] = symbol
+        self.symbols[x - 1] = symbol
         starts = self._starts
         frag = self._frag
         s = starts.pred(x)
@@ -188,15 +194,6 @@ class DynString:
             starts.add(x + 1)
             frag[x + 1] = (rs + (x - s) + 1, end - x)
 
-    def materialize(self) -> list[int]:
-        return list(self._sym)
-
-    def materialize_range(self, lo: int, hi: int) -> list[int]:
-        """Symbols at positions lo..hi, inclusive."""
-        if not (1 <= lo and hi <= self.n and lo <= hi):
-            raise ValueError(f"range [{lo}, {hi}] outside [1, {self.n}]")
-        return self._sym[lo - 1 : hi]
-
     def first_mismatches(self, i: int, limit: int) -> MismatchStream:
         """All window positions p in [1, m] with content[i + p - 1] differing
         from the reference at p, in increasing order, truncated after
@@ -211,7 +208,7 @@ class DynString:
         if limit < 0:
             raise ValueError("limit must be non-negative")
         piece = self._frag.get
-        cur = self._sym
+        cur = self.symbols
         sym = ref.symbols
         lcp = ref.lcp
 
@@ -315,7 +312,7 @@ class DynString:
         for s, (rs, ln) in sorted(self._frag.items()):
             if s <= end or ln < 1 or s + ln - 1 > self.n:
                 raise RuntimeError(f"fragment at {s} overlaps another or leaves [1, {self.n}]")
-            if rs < 1 or self._sym[s - 1 : s - 1 + ln] != sym[rs - 1 : rs - 1 + ln]:
+            if rs < 1 or self.symbols[s - 1 : s - 1 + ln] != sym[rs - 1 : rs - 1 + ln]:
                 raise RuntimeError(f"fragment at {s} differs from the reference")
             if self._starts.pred(s) != s:
                 raise RuntimeError(f"fragment start {s} is missing from the trie")

@@ -113,12 +113,8 @@ def k_isomorphic_subset_oracle(a: Sequence[int], b: Sequence[int], k: int) -> bo
     full <= k-subset enumeration without changing the decided predicate.
     Capped at length 14.
     """
-    _validate_k(k)
-    _validate_ints(a, "first sequence")
-    _validate_ints(b, "second sequence")
+    _check_inputs(a, b, k, "general", aligned=True)
     m = len(a)
-    if len(b) != m:
-        raise ValueError("sequences must have equal length")
     if m > _ORACLE_CAP:
         raise ValueError(f"subset oracle capped at length {_ORACLE_CAP}")
     if k >= m - 1:
@@ -235,8 +231,8 @@ class PatternIndex:
         self.mode = mode
         steps = list(range(m))  # one int object per index, shared by every table
         order = sorted(steps, key=pattern.__getitem__)
-        self.signature = Signature(_class_walk(pattern, order, mode))
-        self.ref = RefString(self.signature.packed)
+        self.ref = RefString(_class_walk(pattern, order, mode))
+        self.signature = Signature(self.ref.symbols)
         values = list(map(pattern.__getitem__, order))
         class_lo = steps.copy()
         class_hi = steps.copy()
@@ -364,14 +360,14 @@ def verify_window(
 class MatchStats:
     """Counters for one matching run. ``dyn_scans`` counts the windows whose
     mismatches the DynString scan found, not the direct mirror scan, and
-    ``dyn_builds`` the chunks whose DynString was built at all."""
+    ``dyn_chunks`` the chunks whose DynString decided at least one window."""
 
     windows: int = 0
     filtered: int = 0
     verified: int = 0
     occurrences: int = 0
     dyn_scans: int = 0
-    dyn_builds: int = 0
+    dyn_chunks: int = 0
 
     @property
     def pruning_rate(self) -> float:
@@ -416,7 +412,7 @@ def match_chunk(
     if stats is not None:
         stats.occurrences += len(out)
         stats.dyn_scans += sliding.dyn_scans
-        stats.dyn_builds += sliding.dyn_built
+        stats.dyn_chunks += sliding.dyn_scans > 0
     return out
 
 
@@ -425,7 +421,6 @@ def match_all(
     pattern: Sequence[int],
     k: int,
     mode: str = "auto",
-    threads: int = 1,
     stats: MatchStats | None = None,
     filter_cap: int | None = None,
     chunk_starts: Sequence[int] | None = None,
@@ -438,11 +433,9 @@ def match_all(
     begins, so every occurrence is found exactly once. ``chunk_starts``
     overrides the canonical cut points (gaps must stay <= m); output is
     independent of the override. The chunks run one after another in this
-    process: ``threads`` selects nothing, but must still be at least 1.
+    process.
     """
     mode = _check_inputs(text, pattern, k, mode, aligned=False)
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
     n = len(text)
     m = len(pattern)
     if m > n:

@@ -168,7 +168,7 @@ def suite_sliding(rng: random.Random, iterations: int) -> list[str]:
 
 
 def suite_dynstring(rng: random.Random, iterations: int) -> list[str]:
-    """Mismatch streams and materializations agree with a shadow array under
+    """Mismatch streams and symbol lists agree with a shadow array under
     random replace/stream sequences."""
     bad: list[str] = []
     for _ in range(iterations):
@@ -202,8 +202,8 @@ def suite_dynstring(rng: random.Random, iterations: int) -> list[str]:
                         f"{got.positions}/{got.truncated} vs {want}/{truncated}"
                     )
                     break
-                if dyn.materialize() != shadow:
-                    bad.append(f"materialize diverged from shadow after stream at {i}")
+                if dyn.symbols != shadow:
+                    bad.append(f"symbols diverged from shadow after stream at {i}")
                     break
             dyn.check_tiling()
         if bad:
@@ -219,9 +219,9 @@ def suite_filter_soundness(rng: random.Random, iterations: int) -> list[str]:
         m = rng.randint(2, 24)
         k = rng.randint(0, 4)
         a, b = _perturbed_pair(rng, mode, m, k)
-        dist = signature_hamming(
-            compute_signature(a, mode), compute_signature(b, mode)
-        ).distance
+        dist = len(
+            signature_hamming(compute_signature(a, mode), compute_signature(b, mode)).positions
+        )
         if dist > 3 * k:
             bad.append(f"{mode}: H(S(a),S(b))={dist} > 3k={3 * k} for a={a} b={b}")
             break

@@ -34,7 +34,6 @@ __all__ = [
     "MIN_PACKED",
     "PAD_PACKED",
     "Signature",
-    "HammingResult",
     "pack_symbol",
     "unpack_symbol",
     "format_symbol",
@@ -137,24 +136,12 @@ def _class_walk(seq: Sequence[int], order: list[int], mode: str) -> list[int]:
     return out
 
 
-@dataclass
-class HammingResult:
-    """distance is None when the mismatch count exceeded the cap; positions
-    holds the first mismatches found (at most cap + 1), 1-based."""
-
-    distance: int | None
-    positions: list[int]
-
-    @property
-    def exceeded(self) -> bool:
-        return self.distance is None
-
-
 def signature_hamming(
     a: Signature | Sequence[int], b: Signature | Sequence[int], cap: int | None = None
-) -> HammingResult:
-    """Positions where two equal-length signatures differ, stopping after
-    cap + 1 mismatches when a cap is given."""
+) -> MismatchStream:
+    """Positions (1-based) where two equal-length signatures differ, as the
+    filter scans report them: with a cap, the scan stops after cap + 1
+    mismatches and the stream is truncated."""
     pa = a.packed if isinstance(a, Signature) else a
     pb = b.packed if isinstance(b, Signature) else b
     if len(pa) != len(pb):
@@ -165,8 +152,8 @@ def signature_hamming(
         if x != y:
             append(i + 1)
             if cap is not None and len(positions) > cap:
-                return HammingResult(None, positions)
-    return HammingResult(len(positions), positions)
+                return MismatchStream(positions, True)
+    return MismatchStream(positions, False)
 
 
 def window_predecessors(
@@ -247,10 +234,11 @@ class SlidingSignature:
     The current symbols live in ``_mirror``, a flat list of length 2m aligned
     to absolute chunk positions (window start i reads [i, i+m-1]); positions
     past the initial window start as PAD and are written before any window
-    reaches them. Each advance rewrites at most four mirror symbols: the
-    arriving position's, the displaced rightmost occurrence of the arriving
-    value, and the rightmost occurrences of the value classes just above the
-    departing and arriving values.
+    reaches them. The mirror is the symbol list of ``dyn``, the chunk's
+    DynString, built at set-up. Each advance rewrites at most four mirror
+    symbols: the arriving position's, the displaced rightmost occurrence of
+    the arriving value, and the rightmost occurrences of the value classes
+    just above the departing and arriving values.
 
     Set-up sorts the chunk once. That one order gives the dense value ranks,
     the occurrence links ``_nxt[p]`` (the next chunk position holding the
@@ -272,22 +260,19 @@ class SlidingSignature:
     8(limit + 1) mirror symbols with the reference directly: that settles
     every window with more than ``limit`` mismatches in that span, and every
     window no longer than the span. The other windows, those with a long
-    matched stretch, go to a DynString over the same 2m positions, whose LCP
-    jumps cross matched fragments. A one-bit predictor skips the direct scan
-    after a DynString scan showed that the span could not have decided the
-    window. ``dyn_scans`` counts the windows the DynString decided.
+    matched stretch, go to ``dyn``, whose LCP jumps cross matched fragments.
+    A one-bit predictor skips the direct scan after a DynString scan showed
+    that the span could not have decided the window. ``dyn_scans`` counts
+    the windows the DynString decided.
 
-    The DynString is built from the mirror on its first read (``dyn``, which
-    the fallback scan and ``window_view`` go through), so a chunk whose
-    windows the direct scan decides alone never builds one. A build copies
-    the mirror and indexes no reference fragment. Only a DynString scan
-    creates fragments, and replacing a symbol outside them changes the list
-    alone, so the DynString built late equals one built at set-up and kept
-    up to date. After that it is kept in sync lazily: once it is built,
-    ``advance`` appends the positions whose symbol changed to ``_stale``, and
-    every DynString read first replays those positions from the mirror and
-    clears the list, so the DynString gets at most the replacements an eager
-    update would give it.
+    ``advance`` writes the mirror, and so the DynString's symbols, in place.
+    A DynString starts with no reference fragment, and only its scans create
+    them, so until the first DynString scan the written symbols are all it
+    needs. From then on ``advance`` appends each position whose symbol
+    changed to ``_stale``, and the next DynString scan first replays those
+    positions through ``replace``, which splits the reference fragments
+    they fall in, and clears the list. Reading ``dyn`` changes nothing;
+    ``dyn`` is scanned only through ``first_mismatches``.
     """
 
     def __init__(
@@ -306,6 +291,8 @@ class SlidingSignature:
             raise ValueError(f"chunk of length {length} exceeds 2m = {2 * m}")
         if mode not in ("distinct", "general"):
             raise ValueError(f"unknown mode {mode!r}")
+        if ref is not None and ref.m != m:
+            raise ValueError(f"reference of length {ref.m} differs from the window length {m}")
         self.mode = mode
         self.m = m
         self.length = length
@@ -361,42 +348,16 @@ class SlidingSignature:
         if ref is None:
             ref = RefString(packed)
         self.ref = ref
-        self._dyn: DynString | None = None
-        self._mirror = packed + [PAD_PACKED] * m
+        self.dyn = DynString(ref, packed + [PAD_PACKED] * m)
+        self._mirror = self.dyn.symbols
         self._stale: list[int] = []
         self._direct = True
         self.dyn_scans = 0
 
-    @property
-    def dyn(self) -> DynString:
-        """The DynString over the chunk's 2m positions, built from the mirror
-        on first access. It holds the symbols as of its last read; ``_sync``
-        brings it up to date."""
-        dyn = self._dyn
-        if dyn is None:
-            dyn = self._dyn = DynString(self.ref, self._mirror)
-        return dyn
-
-    @property
-    def dyn_built(self) -> bool:
-        """Whether this chunk's DynString has been built."""
-        return self._dyn is not None
-
-    def _sync(self) -> DynString:
-        """The DynString, with the symbols changed since its last read replayed."""
-        dyn = self.dyn
-        stale = self._stale
-        if stale:
-            mirror = self._mirror
-            replace = dyn.replace
-            for p in stale:
-                replace(p, mirror[p - 1])
-            stale.clear()
-        return dyn
-
     def window_view(self) -> list[int]:
-        """Packed symbols of the current window, read from the DynString."""
-        return self._sync().materialize_range(self.start, self.start + self.m - 1)
+        """Packed symbols of the current window."""
+        i = self.start
+        return self._mirror[i - 1 : i - 1 + self.m]
 
     def first_mismatches(self, limit: int) -> MismatchStream:
         """The first mismatches of the current window against the reference,
@@ -414,12 +375,9 @@ class SlidingSignature:
                 return MismatchStream(found, True)
             if span == m:
                 return MismatchStream(found, False)
-        # _sync inlined: on exact-match-heavy text this runs for every window
-        dyn = self._dyn
+        dyn = self.dyn
         stale = self._stale
-        if dyn is None:
-            dyn = self.dyn
-        elif stale:
+        if stale:
             mirror = self._mirror
             replace = dyn.replace
             for p in stale:
@@ -490,12 +448,12 @@ class SlidingSignature:
         self.start = i + 1
         mirror = self._mirror
         stale = self._stale
-        built = self._dyn is not None
+        scanned = self.dyn_scans
         for p in cand:
             sym = self._symbol_at(p)
             if mirror[p - 1] != sym:
                 mirror[p - 1] = sym
-                if built:
+                if scanned:
                     stale.append(p)
 
     def _symbol_at(self, p: int) -> int:

@@ -141,8 +141,6 @@ def test_threads_below_one_exit_two(capsys, threads):
     )
     assert (code, out) == (2, "")
     assert "threads must be at least 1" in err
-    with pytest.raises(ValueError):
-        match_all([1, 10, 6, 4, 8, 5, 7, 9, 3], [1, 4, 2, 5, 11], 1, threads=int(threads))
 
 
 @pytest.mark.parametrize("cap", ["0", "-3"])

@@ -83,7 +83,8 @@ def test_dyn_init_roundtrip_and_fragment_count():
     ref = RefString([1, 2, 3])
     content = [9, 9, 9, 1, 2, 3]
     dyn = DynString(ref, content)
-    assert dyn.materialize() == content
+    assert dyn.symbols == content
+    assert dyn.symbols is not content  # the constructor copies its argument
     assert dyn.fragment_count() == 6
     dyn.check_tiling()
 
@@ -102,7 +103,7 @@ def test_dyn_build_seeds_nothing_per_position():
         tracemalloc.stop()
     assert retained < 2**19, f"a DynString build retained {retained / 2**20:.2f} MiB"
     assert dyn.fragment_count() == 2 * m
-    assert dyn.materialize() == initial
+    assert dyn.symbols == initial
 
 
 def test_dyn_init_wrong_length():
@@ -118,7 +119,7 @@ def test_replace_changes_exactly_one_position():
     dyn.replace(3, 0)
     want = list(content)
     want[2] = 0
-    assert dyn.materialize() == want
+    assert dyn.symbols == want
     assert dyn.fragment_count() == 8  # replacing a single-symbol fragment
 
 
@@ -133,7 +134,7 @@ def test_replace_mid_reference_fragment_splits_in_three():
     dyn.replace(3, 9)
     assert dyn.fragment_count() == before + 2
     want = [1, 2, 9, 4, 5, 1, 2, 3, 4, 5]
-    assert dyn.materialize() == want
+    assert dyn.symbols == want
     dyn.check_tiling()
 
 
@@ -194,7 +195,7 @@ def test_stream_rerun_is_identical_after_compaction():
         first = dyn.first_mismatches(i, limit)
         again = dyn.first_mismatches(i, limit)
         assert first == again
-        assert dyn.materialize() == content
+        assert dyn.symbols == content
 
 
 def test_randomized_shadow_equivalence():
@@ -221,7 +222,7 @@ def test_randomized_shadow_equivalence():
                 ]
                 assert got.positions == naive[: limit + 1]
                 assert got.truncated == (len(naive) > limit)
-            assert dyn.materialize() == shadow
+            assert dyn.symbols == shadow
             dyn.check_tiling()
 
 
@@ -234,7 +235,7 @@ def test_compaction_reduces_fragments_on_matching_scan():
     dyn.first_mismatches(1, 3)
     # the fully matched window collapses into one fragment
     assert dyn.fragment_count() <= m + 2
-    assert dyn.materialize() == syms + [-1] * m
+    assert dyn.symbols == syms + [-1] * m
 
 
 def test_tiling_check_survives_optimize_flag():
@@ -244,7 +245,7 @@ def test_tiling_check_survives_optimize_flag():
     code = (
         "from opmatch.fragstring import DynString, RefString\n"
         "for how in ('d._starts.discard(1)', 'd._frag[2] = (2, 2); d._starts.add(2)',\n"
-        "            'd._sym[1] = 9'):\n"
+        "            'd.symbols[1] = 9'):\n"
         "    d = DynString(RefString([1, 2, 3]), [1, 2, 3] * 2)\n"
         "    d.first_mismatches(1, 0)  # the matched window becomes one fragment at 1\n"
         "    d.check_tiling()\n"

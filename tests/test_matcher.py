@@ -502,15 +502,6 @@ def test_match_rejects_bad_chunk_starts(starts):
         match_all(text, [1, 2, 3], 0, chunk_starts=starts)
 
 
-def test_match_threads_give_identical_output():
-    rng = random.Random(103)
-    text = rng.sample(range(4000), 400)
-    pattern = rng.sample(range(4000), 12)
-    want = match_all(text, pattern, 2)
-    for threads in (2, 3, 8):
-        assert match_all(text, pattern, 2, threads=threads) == want
-
-
 def test_match_stats_accounting():
     rng = random.Random(109)
     text = rng.sample(range(9000), 900)
@@ -552,9 +543,9 @@ def test_filter_bound_is_tight_in_practice():
         b = rng.sample(range(10 * m), m)
         if not k_isomorphic_subset_oracle(a, b, k):
             continue
-        d = signature_hamming(
-            compute_signature(a, "distinct"), compute_signature(b, "distinct")
-        ).distance
+        d = len(
+            signature_hamming(compute_signature(a, "distinct"), compute_signature(b, "distinct")).positions
+        )
         assert d <= 3 * k
         seen.add((k, d))
     assert any(d == 3 * k for k, d in seen)

@@ -48,19 +48,18 @@ def test_golden_hamming_distance():
     sig_a = compute_signature(SEQ_A, "distinct")
     sig_b = compute_signature(SEQ_B, "distinct")
     res = signature_hamming(sig_a, sig_b)
-    assert res.distance == 6
     assert res.positions == [1, 2, 4, 7, 10, 11]
+    assert not res.truncated
 
 
 def test_hamming_identical_and_cap():
     sig_a = compute_signature(SEQ_A, "distinct")
-    assert signature_hamming(sig_a, sig_a).distance == 0
+    assert signature_hamming(sig_a, sig_a).positions == []
     capped = signature_hamming(
         compute_signature(SEQ_A, "distinct"), compute_signature(SEQ_B, "distinct"), cap=2
     )
-    assert capped.exceeded
-    assert capped.distance is None
-    assert len(capped.positions) == 3
+    assert capped.truncated
+    assert capped.positions == [1, 2, 4]
 
 
 def test_hamming_length_mismatch():
@@ -245,6 +244,12 @@ def test_sliding_rejects_short_chunk():
         SlidingSignature([1, 2], 3, "distinct")
 
 
+def test_sliding_rejects_reference_of_another_length():
+    ref = RefString(compute_signature([1, 2, 3, 4, 5, 6], "distinct").packed)
+    with pytest.raises(ValueError, match="reference of length 6 differs from the window length 4"):
+        SlidingSignature([5, 1, 4, 2, 3, 9, 8, 7], 4, "distinct", ref=ref)
+
+
 def test_sliding_distinct_rejects_duplicates():
     with pytest.raises(DuplicateValuesError):
         SlidingSignature([1, 1, 2], 2, "distinct")
@@ -423,8 +428,11 @@ def test_hybrid_filter_matches_hamming(case):
         for i in range(1, windows + 1):
             want_sig = compute_signature(text[i - 1 : i - 1 + m], mode)
             want = signature_hamming(want_sig, ref_sig, cap=limit)
+            scans = sliding.dyn_scans
             got = sliding.first_mismatches(limit)
-            assert (got.positions, got.truncated) == (want.positions, want.exceeded), (mode, i)
+            assert (got.positions, got.truncated) == (want.positions, want.truncated), (mode, i)
+            if sliding.dyn_scans > scans:
+                sliding.dyn.check_tiling()
             if i % stride == 0:
                 assert sliding.window_view() == want_sig.packed, (mode, i)
             if i < windows:
@@ -435,40 +443,37 @@ def test_hybrid_filter_matches_hamming(case):
 @settings(max_examples=150, deadline=None)
 @given(hybrid_cases(), st.data())
 def test_lazy_dynstring_matches_eager_twin(case, data):
-    # window i is the first read of ``lazy``; ``twin`` read every window before it
+    # ``lazy``'s DynString first decides window i; ``twin``'s decides every
+    # window. Clearing ``_direct`` sends the next window to the DynString.
     chunk, pattern, limit, _ = case
     m = len(pattern)
-    view_first = data.draw(st.booleans())
     for mode, text, pat in (
         ("general", chunk, pattern),
         ("distinct", _tie_broken(chunk), _tie_broken(pattern)),
     ):
         ref_sig = compute_signature(pat, mode)
         ref = RefString(ref_sig.packed)
-        i = data.draw(st.integers(1, len(text) - m + 1))
+        windows = len(text) - m + 1
+        i = data.draw(st.integers(1, windows))
         lazy = SlidingSignature(text, m, mode, ref=ref)
         twin = SlidingSignature(text, m, mode, ref=ref)
-        for _ in range(i - 1):
-            twin.window_view()
-            twin.first_mismatches(limit)
-            twin.advance()
-            lazy.advance()
-        assert not lazy.dyn_built
-        want_sig = compute_signature(text[i - 1 : i - 1 + m], mode)
-        want = signature_hamming(want_sig, ref_sig, cap=limit)
-        if view_first:
-            assert lazy.window_view() == twin.window_view() == want_sig.packed
-            assert lazy.dyn_built
-        got = lazy.first_mismatches(limit)
-        other = twin.first_mismatches(limit)
-        assert (got.positions, got.truncated) == (other.positions, other.truncated)
-        assert (got.positions, got.truncated) == (want.positions, want.exceeded)
-        # the built DynString itself, read at window i against the twin's
-        twin.window_view()
-        got = lazy.dyn.first_mismatches(i, limit)
-        other = twin.dyn.first_mismatches(i, limit)
-        assert (got.positions, got.truncated) == (other.positions, other.truncated)
-        assert lazy.window_view() == want_sig.packed
+        for j in range(1, windows + 1):
+            want_sig = compute_signature(text[j - 1 : j - 1 + m], mode)
+            want = signature_hamming(want_sig, ref_sig, cap=limit)
+            twin._direct = False
+            other = twin.first_mismatches(limit)
+            assert (other.positions, other.truncated) == (want.positions, want.truncated)
+            if j < i:
+                assert lazy.dyn_scans == 0 and lazy._stale == []
+            else:
+                lazy._direct = False
+                got = lazy.first_mismatches(limit)
+                assert (got.positions, got.truncated) == (want.positions, want.truncated), (mode, j)
+                lazy.dyn.check_tiling()
+            if j < windows:
+                twin.advance()
+                lazy.advance()
+        assert (lazy.dyn_scans, twin.dyn_scans) == (windows - i + 1, windows)
 
 
 def test_match_stats_count_dyn_scans():
@@ -483,20 +488,20 @@ def test_match_stats_count_dyn_scans():
     # every chunk adds its counts to the caller's stats
     assert 0 < stats.dyn_scans < stats.windows
     chunks = len(range(1, len(text) - len(pattern) + 2, len(pattern)))
-    assert 0 < stats.dyn_builds <= chunks
+    assert 0 < stats.dyn_chunks <= chunks
     # every window of a shuffled text has more than 3k mismatches in the
-    # direct span, so no chunk builds a DynString
+    # direct span, so no chunk's DynString decides a window
     shuffled = list(range(3000))
     rng.shuffle(shuffled)
     stats = MatchStats()
     match_all(shuffled, pattern, 1, "general", stats=stats)
     assert stats.windows == stats.filtered
-    assert stats.dyn_scans == stats.dyn_builds == 0
+    assert stats.dyn_scans == stats.dyn_chunks == 0
 
 
 def test_stale_positions_wait_for_the_dynstring():
     # a shuffled chunk against an increasing pattern: the direct scan decides
-    # every window, so no DynString is built and advance records no changes for one
+    # every window, so advance records no changes for the DynString
     rng = random.Random(31)
     m = 100
     chunk = list(range(2 * m))
@@ -507,13 +512,57 @@ def test_stale_positions_wait_for_the_dynstring():
         assert sliding.first_mismatches(1).truncated
         if i <= m:
             sliding.advance()
-    assert not sliding.dyn_built
+    assert sliding.dyn_scans == 0
     assert sliding._stale == []
-    # once the DynString exists, advance records the changed positions and
-    # the next read replays them
+    # once the DynString has decided a window, advance records the changed
+    # positions and the next DynString scan replays them
     sliding = SlidingSignature(chunk, m, "general", ref=ref)
-    assert sliding.dyn.fragment_count() == 2 * m  # built from the mirror, one literal per position
     sliding.advance()
-    assert m + 1 in sliding._stale  # the arriving position's PAD was overwritten
-    assert sliding.window_view() == compute_signature(chunk[1 : m + 1], "general").packed
     assert sliding._stale == []
+    sliding._direct = False  # send the window to the DynString
+    sliding.first_mismatches(1)
+    assert sliding.dyn_scans == 1
+    sliding.advance()
+    assert m + 2 in sliding._stale  # the arriving position's PAD was overwritten
+    assert sliding.window_view() == compute_signature(chunk[2 : m + 2], "general").packed
+    sliding._direct = False
+    sliding.first_mismatches(1)
+    assert sliding._stale == []
+    sliding.dyn.check_tiling()
+
+
+def test_mirror_is_the_dynstring_symbol_list():
+    rng = random.Random(37)
+    m = 50
+    chunk = list(range(2 * m))
+    chunk[60:70] = rng.sample(range(60, 70), 10)
+    ref = RefString(compute_signature(list(range(m)), "distinct").packed)
+    sliding = SlidingSignature(chunk, m, "distinct", ref=ref)
+    for i in range(1, m + 2):
+        sliding.first_mismatches(1)
+        assert sliding.dyn.symbols is sliding._mirror
+        if i <= m:
+            sliding.advance()
+    assert sliding.dyn_scans > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(hybrid_cases())
+def test_reading_the_dynstring_changes_nothing(case):
+    # perfbench's filter probe reads ``dyn.fragment_count()`` after every
+    # window; a probed chunk must do exactly what an unprobed twin does
+    chunk, pattern, limit, _ = case
+    m = len(pattern)
+    ref = RefString(compute_signature(pattern, "general").packed)
+    probed = SlidingSignature(chunk, m, "general", ref=ref)
+    twin = SlidingSignature(chunk, m, "general", ref=ref)
+    windows = len(chunk) - m + 1
+    for i in range(1, windows + 1):
+        got = probed.first_mismatches(limit)
+        want = twin.first_mismatches(limit)
+        assert 1 <= probed.dyn.fragment_count() <= 2 * m
+        assert (got.positions, got.truncated) == (want.positions, want.truncated)
+        assert (probed._stale, probed.dyn_scans) == (twin._stale, twin.dyn_scans)
+        if i < windows:
+            probed.advance()
+            twin.advance()
