@@ -19,7 +19,7 @@ from .matcher import (
     match_naive,
 )
 from .seqcore import DuplicateValuesError
-from .signature import Signature, SlidingSignature, compute_signature, signature_hamming
+from .signature import SlidingSignature, compute_signature, signature_hamming
 from .subsequence import (
     WeightedPoint,
     WeightedSeqItem,
@@ -34,7 +34,6 @@ __all__ = [
     "DuplicateValuesError",
     "MatchStats",
     "PatternIndex",
-    "Signature",
     "SlidingSignature",
     "WeightedPoint",
     "WeightedSeqItem",

@@ -24,7 +24,6 @@ from .matcher import (
     k_isomorphic_witness,
     match_all,
     match_naive,
-    resolve_mode,
 )
 from .selftest import run_suites
 from .signature import compute_signature, format_symbol
@@ -112,9 +111,7 @@ def cmd_verify(args) -> int:
 
 def cmd_signature(args) -> int:
     seq = parse_int_list(args.seq if args.seq is not None else sys.stdin.read())
-    mode = resolve_mode(args.mode or "auto", seq)
-    sig = compute_signature(seq, mode)
-    rendered = [format_symbol(p) for p in sig.packed]
+    rendered = [format_symbol(p) for p in compute_signature(seq, args.mode)]
     print(json.dumps(rendered) if args.json else " ".join(rendered))
     return 0
 

@@ -24,8 +24,8 @@ from operator import ne, sub
 from typing import Sequence
 
 from .fragstring import RefString
-from .seqcore import DuplicateValuesError
-from .signature import Signature, SlidingSignature, _class_walk
+from .seqcore import _validate_distinct, _validate_ints, resolve_mode
+from .signature import SlidingSignature, _class_walk
 from .subsequence import heaviest_chain, heaviest_increasing_subsequence, lis_length_at_least
 
 __all__ = [
@@ -46,35 +46,9 @@ _ORACLE_CAP = 14
 _SENTINEL = float("-inf")
 
 
-def resolve_mode(mode: str, *seqs: Sequence[int]) -> str:
-    """Resolve "auto" to "general" when any sequence repeats a value."""
-    if mode in ("distinct", "general"):
-        return mode
-    if mode != "auto":
-        raise ValueError(f"unknown mode {mode!r}")
-    for s in seqs:
-        if len(set(s)) != len(s):
-            return "general"
-    return "distinct"
-
-
-def _validate_distinct(seq: Sequence[int], name: str) -> None:
-    if len(set(seq)) != len(seq):
-        raise DuplicateValuesError(f"distinct mode requires unique values in the {name}")
-
-
 def _validate_k(k: int) -> None:
     if k < 0:
         raise ValueError("k must be non-negative")
-
-
-def _validate_ints(seq: Sequence[int], name: str) -> None:
-    """Every value must be exactly an ``int``: floats, bools, strings and
-    other types order differently or not at all, so they are refused."""
-    types = set(map(type, seq))
-    if not types <= {int}:
-        found = ", ".join(sorted(t.__name__ for t in types - {int}))
-        raise TypeError(f"{name} values must be int, got {found}")
 
 
 def _check_inputs(
@@ -199,9 +173,9 @@ def k_isomorphic_witness(
 
 
 class PatternIndex:
-    """Immutable preprocessing of one pattern: its signature, the LCP-ready
-    reference over the signature, and flat int tables over the path that the
-    signature links.
+    """Immutable preprocessing of one pattern: ``ref``, the LCP-ready
+    reference over its signature (``ref.symbols`` is the signature's packed
+    symbol list), and flat int tables over the path that the signature links.
 
     That path visits the value classes in ascending order and each class
     from its rightmost occurrence to its leftmost: an occurrence's EQ symbol
@@ -231,8 +205,7 @@ class PatternIndex:
         self.mode = mode
         steps = list(range(m))  # one int object per index, shared by every table
         order = sorted(steps, key=pattern.__getitem__)
-        self.ref = RefString(_class_walk(pattern, order, mode))
-        self.signature = Signature(self.ref.symbols)
+        self.ref = RefString(_class_walk(pattern, order))
         values = list(map(pattern.__getitem__, order))
         class_lo = steps.copy()
         class_hi = steps.copy()
@@ -358,9 +331,10 @@ def verify_window(
 
 @dataclass
 class MatchStats:
-    """Counters for one matching run. ``dyn_scans`` counts the windows whose
-    mismatches the DynString scan found, not the direct mirror scan, and
-    ``dyn_chunks`` the chunks whose DynString decided at least one window."""
+    """Counters for one matching run, added once per chunk. ``dyn_scans``
+    counts the windows whose mismatches the DynString scan found, not the
+    direct mirror scan, and ``dyn_chunks`` the chunks whose DynString
+    decided at least one window."""
 
     windows: int = 0
     filtered: int = 0
@@ -375,34 +349,34 @@ class MatchStats:
 
 
 def match_chunk(
-    chunk: Sequence[int],
-    pidx: PatternIndex,
-    k: int,
-    owned: int | None = None,
-    stats: MatchStats | None = None,
-    filter_cap: int | None = None,
+    chunk: Sequence[int], pidx: PatternIndex, k: int, stats: MatchStats | None = None
 ) -> list[int]:
-    """Chunk-relative 1-based occurrence starts within the first ``owned``
-    (default m) window positions of one chunk of length in [m, 2m]."""
+    """Chunk-relative 1-based occurrence starts among the windows one chunk
+    of length in [m, 2m] owns under the canonical cut of ``match_all``.
+
+    The chunk owns its first min(m, len(chunk) - m + 1) windows: a full 2m
+    chunk owns its first m, the (m+1)-th being the next chunk's first, and
+    a shorter chunk owns all of its windows. That is exact under the cut: a
+    chunk starting at c is followed by one at c + m iff c + m <= n - m + 1,
+    that is iff n - c + 1 >= 2m, so every chunk with a successor is 2m
+    long, and the last chunk is shorter than 2m and has none. A window is
+    filtered out when its signature differs from the pattern's in more than
+    3k places.
+    """
     m = pidx.m
     length = len(chunk)
     if length < m:
         raise ValueError("chunk shorter than the pattern")
-    cap = 3 * k if filter_cap is None else filter_cap
-    last_start = min(owned if owned is not None else m, length - m + 1)
+    cap = 3 * k
+    last_start = min(m, length - m + 1)
     sliding = SlidingSignature(chunk, m, pidx.mode, ref=pidx.ref)
     out: list[int] = []
+    verified = 0
     i = 1
     while True:
         stream = sliding.first_mismatches(cap)
-        if stats is not None:
-            stats.windows += 1
-        if stream.truncated:
-            if stats is not None:
-                stats.filtered += 1
-        else:
-            if stats is not None:
-                stats.verified += 1
+        if not stream.truncated:
+            verified += 1
             if verify_window(chunk[i - 1 : i - 1 + m], pidx, stream.positions, k):
                 out.append(i)
         if i >= last_start:
@@ -410,6 +384,9 @@ def match_chunk(
         sliding.advance()
         i += 1
     if stats is not None:
+        stats.windows += last_start
+        stats.filtered += last_start - verified
+        stats.verified += verified
         stats.occurrences += len(out)
         stats.dyn_scans += sliding.dyn_scans
         stats.dyn_chunks += sliding.dyn_scans > 0
@@ -422,18 +399,14 @@ def match_all(
     k: int,
     mode: str = "auto",
     stats: MatchStats | None = None,
-    filter_cap: int | None = None,
-    chunk_starts: Sequence[int] | None = None,
 ) -> list[int]:
     """All 1-based text positions where an order-preserving occurrence of the
     pattern with at most k mismatches starts, in increasing order.
 
     The text is cut into overlapping chunks of length 2m starting every m
     positions; each chunk owns the window starts before the next chunk
-    begins, so every occurrence is found exactly once. ``chunk_starts``
-    overrides the canonical cut points (gaps must stay <= m); output is
-    independent of the override. The chunks run one after another in this
-    process.
+    begins, so every occurrence is found exactly once. The chunks run one
+    after another in this process.
     """
     mode = _check_inputs(text, pattern, k, mode, aligned=False)
     n = len(text)
@@ -441,18 +414,9 @@ def match_all(
     if m > n:
         return []
     pidx = PatternIndex(pattern, mode)
-    total = n - m + 1
-    if chunk_starts is None:
-        starts = list(range(1, total + 1, m))
-    else:
-        starts = list(chunk_starts)
-        if starts[:1] != [1] or any(b <= a or b - a > m for a, b in zip(starts, starts[1:])):
-            raise ValueError("chunk starts must begin at 1 and advance by at most m")
-        starts = [c for c in starts if c <= total]
-
     out: list[int] = []
-    for c, nxt in zip(starts, starts[1:] + [total + 1]):
-        occ = match_chunk(text[c - 1 : c - 1 + 2 * m], pidx, k, nxt - c, stats, filter_cap)
+    for c in range(1, n - m + 2, m):
+        occ = match_chunk(text[c - 1 : c - 1 + 2 * m], pidx, k, stats)
         out.extend(c - 1 + r for r in occ)
     return out
 

@@ -155,7 +155,7 @@ def suite_sliding(rng: random.Random, iterations: int) -> list[str]:
             chunk = [rng.randrange(max(2, m // 2 + 1)) for _ in range(length)]
         sliding = SlidingSignature(chunk, m, mode)
         for i in range(1, length - m + 2):
-            want = compute_signature(chunk[i - 1 : i - 1 + m], mode).packed
+            want = compute_signature(chunk[i - 1 : i - 1 + m], mode)
             got = sliding.window_view()
             if got != want:
                 bad.append(f"sliding {mode} m={m} chunk={chunk} window {i}")
@@ -240,7 +240,7 @@ def suite_reductions(rng: random.Random, iterations: int) -> list[str]:
         else:
             a, b = _random_pair(rng, mode, m)
         pidx = PatternIndex(b, mode)
-        ds = signature_hamming(compute_signature(a, mode), pidx.signature).positions
+        ds = signature_hamming(compute_signature(a, mode), pidx.ref.symbols).positions
         want = k_isomorphic_subset_oracle(a, b, k)
         if len(ds) > 3 * k:
             if want:
@@ -257,11 +257,8 @@ def suite_reductions(rng: random.Random, iterations: int) -> list[str]:
     return bad
 
 
-def suite_match_oracle(rng: random.Random, iterations: int, filter_cap=None) -> list[str]:
-    """match_all equals per-position oracles on random small instances.
-
-    ``filter_cap`` may be a callable k -> cap to exercise broken thresholds.
-    """
+def suite_match_oracle(rng: random.Random, iterations: int) -> list[str]:
+    """match_all equals per-position oracles on random small instances."""
     bad: list[str] = []
     for _ in range(iterations):
         mode = "distinct" if rng.random() < 0.5 else "general"
@@ -275,8 +272,7 @@ def suite_match_oracle(rng: random.Random, iterations: int, filter_cap=None) -> 
             sigma = rng.randint(3, 6)
             text = [rng.randrange(sigma) for _ in range(n)]
             pattern = [rng.randrange(sigma) for _ in range(m)]
-        cap = filter_cap(k) if callable(filter_cap) else filter_cap
-        got = match_all(text, pattern, k, mode, filter_cap=cap)
+        got = match_all(text, pattern, k, mode)
         want = [
             i + 1
             for i in range(n - m + 1)

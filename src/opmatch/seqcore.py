@@ -1,15 +1,45 @@
-"""The distinct-values error and the bit trie over the DynString's fragment starts."""
+"""The input checks shared by every entry point, the distinct-values error
+and the bit trie over the DynString's fragment starts."""
 
 from __future__ import annotations
+
+from typing import Sequence
 
 __all__ = [
     "BitTrieSet",
     "DuplicateValuesError",
+    "resolve_mode",
 ]
 
 
 class DuplicateValuesError(ValueError):
     """Raised when an operation that requires pairwise-distinct values sees a repeat."""
+
+
+def resolve_mode(mode: str, *seqs: Sequence[int]) -> str:
+    """Resolve "auto" to "general" when any sequence repeats a value."""
+    if mode in ("distinct", "general"):
+        return mode
+    if mode != "auto":
+        raise ValueError(f"unknown mode {mode!r}")
+    for s in seqs:
+        if len(set(s)) != len(s):
+            return "general"
+    return "distinct"
+
+
+def _validate_distinct(seq: Sequence[int], name: str) -> None:
+    if len(set(seq)) != len(seq):
+        raise DuplicateValuesError(f"distinct mode requires unique values in the {name}")
+
+
+def _validate_ints(seq: Sequence[int], name: str) -> None:
+    """Every value must be exactly an ``int``: floats, bools, strings and
+    other types order differently or not at all, so they are refused."""
+    types = set(map(type, seq))
+    if not types <= {int}:
+        found = ", ".join(sorted(t.__name__ for t in types - {int}))
+        raise TypeError(f"{name} values must be int, got {found}")
 
 
 _SHIFT = 8

@@ -18,13 +18,12 @@ On duplicate-free input both modes agree symbol for symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count, islice
 from operator import ne
 from typing import Sequence
 
 from .fragstring import DynString, MismatchStream, RefString
-from .seqcore import DuplicateValuesError
+from .seqcore import DuplicateValuesError, _validate_distinct, _validate_ints, resolve_mode
 
 __all__ = [
     "REL_LT",
@@ -33,7 +32,6 @@ __all__ = [
     "REL_PAD",
     "MIN_PACKED",
     "PAD_PACKED",
-    "Signature",
     "pack_symbol",
     "unpack_symbol",
     "format_symbol",
@@ -76,40 +74,24 @@ def format_symbol(packed: int) -> str:
     return "$"
 
 
-@dataclass
-class Signature:
-    """Signature of one sequence, stored as packed symbol ints."""
-
-    packed: list[int]
-
-    def __len__(self) -> int:
-        return len(self.packed)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Signature) and self.packed == other.packed
-
-    @property
-    def offsets(self) -> list[int]:
-        """Offset view: 0 at NONE-MIN positions, matching printed form."""
-        return [p >> 2 for p in self.packed]
-
-    def __str__(self) -> str:
-        return " ".join(format_symbol(p) for p in self.packed)
-
-
-def compute_signature(seq: Sequence[int], mode: str = "distinct") -> Signature:
-    """Signature of ``seq`` in the given mode ("distinct" or "general").
-
-    Distinct mode raises DuplicateValuesError when values repeat.
+def compute_signature(seq: Sequence[int], mode: str = "distinct") -> list[int]:
+    """Packed symbols of the signature of ``seq`` in the given mode
+    ("distinct", "general" or "auto"), under the input contract of every
+    other entry point: values must be ints (TypeError otherwise), "auto"
+    picks "general" when a value repeats, and distinct mode raises
+    DuplicateValuesError when one does.
     """
-    if mode not in ("distinct", "general"):
-        raise ValueError(f"unknown mode {mode!r}")
-    return Signature(_class_walk(seq, sorted(range(len(seq)), key=seq.__getitem__), mode))
+    _validate_ints(seq, "sequence")
+    mode = resolve_mode(mode, seq)
+    if mode == "distinct":
+        _validate_distinct(seq, "sequence")
+    return _class_walk(seq, sorted(range(len(seq)), key=seq.__getitem__))
 
 
-def _class_walk(seq: Sequence[int], order: list[int], mode: str) -> list[int]:
+def _class_walk(seq: Sequence[int], order: list[int]) -> list[int]:
     """Packed symbols of positions 0..len(order)-1 of ``seq``, given exactly
-    those positions ordered by value, ties by position.
+    those positions ordered by value, ties by position. Both modes share it:
+    distinct-mode callers reject repeated values first.
 
     Each value class is one run of ``order``. Every occurrence but the last
     points at the next one (EQ); the rightmost points at the leftmost
@@ -121,8 +103,6 @@ def _class_walk(seq: Sequence[int], order: list[int], mode: str) -> list[int]:
     for p in order:
         v = seq[p]
         if v == prev_v:
-            if mode == "distinct":
-                raise DuplicateValuesError(f"value {v} repeats; distinct mode requires unique values")
             out[prev] = pack_symbol(p - prev, REL_EQ)
         else:
             if prev >= 0:
@@ -137,18 +117,16 @@ def _class_walk(seq: Sequence[int], order: list[int], mode: str) -> list[int]:
 
 
 def signature_hamming(
-    a: Signature | Sequence[int], b: Signature | Sequence[int], cap: int | None = None
+    a: Sequence[int], b: Sequence[int], cap: int | None = None
 ) -> MismatchStream:
-    """Positions (1-based) where two equal-length signatures differ, as the
-    filter scans report them: with a cap, the scan stops after cap + 1
-    mismatches and the stream is truncated."""
-    pa = a.packed if isinstance(a, Signature) else a
-    pb = b.packed if isinstance(b, Signature) else b
-    if len(pa) != len(pb):
-        raise ValueError(f"signature lengths differ: {len(pa)} vs {len(pb)}")
+    """Positions (1-based) where two equal-length packed signatures differ,
+    as the filter scans report them: with a cap, the scan stops after
+    cap + 1 mismatches and the stream is truncated."""
+    if len(a) != len(b):
+        raise ValueError(f"signature lengths differ: {len(a)} vs {len(b)}")
     positions: list[int] = []
     append = positions.append
-    for i, (x, y) in enumerate(zip(pa, pb)):
+    for i, (x, y) in enumerate(zip(a, b)):
         if x != y:
             append(i + 1)
             if cap is not None and len(positions) > cap:
@@ -344,7 +322,7 @@ class SlidingSignature:
         self._above = above
         self._top = top
 
-        packed = _class_walk(chunk, window_order, mode)
+        packed = _class_walk(chunk, window_order)
         if ref is None:
             ref = RefString(packed)
         self.ref = ref

@@ -297,12 +297,18 @@ def test_selftest_small_run_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_selftest_catches_weakened_filter(capsys):
-    # the oracle-equivalence suite must flag a 2k filter cap
+def test_selftest_catches_weakened_filter(monkeypatch):
+    # the oracle-equivalence suite must flag a 2k filter cap: match_chunk
+    # asks the filter for 3k mismatches, the wrapper scans for 2k
     from opmatch.selftest import suite_match_oracle
+    from opmatch.signature import SlidingSignature
 
+    first_mismatches = SlidingSignature.first_mismatches
+    monkeypatch.setattr(
+        SlidingSignature, "first_mismatches", lambda self, limit: first_mismatches(self, limit * 2 // 3)
+    )
     rng = random.Random(515)
-    bad = suite_match_oracle(rng, 3000, filter_cap=lambda k: 2 * k)
+    bad = suite_match_oracle(rng, 3000)
     assert bad
 
 

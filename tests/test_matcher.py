@@ -20,7 +20,7 @@ from opmatch.matcher import (
     verify_window,
 )
 from opmatch.seqcore import DuplicateValuesError
-from opmatch.signature import compute_signature, signature_hamming
+from opmatch.signature import SlidingSignature, compute_signature, signature_hamming
 from opmatch.subsequence import heaviest_chain, heaviest_increasing_subsequence
 
 FIG_TEXT = [1, 10, 6, 4, 8, 5, 7, 9, 3]
@@ -162,7 +162,7 @@ def test_reduce_distinct_fig_window_accepts():
     window = [4, 8, 5, 7, 9]
     pidx = PatternIndex(FIG_PATTERN, "distinct")
     ds = signature_hamming(
-        compute_signature(window, "distinct"), pidx.signature
+        compute_signature(window, "distinct"), pidx.ref.symbols
     ).positions
     assert verify_window(window, pidx, ds, 1) is True
     assert verify_window(window, pidx, ds, 0) is False
@@ -181,7 +181,7 @@ def test_reduce_weights_always_cover_every_position():
             b = [rng.randint(0, 4) for _ in range(m)]
             mode = "general"
         pidx = PatternIndex(b, mode)
-        ds = signature_hamming(compute_signature(a, mode), pidx.signature).positions
+        ds = signature_hamming(compute_signature(a, mode), pidx.ref.symbols).positions
         if mode == "distinct":
             items = reduce_distinct(a, pidx, ds)
             assert sum(w for _, w in items) == m + 1
@@ -207,7 +207,7 @@ def test_reductions_decide_like_subset_oracle():
             b = [rng.randrange(sigma) for _ in range(m)]
             mode = "general"
         pidx = PatternIndex(b, mode)
-        ds = signature_hamming(compute_signature(a, mode), pidx.signature).positions
+        ds = signature_hamming(compute_signature(a, mode), pidx.ref.symbols).positions
         want = k_isomorphic_subset_oracle(a, b, k)
         if len(ds) > 3 * k:
             assert want is False  # the filter never discards a true match
@@ -225,7 +225,7 @@ def test_reduce_general_merges_identical_points():
         m = rng.randint(3, 12)
         window = [rng.randint(0, 3) for _ in range(m)]
         pidx = PatternIndex([rng.randint(0, 3) for _ in range(m)], "general")
-        mism = signature_hamming(compute_signature(window, "general"), pidx.signature).positions
+        mism = signature_hamming(compute_signature(window, "general"), pidx.ref.symbols).positions
         parts = reduce_general(window, pidx, mism)
         merged = {}
         for x, y, w in parts:
@@ -369,9 +369,10 @@ def test_negative_k_rejected_by_every_entry_point(entry):
         lambda bad, good: k_isomorphic_witness(bad, good, 0),
         lambda bad, good: k_isomorphic_subset_oracle(good, bad, 0),
         lambda bad, good: PatternIndex(bad),
+        lambda bad, good: compute_signature(bad),
     ],
     ids=["match_all", "match_naive", "k_isomorphic_check", "k_isomorphic_witness",
-         "k_isomorphic_subset_oracle", "PatternIndex"],
+         "k_isomorphic_subset_oracle", "PatternIndex", "compute_signature"],
 )
 def test_non_int_values_rejected_by_every_entry_point(entry):
     good = [1, 2, 3]
@@ -478,28 +479,43 @@ def test_match_monotone_in_k():
             prev = cur
 
 
-def test_match_invariant_under_chunk_boundaries():
+def _planted_cut_cases(mode):
+    """(text, pattern, k, planted) at every length around the canonical cut,
+    with order-isomorphic copies of the pattern at the first or at the last
+    window of every chunk; a copy that would overlap the one before it is
+    left out."""
     rng = random.Random(101)
-    for _ in range(120):
-        m = rng.randint(2, 8)
-        n = rng.randint(m + 3, 50)
-        k = rng.randint(0, 2)
-        sigma = rng.randint(3, 8)
-        text = [rng.randrange(sigma) for _ in range(n)]
-        pattern = [rng.randrange(sigma) for _ in range(m)]
-        want = match_all(text, pattern, k)
-        # irregular cut points, gaps of at most m
-        starts = [1]
-        while starts[-1] <= n - m:
-            starts.append(starts[-1] + rng.randint(1, m))
-        assert match_all(text, pattern, k, chunk_starts=starts) == want
+    for m in (1, 2, 5, 8):
+        for n in sorted({m, 2 * m - 1, 2 * m, 2 * m + 1, 3 * m - 1, 3 * m, 3 * m + 1}):
+            for k in (0, 1, 2):
+                for where in ("first", "last"):
+                    if mode == "distinct":
+                        text = rng.sample(range(10**4), n)
+                        pattern = rng.sample(range(10**4), m)
+                    else:
+                        text = [rng.randrange(4) for _ in range(n)]
+                        pattern = [rng.randrange(4) for _ in range(m)]
+                    planted = []
+                    for c in range(1, n - m + 2, m):
+                        s = c if where == "first" else min(c + m - 1, n - m + 1)
+                        if not planted or s >= planted[-1] + m:
+                            text[s - 1 : s - 1 + m] = [10**5 * s + v for v in pattern]
+                            planted.append(s)
+                    yield text, pattern, k, planted
 
 
-@pytest.mark.parametrize("starts", [[], [2], [1, 1], [1, 6]], ids=["empty", "late", "repeat", "wide"])
-def test_match_rejects_bad_chunk_starts(starts):
-    text = list(range(12))
-    with pytest.raises(ValueError, match="chunk starts must begin at 1"):
-        match_all(text, [1, 2, 3], 0, chunk_starts=starts)
+@pytest.mark.parametrize("mode", ["distinct", "general"])
+def test_match_all_canonical_cut_owns_every_window_once(mode):
+    # a full chunk owns its first m windows and the last chunk all of its
+    # own: one window more reports the next chunk's first twice, one fewer
+    # drops a chunk's last window
+    for text, pattern, k, planted in _planted_cut_cases(mode):
+        n, m = len(text), len(pattern)
+        want = match_naive(text, pattern, k, mode)
+        assert set(planted) <= set(want)
+        stats = MatchStats()
+        assert match_all(text, pattern, k, mode, stats=stats) == want, (text, pattern, k)
+        assert stats.windows == n - m + 1
 
 
 def test_match_stats_accounting():
@@ -514,18 +530,25 @@ def test_match_stats_accounting():
     assert 0.0 <= stats.pruning_rate <= 1.0
 
 
-def test_weakened_filter_cap_is_caught_by_oracle_comparison():
-    # with the cap lowered from 3k to 2k some true occurrence must vanish
+def test_weakened_filter_cap_is_caught_by_oracle_comparison(monkeypatch):
+    # with the cap lowered from 3k to 2k some true occurrence must vanish:
+    # match_chunk asks the filter for 3k mismatches, the wrapper scans for 2k
     rng = random.Random(113)
-    broken = 0
+    cases = []
     for _ in range(4000):
         m = rng.randint(4, 9)
         n = rng.randint(m, 30)
         k = rng.randint(1, 3)
         text = rng.sample(range(10 * n), n)
         pattern = rng.sample(range(10 * n), m)
-        want = match_all(text, pattern, k)
-        got = match_all(text, pattern, k, filter_cap=2 * k)
+        cases.append((text, pattern, k, match_all(text, pattern, k)))
+    first_mismatches = SlidingSignature.first_mismatches
+    monkeypatch.setattr(
+        SlidingSignature, "first_mismatches", lambda self, limit: first_mismatches(self, limit * 2 // 3)
+    )
+    broken = 0
+    for text, pattern, k, want in cases:
+        got = match_all(text, pattern, k)
         assert set(got) <= set(want)
         if got != want:
             broken += 1
@@ -624,7 +647,7 @@ def test_verify_window_routes_agree_with_oracles(monkeypatch):
         if m <= 14:
             assert k_isomorphic_subset_oracle(window, pattern, k) == want
         pidx = PatternIndex(pattern, "distinct")
-        ds = signature_hamming(compute_signature(window, "distinct"), pidx.signature).positions
+        ds = signature_hamming(compute_signature(window, "distinct"), pidx.ref.symbols).positions
         if len(ds) > 3 * k:
             assert want is False
             return
@@ -659,9 +682,9 @@ def _any_shape(draw, length):
 
 @st.composite
 def match_cases(draw):
-    """(text, pattern, k, chunk_starts) over monotone, sawtooth,
-    all-equal, few-valued and random shapes, with m = 1, n = m, k >= m,
-    ints far beyond 64 bits and random chunk cut points."""
+    """(text, pattern, k) over monotone, sawtooth, all-equal, few-valued
+    and random shapes, with m = 1, n = m, k >= m and ints far beyond 64
+    bits."""
     m = draw(st.sampled_from([1, draw(st.integers(1, 10))]))
     n = draw(st.sampled_from([m, draw(st.integers(m, 40))]))
     text = _any_shape(draw, n)
@@ -675,19 +698,14 @@ def match_cases(draw):
     text = [v * scale + shift for v in text]
     pattern = [v * scale - shift for v in pattern]
     k = draw(st.sampled_from([0, 1, 2, m, m + draw(st.integers(1, 3))]))
-    chunk_starts = None
-    if draw(st.booleans()):
-        chunk_starts = [1]
-        while chunk_starts[-1] <= n - m:
-            chunk_starts.append(chunk_starts[-1] + draw(st.integers(1, m)))
-    return text, pattern, k, chunk_starts
+    return text, pattern, k
 
 
 @settings(max_examples=400, deadline=None)
 @given(match_cases())
 def test_match_all_equals_naive_on_adversarial_shapes(case):
-    text, pattern, k, chunk_starts = case
+    text, pattern, k = case
     want = match_naive(text, pattern, k)
-    assert match_all(text, pattern, k, chunk_starts=chunk_starts) == want
+    assert match_all(text, pattern, k) == want
     if len(set(text)) == len(text) and len(set(pattern)) == len(pattern):
         assert match_all(text, pattern, k, "general") == want

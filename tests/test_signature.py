@@ -37,11 +37,11 @@ def test_pack_roundtrip():
 def test_golden_offsets():
     sig_a = compute_signature(SEQ_A, "distinct")
     sig_b = compute_signature(SEQ_B, "distinct")
-    assert sig_a.offsets == OFFS_A
-    assert sig_b.offsets == OFFS_B
-    assert unpack_symbol(sig_a.packed[11]) == (0, REL_MIN)
-    assert unpack_symbol(sig_b.packed[11]) == (0, REL_MIN)
-    assert all(unpack_symbol(p)[1] in (REL_LT, REL_MIN) for p in sig_a.packed)
+    assert [p >> 2 for p in sig_a] == OFFS_A
+    assert [p >> 2 for p in sig_b] == OFFS_B
+    assert unpack_symbol(sig_a[11]) == (0, REL_MIN)
+    assert unpack_symbol(sig_b[11]) == (0, REL_MIN)
+    assert all(unpack_symbol(p)[1] in (REL_LT, REL_MIN) for p in sig_a)
 
 
 def test_golden_hamming_distance():
@@ -69,7 +69,7 @@ def test_hamming_length_mismatch():
 
 def test_sorted_chain_signature():
     sig = compute_signature([1, 2, 3], "distinct")
-    assert [unpack_symbol(p) for p in sig.packed] == [
+    assert [unpack_symbol(p) for p in sig] == [
         (0, REL_MIN),
         (-1, REL_LT),
         (-1, REL_LT),
@@ -78,7 +78,7 @@ def test_sorted_chain_signature():
 
 def test_general_mode_with_repeats():
     sig = compute_signature([5, 5, 2], "general")
-    assert [unpack_symbol(p) for p in sig.packed] == [
+    assert [unpack_symbol(p) for p in sig] == [
         (1, REL_EQ),
         (1, REL_LT),
         (0, REL_MIN),
@@ -141,7 +141,7 @@ def test_signature_characterizes_isomorphism_general():
 def test_sliding_init_matches_from_scratch():
     chunk = [1, 10, 6, 4, 8, 5, 7, 9, 3]
     sliding = SlidingSignature(chunk, 5, "distinct")
-    assert sliding.window_view() == compute_signature(chunk[:5], "distinct").packed
+    assert sliding.window_view() == compute_signature(chunk[:5], "distinct")
 
 
 def test_sliding_advance_fig_window():
@@ -150,8 +150,8 @@ def test_sliding_advance_fig_window():
     for window_start in range(2, 5):
         sliding.advance()
         want = compute_signature(chunk[window_start - 1 : window_start + 4], "distinct")
-        assert sliding.window_view() == want.packed
-    assert sliding.window_view() == compute_signature([4, 8, 5, 7, 9], "distinct").packed
+        assert sliding.window_view() == want
+    assert sliding.window_view() == compute_signature([4, 8, 5, 7, 9], "distinct")
 
 
 def test_sliding_every_step_consistent_both_modes():
@@ -168,7 +168,7 @@ def test_sliding_every_step_consistent_both_modes():
         for i in range(1, length - m + 2):
             assert (
                 sliding.window_view()
-                == compute_signature(chunk[i - 1 : i - 1 + m], mode).packed
+                == compute_signature(chunk[i - 1 : i - 1 + m], mode)
             ), (mode, m, chunk, i)
             if i + m <= length:
                 sliding.advance()
@@ -181,7 +181,7 @@ def test_sliding_exhaustive_tiny_chunks():
         sliding = SlidingSignature(chunk, m, mode)
         length = len(chunk)
         for i in range(1, length - m + 2):
-            want = compute_signature(chunk[i - 1 : i - 1 + m], mode).packed
+            want = compute_signature(chunk[i - 1 : i - 1 + m], mode)
             assert sliding.window_view() == want, (chunk, m, mode, i)
             if i + m <= length:
                 sliding.advance()
@@ -209,7 +209,7 @@ def test_sliding_structured_chunks():
         ):
             sliding = SlidingSignature(chunk, m, "general")
             for i in range(1, length - m + 2):
-                want = compute_signature(chunk[i - 1 : i - 1 + m], "general").packed
+                want = compute_signature(chunk[i - 1 : i - 1 + m], "general")
                 assert sliding.window_view() == want, (chunk, m, i)
                 if i + m <= length:
                     sliding.advance()
@@ -245,7 +245,7 @@ def test_sliding_rejects_short_chunk():
 
 
 def test_sliding_rejects_reference_of_another_length():
-    ref = RefString(compute_signature([1, 2, 3, 4, 5, 6], "distinct").packed)
+    ref = RefString(compute_signature([1, 2, 3, 4, 5, 6], "distinct"))
     with pytest.raises(ValueError, match="reference of length 6 differs from the window length 4"):
         SlidingSignature([5, 1, 4, 2, 3, 9, 8, 7], 4, "distinct", ref=ref)
 
@@ -292,7 +292,7 @@ def test_sliding_matches_from_scratch_on_adversarial_shapes(case):
     for mode in modes:
         sliding = SlidingSignature(chunk, m, mode)
         for i in range(1, len(chunk) - m + 2):
-            want = compute_signature(chunk[i - 1 : i - 1 + m], mode).packed
+            want = compute_signature(chunk[i - 1 : i - 1 + m], mode)
             assert sliding.window_view() == want, (mode, i)
             if i + m <= len(chunk):
                 sliding.advance()
@@ -423,7 +423,7 @@ def test_hybrid_filter_matches_hamming(case):
         ("distinct", _tie_broken(chunk), _tie_broken(pattern)),
     ):
         ref_sig = compute_signature(pat, mode)
-        sliding = SlidingSignature(text, m, mode, ref=RefString(ref_sig.packed))
+        sliding = SlidingSignature(text, m, mode, ref=RefString(ref_sig))
         windows = len(text) - m + 1
         for i in range(1, windows + 1):
             want_sig = compute_signature(text[i - 1 : i - 1 + m], mode)
@@ -434,7 +434,7 @@ def test_hybrid_filter_matches_hamming(case):
             if sliding.dyn_scans > scans:
                 sliding.dyn.check_tiling()
             if i % stride == 0:
-                assert sliding.window_view() == want_sig.packed, (mode, i)
+                assert sliding.window_view() == want_sig, (mode, i)
             if i < windows:
                 sliding.advance()
         assert 0 <= sliding.dyn_scans <= windows
@@ -452,7 +452,7 @@ def test_lazy_dynstring_matches_eager_twin(case, data):
         ("distinct", _tie_broken(chunk), _tie_broken(pattern)),
     ):
         ref_sig = compute_signature(pat, mode)
-        ref = RefString(ref_sig.packed)
+        ref = RefString(ref_sig)
         windows = len(text) - m + 1
         i = data.draw(st.integers(1, windows))
         lazy = SlidingSignature(text, m, mode, ref=ref)
@@ -506,7 +506,7 @@ def test_stale_positions_wait_for_the_dynstring():
     m = 100
     chunk = list(range(2 * m))
     rng.shuffle(chunk)
-    ref = RefString(compute_signature(list(range(m)), "general").packed)
+    ref = RefString(compute_signature(list(range(m)), "general"))
     sliding = SlidingSignature(chunk, m, "general", ref=ref)
     for i in range(1, m + 2):
         assert sliding.first_mismatches(1).truncated
@@ -524,7 +524,7 @@ def test_stale_positions_wait_for_the_dynstring():
     assert sliding.dyn_scans == 1
     sliding.advance()
     assert m + 2 in sliding._stale  # the arriving position's PAD was overwritten
-    assert sliding.window_view() == compute_signature(chunk[2 : m + 2], "general").packed
+    assert sliding.window_view() == compute_signature(chunk[2 : m + 2], "general")
     sliding._direct = False
     sliding.first_mismatches(1)
     assert sliding._stale == []
@@ -536,7 +536,7 @@ def test_mirror_is_the_dynstring_symbol_list():
     m = 50
     chunk = list(range(2 * m))
     chunk[60:70] = rng.sample(range(60, 70), 10)
-    ref = RefString(compute_signature(list(range(m)), "distinct").packed)
+    ref = RefString(compute_signature(list(range(m)), "distinct"))
     sliding = SlidingSignature(chunk, m, "distinct", ref=ref)
     for i in range(1, m + 2):
         sliding.first_mismatches(1)
@@ -553,7 +553,7 @@ def test_reading_the_dynstring_changes_nothing(case):
     # window; a probed chunk must do exactly what an unprobed twin does
     chunk, pattern, limit, _ = case
     m = len(pattern)
-    ref = RefString(compute_signature(pattern, "general").packed)
+    ref = RefString(compute_signature(pattern, "general"))
     probed = SlidingSignature(chunk, m, "general", ref=ref)
     twin = SlidingSignature(chunk, m, "general", ref=ref)
     windows = len(chunk) - m + 1
