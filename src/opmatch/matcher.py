@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import ne, sub
+from operator import add, le, lt, ne, sub
 from typing import Sequence
 
 from .fragstring import RefString
@@ -44,6 +44,12 @@ __all__ = [
 
 _ORACLE_CAP = 14
 _SENTINEL = float("-inf")
+# A chunk with at most this many prefilter candidates decides each of them
+# through its own m-long chunk; one with more takes the sliding path. One
+# m-long chunk costs about 1/9 of a sliding 2m chunk at m = 1e3 and 1/6 at
+# m = 1e5 (CPython 3.11, random distinct text, k = 2), so 7 lies between
+# the two break-even counts.
+_SPARSE_CAP = 7
 
 
 def _validate_k(k: int) -> None:
@@ -331,10 +337,18 @@ def verify_window(
 
 @dataclass
 class MatchStats:
-    """Counters for one matching run, added once per chunk. ``dyn_scans``
-    counts the windows whose mismatches the DynString scan found, not the
-    direct mirror scan, and ``dyn_chunks`` the chunks whose DynString
-    decided at least one window."""
+    """Counters for one matching run, added once per chunk. ``prefiltered``
+    counts the windows that the pigeonhole prefilter of ``match_all`` ruled
+    out without setting up a chunk for them; they are counted in
+    ``windows`` and ``filtered`` too, so ``filtered + verified == windows``.
+    ``dyn_scans`` counts the windows whose mismatches the DynString scan
+    found, not the direct mirror scan, and ``dyn_chunks`` the chunks whose
+    DynString decided at least one window.
+
+    The prefilter also rules out windows that the signature filter would
+    pass, since a signature distance of at most 3k does not imply that one
+    of the k + 1 pattern blocks is kept whole. So ``verified`` and
+    ``dyn_scans`` can read lower than with the sliding path alone."""
 
     windows: int = 0
     filtered: int = 0
@@ -342,6 +356,7 @@ class MatchStats:
     occurrences: int = 0
     dyn_scans: int = 0
     dyn_chunks: int = 0
+    prefiltered: int = 0
 
     @property
     def pruning_rate(self) -> float:
@@ -407,6 +422,23 @@ def match_all(
     positions; each chunk owns the window starts before the next chunk
     begins, so every occurrence is found exactly once. The chunks run one
     after another in this process.
+
+    A pigeonhole prefilter runs before any chunk is set up. Cut the
+    pattern's positions into k + 1 contiguous blocks. A window with at most
+    k mismatches drops at most k positions, so it keeps every position of
+    at least one block, and the kept positions agree pairwise in order (and
+    in equality, in general mode). So on that block the window's consecutive
+    comparisons equal the pattern's. The comparisons of the whole text are
+    one byte each, and each block's are found with ``bytes.find`` among the
+    chunk's own window starts. A start where no block's comparisons occur
+    at the block's offset cannot be an occurrence, so the rule is exact.
+    A chunk with no candidate start is skipped; one with at most
+    ``_SPARSE_CAP`` runs ``match_chunk`` on each candidate's window alone
+    (an m-long chunk owns exactly its one window); one with more runs the
+    sliding path over the whole chunk. The finds stop at ``_SPARSE_CAP + 1``
+    candidates, so a chunk costs O(k + 1) ``find`` calls, each over fewer
+    than 2m bytes. The prefilter needs blocks of two positions or more, so
+    it is skipped when m < 2(k + 1).
     """
     mode = _check_inputs(text, pattern, k, mode, aligned=False)
     n = len(text)
@@ -414,11 +446,63 @@ def match_all(
     if m > n:
         return []
     pidx = PatternIndex(pattern, mode)
+    blocks = _pattern_blocks(pattern, k, mode) if m >= 2 * (k + 1) else []
+    codes = _comparison_codes(text, mode) if blocks else b""
     out: list[int] = []
     for c in range(1, n - m + 2, m):
+        if blocks:
+            owned = min(m, n - m + 2 - c)
+            starts = _candidate_starts(codes, blocks, c - 1, owned)
+            if starts is not None:
+                for s in sorted(starts):
+                    if match_chunk(text[s : s + m], pidx, k, stats):
+                        out.append(s + 1)
+                if stats is not None:
+                    ruled_out = owned - len(starts)
+                    stats.windows += ruled_out
+                    stats.filtered += ruled_out
+                    stats.prefiltered += ruled_out
+                continue
         occ = match_chunk(text[c - 1 : c - 1 + 2 * m], pidx, k, stats)
         out.extend(c - 1 + r for r in occ)
     return out
+
+
+def _comparison_codes(seq: Sequence[int], mode: str) -> bytes:
+    """One byte per consecutive pair of ``seq``: in distinct mode 1 for <
+    and 0 for >, in general mode 2, 1 and 0 for <, = and >."""
+    rest = seq[1:]
+    if mode == "distinct":
+        return bytes(map(lt, seq, rest))
+    return bytes(map(add, map(lt, seq, rest), map(le, seq, rest)))
+
+
+def _pattern_blocks(pattern: Sequence[int], k: int, mode: str) -> list[tuple[int, bytes]]:
+    """(offset, comparison codes) of the pattern's k + 1 contiguous blocks of
+    positions, each of floor(m / (k + 1)) or more positions."""
+    m = len(pattern)
+    codes = _comparison_codes(pattern, mode)
+    cuts = [j * m // (k + 1) for j in range(k + 2)]
+    return [(lo, codes[lo : hi - 1]) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _candidate_starts(
+    codes: bytes, blocks: list[tuple[int, bytes]], first: int, owned: int
+) -> set[int] | None:
+    """The 0-based window starts in [first, first + owned) at which some
+    block's codes occur at its offset, or None once there are more than
+    ``_SPARSE_CAP`` of them."""
+    starts: set[int] = set()
+    find = codes.find
+    for offset, block in blocks:
+        end = first + offset + owned - 1 + len(block)
+        q = find(block, first + offset, end)
+        while q >= 0:
+            starts.add(q - offset)
+            if len(starts) > _SPARSE_CAP:
+                return None
+            q = find(block, q + 1, end)
+    return starts
 
 
 def match_naive(

@@ -57,6 +57,13 @@ def _perturbed_pair(rng: random.Random, mode: str, m: int, k: int) -> tuple[list
     """(a, b) guaranteed k-isomorphic: b is an order/equality copy of a with
     at most k positions replaced."""
     a, _ = _random_pair(rng, mode, m)
+    return a, _perturbed_copy(rng, mode, a, k)
+
+
+def _perturbed_copy(rng: random.Random, mode: str, a: list[int], k: int) -> list[int]:
+    """An order/equality copy of ``a`` with at most k positions replaced, its
+    values drawn from [0, 90 len(a))."""
+    m = len(a)
     order = sorted(range(m), key=lambda j: (a[j], j))
     b = [0] * m
     if mode == "distinct":
@@ -75,8 +82,8 @@ def _perturbed_pair(rng: random.Random, mode: str, m: int, k: int) -> tuple[list
         else:
             b[j] = rng.randrange(3 * m + 3)
     if mode == "distinct" and len(set(b)) != m:
-        return _perturbed_pair(rng, mode, m, k)  # rare collision; redraw
-    return a, b
+        return _perturbed_copy(rng, mode, a, k)  # rare collision; redraw
+    return b
 
 
 def suite_key_set(rng: random.Random, iterations: int) -> list[str]:
@@ -258,7 +265,11 @@ def suite_reductions(rng: random.Random, iterations: int) -> list[str]:
 
 
 def suite_match_oracle(rng: random.Random, iterations: int) -> list[str]:
-    """match_all equals per-position oracles on random small instances."""
+    """match_all equals per-position oracles on small instances: random
+    text, random text with perturbed copies of the pattern planted, and
+    sorted text against a perturbed sorted pattern, so that the prefilter
+    skips chunks, decides candidate windows alone and passes whole chunks
+    to the sliding path."""
     bad: list[str] = []
     for _ in range(iterations):
         mode = "distinct" if rng.random() < 0.5 else "general"
@@ -272,6 +283,16 @@ def suite_match_oracle(rng: random.Random, iterations: int) -> list[str]:
             sigma = rng.randint(3, 6)
             text = [rng.randrange(sigma) for _ in range(n)]
             pattern = [rng.randrange(sigma) for _ in range(m)]
+        shape = rng.choice(("random", "planted", "monotone"))
+        if shape == "planted":
+            # each copy's values lie above the text's and the other copies'
+            for t in range(1, rng.randint(1, 3) + 1):
+                s = rng.randrange(n - m + 1)
+                text[s : s + m] = [100 * n * t + v for v in _perturbed_copy(rng, mode, pattern, k)]
+        elif shape == "monotone":
+            descending = rng.random() < 0.5
+            text.sort(reverse=descending)
+            pattern = _perturbed_copy(rng, mode, sorted(pattern, reverse=descending), k)
         got = match_all(text, pattern, k, mode)
         want = [
             i + 1

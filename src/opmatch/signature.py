@@ -74,12 +74,12 @@ def format_symbol(packed: int) -> str:
     return "$"
 
 
-def compute_signature(seq: Sequence[int], mode: str = "distinct") -> list[int]:
+def compute_signature(seq: Sequence[int], mode: str = "auto") -> list[int]:
     """Packed symbols of the signature of ``seq`` in the given mode
-    ("distinct", "general" or "auto"), under the input contract of every
-    other entry point: values must be ints (TypeError otherwise), "auto"
-    picks "general" when a value repeats, and distinct mode raises
-    DuplicateValuesError when one does.
+    ("distinct", "general" or "auto", the default of every entry point),
+    under the input contract of every other entry point: values must be
+    ints (TypeError otherwise), "auto" picks "general" when a value
+    repeats, and distinct mode raises DuplicateValuesError when one does.
     """
     _validate_ints(seq, "sequence")
     mode = resolve_mode(mode, seq)

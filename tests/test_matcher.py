@@ -664,7 +664,10 @@ def test_verify_window_routes_agree_with_oracles(monkeypatch):
 
 
 def _any_shape(draw, length):
-    shape = draw(st.sampled_from(["increasing", "decreasing", "sawtooth", "equal", "few", "random"]))
+    shape = draw(st.sampled_from(["increasing", "decreasing", "sawtooth", "zigzag", "equal", "few", "random"]))
+    if shape == "zigzag":  # alternating up and down steps of random size
+        steps = draw(st.lists(st.integers(1, 4), min_size=length, max_size=length))
+        return [(-1) ** i * s for i, s in enumerate(steps)]
     if shape == "equal":
         return [draw(st.integers(-3, 3))] * length
     if shape == "sawtooth":
@@ -682,9 +685,9 @@ def _any_shape(draw, length):
 
 @st.composite
 def match_cases(draw):
-    """(text, pattern, k) over monotone, sawtooth, all-equal, few-valued
-    and random shapes, with m = 1, n = m, k >= m and ints far beyond 64
-    bits."""
+    """(text, pattern, k) over monotone, sawtooth, zigzag, all-equal,
+    few-valued and random shapes, with m = 1, n = m, k >= m and ints far
+    beyond 64 bits."""
     m = draw(st.sampled_from([1, draw(st.integers(1, 10))]))
     n = draw(st.sampled_from([m, draw(st.integers(m, 40))]))
     text = _any_shape(draw, n)
@@ -709,3 +712,123 @@ def test_match_all_equals_naive_on_adversarial_shapes(case):
     assert match_all(text, pattern, k) == want
     if len(set(text)) == len(text) and len(set(pattern)) == len(pattern):
         assert match_all(text, pattern, k, "general") == want
+
+
+# ---------------------------------------------------------------------------
+# the pigeonhole prefilter of match_all: skipped chunks, chunks decided one
+# candidate window at a time, and chunks on the sliding path
+# ---------------------------------------------------------------------------
+
+
+def _run_case(candidates, m=10, start=2):
+    """(text, pattern, k, mode): a decreasing text holding one increasing run
+    whose increasing m-windows are exactly ``candidates`` window starts of
+    the first chunk, against an increasing pattern at k = 0, where the one
+    block is the whole pattern."""
+    n = 4 * m
+    length = m - 1 + candidates
+    text = [3 * (n - i) for i in range(n)]
+    base = 3 * (n - start - length)  # below the value after the run, above the one before
+    text[start : start + length] = [base + 1 + j for j in range(length)]
+    return text, list(range(m)), 0, "distinct"
+
+
+@st.composite
+def prefilter_cases(draw):
+    """(text, pattern, k, mode) over the shapes of ``_any_shape``, with
+    copies of the pattern, perturbed at up to k positions, planted at the
+    first or the last window of every chunk."""
+    mode = draw(st.sampled_from(["distinct", "general"]))
+    m = draw(st.integers(2, 12))
+    k = draw(st.integers(0, 3))
+    n = draw(st.integers(m, 5 * m))
+    text = _any_shape(draw, n)
+    pattern = _any_shape(draw, m)
+    where = draw(st.sampled_from(["none", "first", "last"]))
+    prev = None
+    for c in range(1, n - m + 2, m) if where != "none" else ():
+        s = c if where == "first" else min(c + m - 1, n - m + 1)
+        if prev is not None and s < prev + m:
+            continue
+        copy = [100 * (s + 1) + 10 * v for v in pattern]
+        for j in draw(st.lists(st.integers(0, m - 1), max_size=k)):
+            copy[j] = 100 * (s + 1) + draw(st.integers(-25, 65))
+        text[s - 1 : s - 1 + m] = copy
+        prev = s
+    if mode == "distinct":  # break ties by position; strict orders stay
+        text = [v * (n + 1) + i for i, v in enumerate(text)]
+        pattern = [v * (m + 1) + j for j, v in enumerate(pattern)]
+    return text, pattern, k, mode
+
+
+def test_match_all_equals_naive_through_every_prefilter_route(monkeypatch):
+    # every draw must equal match_naive, and each route must decide some
+    routes = {"skip": 0, "sparse": 0, "sparse at the cap": 0, "dense": 0, "no prefilter": 0}
+    candidate_starts = matcher._candidate_starts
+    chunk_windows = []
+
+    def counted_starts(codes, blocks, first, owned):
+        starts = candidate_starts(codes, blocks, first, owned)
+        routes["dense" if starts is None else "sparse" if starts else "skip"] += 1
+        routes["sparse at the cap"] += starts is not None and len(starts) == matcher._SPARSE_CAP
+        return starts
+
+    def counted_chunk(chunk, pidx, k, stats=None):
+        chunk_windows.append(min(pidx.m, len(chunk) - pidx.m + 1))
+        return match_chunk(chunk, pidx, k, stats)
+
+    monkeypatch.setattr(matcher, "_candidate_starts", counted_starts)
+    monkeypatch.setattr(matcher, "match_chunk", counted_chunk)
+
+    @settings(max_examples=500, deadline=None)
+    @given(prefilter_cases())
+    @example(_run_case(matcher._SPARSE_CAP))  # exactly C candidates: each alone
+    @example(_run_case(matcher._SPARSE_CAP + 1))  # C + 1: the sliding path
+    @example(_run_case(0))  # no candidate in the first chunk: skipped
+    @example(([5, 1, 4, 2, 3, 9, 0, 7], [2, 0, 3, 1], 1, "distinct"))  # m = 2(k + 1): 2-position blocks
+    @example((list(range(20)), [0, 2, 1, 3, 4], 2, "distinct"))  # m < 2(k + 1): no prefilter
+    @example(([1, 1, 0, 2, 2, 0, 1], [0, 1, 1], 2, "general"))  # k >= m - 1: every window
+    def check(case):
+        text, pattern, k, mode = case
+        n, m = len(text), len(pattern)
+        want = match_naive(text, pattern, k, mode)
+        chunk_windows.clear()
+        stats = MatchStats()
+        assert match_all(text, pattern, k, mode, stats=stats) == want, case
+        if m < 2 * (k + 1):
+            routes["no prefilter"] += 1
+            assert stats.prefiltered == 0
+        # windows the prefilter rules out plus those the chunks own cover every window once
+        assert stats.prefiltered + sum(chunk_windows) == stats.windows == n - m + 1
+        assert stats.filtered + stats.verified == stats.windows
+        assert stats.occurrences == len(want)
+
+    check()
+    assert all(routes.values()), routes
+
+
+@pytest.mark.parametrize(
+    "candidates, route",
+    [(0, "skip"), (1, "sparse"), (matcher._SPARSE_CAP, "sparse"), (matcher._SPARSE_CAP + 1, "dense")],
+)
+def test_prefilter_route_of_a_chunk_with_a_known_candidate_count(monkeypatch, candidates, route):
+    # the first chunk holds exactly ``candidates`` increasing windows; the
+    # rest of the decreasing text holds none
+    text, pattern, k, mode = _run_case(candidates)
+    m = len(pattern)
+    calls = []
+
+    def counted_chunk(chunk, pidx, k, stats=None):
+        calls.append(len(chunk))
+        return match_chunk(chunk, pidx, k, stats)
+
+    monkeypatch.setattr(matcher, "match_chunk", counted_chunk)
+    stats = MatchStats()
+    got = match_all(text, pattern, k, mode, stats=stats)
+    assert got == match_naive(text, pattern, k, mode) == list(range(3, 3 + candidates))
+    windows = len(text) - m + 1
+    if route == "dense":
+        assert calls == [2 * m] and stats.prefiltered == windows - m
+    else:  # each candidate window alone, as a chunk of length m
+        assert calls == [m] * candidates and stats.prefiltered == windows - candidates
+    assert stats.verified == candidates and stats.windows == windows

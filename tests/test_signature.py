@@ -90,6 +90,12 @@ def test_distinct_mode_rejects_duplicates():
         compute_signature([5, 5, 2], "distinct")
 
 
+def test_default_mode_is_auto():
+    # like every other entry point: a repeated value selects general mode
+    assert compute_signature([5, 5, 2]) == compute_signature([5, 5, 2], "general")
+    assert compute_signature([3, 1, 2]) == compute_signature([3, 1, 2], "distinct")
+
+
 def test_modes_agree_on_distinct_input():
     rng = random.Random(2)
     for _ in range(200):
