@@ -273,8 +273,8 @@ def suite_match_oracle(rng: random.Random, iterations: int) -> list[str]:
     bad: list[str] = []
     for _ in range(iterations):
         mode = "distinct" if rng.random() < 0.5 else "general"
-        m = rng.randint(1, 10)
-        n = rng.randint(m, 40)
+        m = rng.randint(1, 14)  # up to the subset oracle's cap
+        n = rng.randint(m, 60)
         k = rng.randint(0, 3)
         if mode == "distinct":
             text = rng.sample(range(10 * n), n)

@@ -733,14 +733,27 @@ def _run_case(candidates, m=10, start=2):
     return text, list(range(m)), 0, "distinct"
 
 
+def _boundary_case(delta, k=1):
+    """(text, pattern, k, mode): a random distinct text holding a copy of the
+    pattern with one value moved, where m = 5(k + 1) + delta."""
+    rng = random.Random(delta)
+    m = matcher._MIN_BLOCK * (k + 1) + delta
+    text = rng.sample(range(1000), 6 * m)
+    pattern = rng.sample(range(1000), m)
+    copy = [2000 + v for v in pattern]
+    copy[m // 2] = 1500  # one mismatch at most
+    text[m + 3 : 2 * m + 3] = copy
+    return text, pattern, k, "distinct"
+
+
 @st.composite
 def prefilter_cases(draw):
     """(text, pattern, k, mode) over the shapes of ``_any_shape``, with
     copies of the pattern, perturbed at up to k positions, planted at the
     first or the last window of every chunk."""
     mode = draw(st.sampled_from(["distinct", "general"]))
-    m = draw(st.integers(2, 12))
     k = draw(st.integers(0, 3))
+    m = draw(st.integers(2, matcher._MIN_BLOCK * (k + 1) + 6))
     n = draw(st.integers(m, 5 * m))
     text = _any_shape(draw, n)
     pattern = _any_shape(draw, m)
@@ -785,8 +798,9 @@ def test_match_all_equals_naive_through_every_prefilter_route(monkeypatch):
     @example(_run_case(matcher._SPARSE_CAP))  # exactly C candidates: each alone
     @example(_run_case(matcher._SPARSE_CAP + 1))  # C + 1: the sliding path
     @example(_run_case(0))  # no candidate in the first chunk: skipped
-    @example(([5, 1, 4, 2, 3, 9, 0, 7], [2, 0, 3, 1], 1, "distinct"))  # m = 2(k + 1): 2-position blocks
-    @example((list(range(20)), [0, 2, 1, 3, 4], 2, "distinct"))  # m < 2(k + 1): no prefilter
+    @example(_boundary_case(0))  # m = 5(k + 1): 5-position blocks
+    @example(_boundary_case(-1))  # m < 5(k + 1): no prefilter
+    @example(([5, 1, 4, 2, 3, 9, 0, 7], [2, 0, 3, 1], 1, "distinct"))  # 2-position blocks: no prefilter
     @example(([1, 1, 0, 2, 2, 0, 1], [0, 1, 1], 2, "general"))  # k >= m - 1: every window
     def check(case):
         text, pattern, k, mode = case
@@ -795,7 +809,7 @@ def test_match_all_equals_naive_through_every_prefilter_route(monkeypatch):
         chunk_windows.clear()
         stats = MatchStats()
         assert match_all(text, pattern, k, mode, stats=stats) == want, case
-        if m < 2 * (k + 1):
+        if m < matcher._MIN_BLOCK * (k + 1):
             routes["no prefilter"] += 1
             assert stats.prefiltered == 0
         # windows the prefilter rules out plus those the chunks own cover every window once
