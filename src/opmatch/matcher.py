@@ -9,8 +9,8 @@ increasing" admits pairs that are equal in both.
 
 The fast path filters window starts by comparing signatures: a window that
 is k-isomorphic to the pattern has signature Hamming distance at most 3k,
-so any window whose sliding signature shows more than 3k mismatches is
-rejected without verification. Surviving windows are verified exactly by
+so any window whose signature shows more than 3k mismatches is rejected
+without verification. Surviving windows are verified exactly by
 reducing the <= 3k signature mismatch positions to a heaviest increasing
 subsequence instance (distinct values) or a heaviest chain instance
 (repeated values allowed).
@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .fragstring import RefString
 from .seqcore import _validate_distinct, _validate_ints, resolve_mode
-from .signature import SlidingSignature, _class_walk
+from .signature import SlidingSignature, _class_walk, signature_hamming
 from .subsequence import heaviest_chain, heaviest_increasing_subsequence, lis_length_at_least
 
 __all__ = [
@@ -45,19 +45,22 @@ __all__ = [
 _ORACLE_CAP = 14
 _SENTINEL = float("-inf")
 # A chunk with at most this many prefilter candidates decides each of them
-# through its own m-long chunk; one with more takes the sliding path. One
-# m-long chunk costs about 1/9 of a sliding 2m chunk at m = 1e3 and 1/6 at
-# m = 1e5 (CPython 3.11, random distinct text, k = 2), so 7 lies between
-# the two break-even counts.
+# alone (``_decide_window``); one with more takes the sliding path. A window
+# decided alone costs 1/16-1/18 of a sliding 2m chunk at m = 1e3 and
+# 1/11-1/13 at m = 1e5 when the capped scan rejects it, and 1/12-1/13 and
+# 1/8-1/11 when it reaches verification (CPython 3.11, random distinct text,
+# k = 2), so 7 lies below every measured break-even count.
 _SPARSE_CAP = 7
 # The prefilter runs only when every block has at least this many positions.
 # A block of b positions meets random text at a start with probability about
 # 2^-(b - 1), so short blocks leave most chunks several candidates, each one
-# an m-long chunk set-up. Against the sliding path alone (CPython 3.11,
-# n = 4e3 to 8e3), 4-position blocks ran up to 1.2x slower at k = 2, and
-# 3-position blocks 1.7x slower on near-sorted text at m = 6; 5-position
-# blocks ran 0.4-0.9x on random text at k <= 2, and at most 1.18x in every
-# shape measured.
+# an O(m log m) signature of its own. Against the sliding path alone
+# (CPython 3.11, n = 4e3 to 8e3, candidates decided as m-long chunks),
+# 4-position blocks ran up to 1.2x slower at k = 2, and 3-position blocks
+# 1.7x slower on near-sorted text at m = 6; 5-position blocks ran 0.4-0.9x
+# on random text at k <= 2, and at most 1.18x in every shape measured. With
+# candidates decided alone, near-sorted text with 5- to 9-position blocks
+# reads 0.91-1.15x at k = 1 to 8, within the spread of repeated calls.
 _MIN_BLOCK = 5
 
 
@@ -79,13 +82,13 @@ def _check_inputs(
     _validate_ints(b, names[1])
     if aligned and len(a) != len(b):
         raise ValueError("sequences must have equal length")
-    mode = resolve_mode(mode, a, b)
-    if mode == "distinct":
+    resolved = resolve_mode(mode, a, b)
+    if mode == "distinct":  # "auto" resolves to it only on unique values
         _validate_distinct(a, names[0])
         _validate_distinct(b, names[1])
     if not aligned and len(b) < 1:
         raise ValueError("pattern must be non-empty")
-    return mode
+    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +355,10 @@ class MatchStats:
     ``windows`` and ``filtered`` too, so ``filtered + verified == windows``.
     ``dyn_scans`` counts the windows whose mismatches the DynString scan
     found, not the direct mirror scan, and ``dyn_chunks`` the chunks whose
-    DynString decided at least one window.
+    DynString decided at least one window. A candidate window that the
+    prefilter leaves to be decided alone counts in ``windows``, in
+    ``filtered`` or ``verified`` and in ``occurrences``, never in
+    ``dyn_scans`` or ``dyn_chunks``: it builds no DynString.
 
     The prefilter also rules out windows that the signature filter would
     pass, since a signature distance of at most 3k does not imply that one
@@ -442,14 +448,16 @@ def match_all(
     chunk's own window starts. A start where no block's comparisons occur
     at the block's offset cannot be an occurrence, so the rule is exact.
     A chunk with no candidate start is skipped; one with at most
-    ``_SPARSE_CAP`` runs ``match_chunk`` on each candidate's window alone
-    (an m-long chunk owns exactly its one window); one with more runs the
-    sliding path over the whole chunk. The finds stop at ``_SPARSE_CAP + 1``
-    candidates, so a chunk costs O(k + 1) ``find`` calls, each over fewer
-    than 2m bytes. Short blocks occur almost anywhere, so the prefilter is
-    skipped unless every block has ``_MIN_BLOCK`` = 5 positions or more:
-    when m < 5(k + 1), which covers k >= m - 1, every chunk takes the
-    sliding path.
+    ``_SPARSE_CAP`` decides each candidate's window alone
+    (``_decide_window``: the window's signature, one Hamming scan against
+    the pattern's that stops after 3k + 1 mismatches, and ``verify_window``
+    below that cap, the rule ``match_chunk`` applies, with no sliding
+    set-up); one with more runs the sliding path over the whole chunk. The
+    finds stop at ``_SPARSE_CAP + 1`` candidates, so a chunk costs
+    O(k + 1) ``find`` calls, each over fewer than 2m bytes. Short blocks
+    occur almost anywhere, so the prefilter is skipped unless every block
+    has ``_MIN_BLOCK`` = 5 positions or more: when m < 5(k + 1), which
+    covers k >= m - 1, every chunk takes the sliding path.
     """
     mode = _check_inputs(text, pattern, k, mode, aligned=False)
     n = len(text)
@@ -466,7 +474,7 @@ def match_all(
             starts = _candidate_starts(codes, blocks, c - 1, owned)
             if starts is not None:
                 for s in sorted(starts):
-                    if match_chunk(text[s : s + m], pidx, k, stats):
+                    if _decide_window(text[s : s + m], pidx, k, stats):
                         out.append(s + 1)
                 if stats is not None:
                     ruled_out = owned - len(starts)
@@ -477,6 +485,23 @@ def match_all(
         occ = match_chunk(text[c - 1 : c - 1 + 2 * m], pidx, k, stats)
         out.extend(c - 1 + r for r in occ)
     return out
+
+
+def _decide_window(
+    window: Sequence[int], pidx: PatternIndex, k: int, stats: MatchStats | None
+) -> bool:
+    """The verdict of ``match_chunk`` on one m-long window, under the same
+    3k cap and the same verification, from the window's own signature and
+    one capped Hamming scan against the pattern's: no sliding set-up."""
+    sig = _class_walk(window, sorted(range(pidx.m), key=window.__getitem__))
+    stream = signature_hamming(sig, pidx.ref.symbols, 3 * k)
+    found = not stream.truncated and verify_window(window, pidx, stream.positions, k)
+    if stats is not None:
+        stats.windows += 1
+        stats.filtered += stream.truncated
+        stats.verified += not stream.truncated
+        stats.occurrences += found
+    return found
 
 
 def _comparison_codes(seq: Sequence[int], mode: str) -> bytes:

@@ -124,14 +124,13 @@ def signature_hamming(
     cap + 1 mismatches and the stream is truncated."""
     if len(a) != len(b):
         raise ValueError(f"signature lengths differ: {len(a)} vs {len(b)}")
-    positions: list[int] = []
-    append = positions.append
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            append(i + 1)
-            if cap is not None and len(positions) > cap:
-                return MismatchStream(positions, True)
-    return MismatchStream(positions, False)
+    found = compress(count(1), map(ne, a, b))
+    if cap is None:
+        return MismatchStream(list(found), False)
+    if cap < 0:
+        raise ValueError("cap must be non-negative")
+    positions = list(islice(found, cap + 1))
+    return MismatchStream(positions, len(positions) > cap)
 
 
 def window_predecessors(

@@ -327,6 +327,36 @@ def test_match_naive_checks_inputs_once(monkeypatch):
         assert got == match_all(text, FIG_PATTERN, 1)
 
 
+def test_distinct_values_checked_only_when_distinct_is_asked(monkeypatch):
+    # "auto" resolves to distinct only after resolve_mode has found every
+    # value unique, so only an explicit "distinct" checks each sequence again;
+    # PatternIndex, a public entry point, keeps its own check
+    calls = []
+    validate = matcher._validate_distinct
+
+    def counted(seq, name):
+        calls.append(name)
+        validate(seq, name)
+
+    monkeypatch.setattr(matcher, "_validate_distinct", counted)
+    cases = [
+        (match_naive, FIG_TEXT, [], ["text", "pattern"]),
+        (k_isomorphic_check, FIG_TEXT[:5], [], ["first sequence", "second sequence"]),
+        (match_all, FIG_TEXT, ["pattern"], ["text", "pattern", "pattern"]),
+    ]
+    for entry, seq, under_auto, under_distinct in cases:
+        calls.clear()
+        entry(seq, FIG_PATTERN, 1)
+        assert calls == under_auto, entry
+        calls.clear()
+        entry(seq, FIG_PATTERN, 1, "distinct")
+        assert calls == under_distinct, entry
+        repeat = [seq[1], *seq[1:]]
+        assert entry(repeat, FIG_PATTERN, 1) == entry(repeat, FIG_PATTERN, 1, "general")
+        with pytest.raises(DuplicateValuesError):
+            entry(repeat, FIG_PATTERN, 1, "distinct")
+
+
 def test_match_chunk_fig_instance():
     pidx = PatternIndex(FIG_PATTERN, "distinct")
     assert match_chunk(FIG_TEXT, pidx, 1) == [4]
@@ -545,6 +575,38 @@ def test_weakened_filter_cap_is_caught_by_oracle_comparison(monkeypatch):
     first_mismatches = SlidingSignature.first_mismatches
     monkeypatch.setattr(
         SlidingSignature, "first_mismatches", lambda self, limit: first_mismatches(self, limit * 2 // 3)
+    )
+    broken = 0
+    for text, pattern, k, want in cases:
+        got = match_all(text, pattern, k)
+        assert set(got) <= set(want)
+        if got != want:
+            broken += 1
+    assert broken > 0
+
+
+def test_weakened_window_cap_is_caught_by_oracle_comparison(monkeypatch):
+    # the same check for the windows match_all decides alone: _decide_window
+    # scans for 3k mismatches, the wrapper for 2k
+    rng = random.Random(131)
+    cases = []
+    for _ in range(300):
+        k = rng.randint(1, 2)
+        m = rng.randint(matcher._MIN_BLOCK * (k + 1), matcher._MIN_BLOCK * (k + 1) + 6)
+        n = rng.randint(m, 4 * m)
+        text = [rng.randrange(10 * n) for _ in range(n)]
+        pattern = rng.sample(range(m), m)
+        for s in range(0, n - m + 1, 2 * m):  # perturbed copies planted
+            copy = [10 * (n + s) + 10 * v for v in pattern]
+            for j in rng.sample(range(m), rng.randint(0, k)):
+                copy[j] = 10 * (n + s) + rng.randint(-5, 10 * m + 5)
+            text[s : s + m] = copy
+        text = [v * (n + 1) + i for i, v in enumerate(text)]  # distinct, orders kept
+        want = match_naive(text, pattern, k)
+        assert match_all(text, pattern, k) == want
+        cases.append((text, pattern, k, want))
+    monkeypatch.setattr(
+        matcher, "signature_hamming", lambda a, b, cap=None: signature_hamming(a, b, cap * 2 // 3)
     )
     broken = 0
     for text, pattern, k, want in cases:
@@ -778,6 +840,7 @@ def test_match_all_equals_naive_through_every_prefilter_route(monkeypatch):
     # every draw must equal match_naive, and each route must decide some
     routes = {"skip": 0, "sparse": 0, "sparse at the cap": 0, "dense": 0, "no prefilter": 0}
     candidate_starts = matcher._candidate_starts
+    decide_window = matcher._decide_window
     chunk_windows = []
 
     def counted_starts(codes, blocks, first, owned):
@@ -790,8 +853,14 @@ def test_match_all_equals_naive_through_every_prefilter_route(monkeypatch):
         chunk_windows.append(min(pidx.m, len(chunk) - pidx.m + 1))
         return match_chunk(chunk, pidx, k, stats)
 
+    def counted_window(window, pidx, k, stats):
+        assert len(window) == pidx.m
+        chunk_windows.append(1)
+        return decide_window(window, pidx, k, stats)
+
     monkeypatch.setattr(matcher, "_candidate_starts", counted_starts)
     monkeypatch.setattr(matcher, "match_chunk", counted_chunk)
+    monkeypatch.setattr(matcher, "_decide_window", counted_window)
 
     @settings(max_examples=500, deadline=None)
     @given(prefilter_cases())
@@ -812,13 +881,61 @@ def test_match_all_equals_naive_through_every_prefilter_route(monkeypatch):
         if m < matcher._MIN_BLOCK * (k + 1):
             routes["no prefilter"] += 1
             assert stats.prefiltered == 0
-        # windows the prefilter rules out plus those the chunks own cover every window once
+        # windows the prefilter rules out, those decided alone and those the
+        # sliding chunks own cover every window once
         assert stats.prefiltered + sum(chunk_windows) == stats.windows == n - m + 1
         assert stats.filtered + stats.verified == stats.windows
         assert stats.occurrences == len(want)
 
     check()
     assert all(routes.values()), routes
+
+
+@st.composite
+def window_cases(draw):
+    """(window, pattern, k, mode) of one length: the pattern is another
+    shape, or the window with adjacent swaps or up to k + 1 values moved."""
+    mode = draw(st.sampled_from(["distinct", "general"]))
+    k = draw(st.integers(0, 3))
+    m = draw(st.integers(1, 16))
+    window = _any_shape(draw, m)
+    how = draw(st.sampled_from(["shape", "swaps", "moved"]))
+    if how == "shape":
+        pattern = _any_shape(draw, m)
+    elif how == "swaps":
+        pattern = _adjacent_swaps(draw, window)
+    else:
+        pattern = list(window)
+        lo, hi = min(window) - 2, max(window) + 2
+        for j in draw(st.lists(st.integers(0, m - 1), max_size=k + 1)):
+            pattern[j] = draw(st.integers(lo, hi))
+    if mode == "distinct":  # break ties by position; strict orders stay
+        window = [v * (m + 1) + j for j, v in enumerate(window)]
+        pattern = [v * (m + 1) + j for j, v in enumerate(pattern)]
+    return window, pattern, k, mode
+
+
+@settings(max_examples=400, deadline=None)
+@given(window_cases())
+@example(([2, 4, 5, 3, 0, 1], [3, 4, 5, 2, 0, 1], 1, "distinct"))  # 3k mismatches, accepted
+@example(([3, 1, 4, 0, 2], [3, 1, 0, 4, 2], 1, "distinct"))  # 3k mismatches, rejected
+@example(([0, 1, 3, 2], [1, 3, 2, 0], 1, "distinct"))  # 3k + 1 mismatches
+@example(([3, 1, 2, 4, 5, 0], [4, 0, 2, 3, 5, 1], 2, "distinct"))  # 3k, accepted
+@example(([1, 0, 4, 6, 5, 2, 3], [0, 1, 2, 4, 6, 3, 5], 2, "distinct"))  # 3k + 1
+@example(([1, 1, 1, 2, 1, 2], [0, 0, 0, 2, 2, 2], 1, "general"))  # 3k, accepted
+@example(([1, 2, 2, 1, 2, 2, 0, 1], [1, 0, 2, 1, 2, 0, 0, 1], 1, "general"))  # 3k + 1
+def test_decide_window_agrees_with_match_chunk_and_the_check(case):
+    # the prefilter's windows are decided alone, with no sliding set-up, by
+    # the rule match_chunk applies to an m-long chunk
+    window, pattern, k, mode = case
+    pidx = PatternIndex(pattern, mode)
+    stats = MatchStats()
+    got = matcher._decide_window(window, pidx, k, stats)
+    assert got == bool(match_chunk(window, pidx, k)) == k_isomorphic_check(window, pattern, k, mode)
+    d = len(signature_hamming(compute_signature(window, mode), pidx.ref.symbols).positions)
+    kept = d <= 3 * k
+    assert (stats.windows, stats.filtered, stats.verified, stats.occurrences) == (1, not kept, kept, got)
+    assert stats.dyn_scans == stats.dyn_chunks == stats.prefiltered == 0
 
 
 @pytest.mark.parametrize(
@@ -831,18 +948,25 @@ def test_prefilter_route_of_a_chunk_with_a_known_candidate_count(monkeypatch, ca
     text, pattern, k, mode = _run_case(candidates)
     m = len(pattern)
     calls = []
+    decided = []
+    decide_window = matcher._decide_window
 
     def counted_chunk(chunk, pidx, k, stats=None):
         calls.append(len(chunk))
         return match_chunk(chunk, pidx, k, stats)
 
+    def counted_window(window, pidx, k, stats):
+        decided.append(len(window))
+        return decide_window(window, pidx, k, stats)
+
     monkeypatch.setattr(matcher, "match_chunk", counted_chunk)
+    monkeypatch.setattr(matcher, "_decide_window", counted_window)
     stats = MatchStats()
     got = match_all(text, pattern, k, mode, stats=stats)
     assert got == match_naive(text, pattern, k, mode) == list(range(3, 3 + candidates))
     windows = len(text) - m + 1
     if route == "dense":
-        assert calls == [2 * m] and stats.prefiltered == windows - m
-    else:  # each candidate window alone, as a chunk of length m
-        assert calls == [m] * candidates and stats.prefiltered == windows - candidates
+        assert calls == [2 * m] and decided == [] and stats.prefiltered == windows - m
+    else:  # each candidate window decided alone, with no chunk
+        assert calls == [] and decided == [m] * candidates and stats.prefiltered == windows - candidates
     assert stats.verified == candidates and stats.windows == windows

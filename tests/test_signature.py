@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opmatch.fragstring import RefString
+from opmatch.fragstring import MismatchStream, RefString
 from opmatch.matcher import MatchStats, match_all
 from opmatch.seqcore import DuplicateValuesError
 from opmatch.signature import (
@@ -65,6 +65,15 @@ def test_hamming_identical_and_cap():
 def test_hamming_length_mismatch():
     with pytest.raises(ValueError):
         signature_hamming(compute_signature([1, 2]), compute_signature([1, 2, 3]))
+
+
+def test_hamming_cap_at_and_below_zero():
+    sig_a = compute_signature(SEQ_A, "distinct")
+    sig_b = compute_signature(SEQ_B, "distinct")
+    assert signature_hamming(sig_a, sig_a, cap=0) == MismatchStream([], False)
+    assert signature_hamming(sig_a, sig_b, cap=0) == MismatchStream([1], True)
+    with pytest.raises(ValueError, match="cap must be non-negative"):
+        signature_hamming(sig_a, sig_a, cap=-1)
 
 
 def test_sorted_chain_signature():
