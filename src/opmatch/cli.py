@@ -65,15 +65,6 @@ def _load_sequences(args) -> tuple[list[int], list[int], int, str]:
     return text, pattern, k if k is not None else 0, mode or "auto"
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    """Flags that still parse but select nothing: the chunks run one after
-    another, and the fragment starts are always kept in a bit trie."""
-    p.add_argument("--threads", type=int, default=1,
-                   help="must be at least 1; selects nothing (chunks run sequentially)")
-    p.add_argument("--dict-backend", choices=("bittrie", "sorted"), default=None,
-                   help="selects nothing (the fragment starts are always a bit trie)")
-
-
 def cmd_match(args) -> int:
     if args.threads < 1:
         raise ValueError("threads must be at least 1")
@@ -141,8 +132,6 @@ class _BenchRow:
 
 
 def cmd_bench(args) -> int:
-    if args.threads < 1:
-        raise ValueError("threads must be at least 1")
     if args.naive_cap < 1:
         raise ValueError("--naive-cap must be at least 1")
     rng = random.Random(args.seed)
@@ -205,7 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.add_argument("--algorithm", choices=("fast", "naive"), default="fast")
     p.add_argument("--json", action="store_true")
-    _add_run_flags(p)
+    # parsed for existing callers, but they select nothing: the chunks run
+    # one after another, and the fragment starts are always a bit trie
+    p.add_argument("--threads", type=int, default=1,
+                   help="must be at least 1; selects nothing (chunks run sequentially)")
+    p.add_argument("--dict-backend", choices=("bittrie", "sorted"), default=None,
+                   help="selects nothing (the fragment starts are always a bit trie)")
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("verify", help="check one alignment and print a witness")
@@ -240,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--naive-cap", type=int, default=5000,
                    help="max windows to time naively before extrapolating")
     p.add_argument("--csv", action="store_true")
-    _add_run_flags(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("selftest", help="run the randomized oracle suites")

@@ -391,15 +391,15 @@ def match_chunk(
     that is iff n - c + 1 >= 2m, so every chunk with a successor is 2m
     long, and the last chunk is shorter than 2m and has none. A window is
     filtered out when its signature differs from the pattern's in more than
-    3k places.
+    3k places. A negative k raises ValueError, and the chunk is checked by
+    ``SlidingSignature``: int values, a length in [m, 2m] and, in distinct
+    mode, unique values.
     """
+    _validate_k(k)
+    sliding = SlidingSignature(chunk, pidx)
     m = pidx.m
-    length = len(chunk)
-    if length < m:
-        raise ValueError("chunk shorter than the pattern")
     cap = 3 * k
-    last_start = min(m, length - m + 1)
-    sliding = SlidingSignature(chunk, m, pidx.mode, ref=pidx.ref)
+    last_start = min(m, len(chunk) - m + 1)
     out: list[int] = []
     verified = 0
     i = 1

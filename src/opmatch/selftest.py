@@ -33,7 +33,7 @@ from .subsequence import (
     his_bruteforce,
 )
 
-__all__ = ["Suite", "all_suites", "run_suites"]
+__all__ = ["Suite", "all_suites", "first_window_sliding", "run_suites"]
 
 
 @dataclass
@@ -148,6 +148,12 @@ def suite_subsequence(rng: random.Random, iterations: int) -> list[str]:
     return bad
 
 
+def first_window_sliding(chunk: list[int], m: int, mode: str) -> SlidingSignature:
+    """A sliding signature over ``chunk`` whose reference is the chunk's own
+    first window, ``PatternIndex(chunk[:m], mode)``."""
+    return SlidingSignature(chunk, PatternIndex(chunk[:m], mode))
+
+
 def suite_sliding(rng: random.Random, iterations: int) -> list[str]:
     """After every advance, the window view of the maintained signature
     equals a from-scratch recomputation, in both modes."""
@@ -160,7 +166,7 @@ def suite_sliding(rng: random.Random, iterations: int) -> list[str]:
             chunk = rng.sample(range(100), length)
         else:
             chunk = [rng.randrange(max(2, m // 2 + 1)) for _ in range(length)]
-        sliding = SlidingSignature(chunk, m, mode)
+        sliding = first_window_sliding(chunk, m, mode)
         for i in range(1, length - m + 2):
             want = compute_signature(chunk[i - 1 : i - 1 + m], mode)
             got = sliding.window_view()

@@ -20,10 +20,13 @@ from __future__ import annotations
 
 from itertools import compress, count, islice
 from operator import ne
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .fragstring import DynString, MismatchStream, RefString
+from .fragstring import DynString, MismatchStream
 from .seqcore import DuplicateValuesError, _validate_distinct, _validate_ints, resolve_mode
+
+if TYPE_CHECKING:
+    from .matcher import PatternIndex
 
 __all__ = [
     "REL_LT",
@@ -206,7 +209,10 @@ def window_predecessors(
 
 
 class SlidingSignature:
-    """Signature of an m-length window sliding over a chunk of <= 2m values.
+    """Signature of an m-length window sliding over a chunk of m to 2m values,
+    compared with one pattern's. The window length m, the mode and the
+    reference, the pattern's signature, are those of the ``PatternIndex``
+    ``pidx``; the chunk's values must be ints, and in distinct mode unique.
 
     The current symbols live in ``_mirror``, a flat list of length 2m aligned
     to absolute chunk positions (window start i reads [i, i+m-1]); positions
@@ -252,25 +258,14 @@ class SlidingSignature:
     ``dyn`` is scanned only through ``first_mismatches``.
     """
 
-    def __init__(
-        self,
-        chunk: Sequence[int],
-        m: int,
-        mode: str = "general",
-        ref: RefString | None = None,
-    ):
+    def __init__(self, chunk: Sequence[int], pidx: PatternIndex):
+        _validate_ints(chunk, "chunk")
+        m = pidx.m
         length = len(chunk)
-        if m < 1:
-            raise ValueError("window length must be positive")
         if length < m:
             raise ValueError(f"chunk of length {length} is shorter than the window ({m})")
         if length > 2 * m:
             raise ValueError(f"chunk of length {length} exceeds 2m = {2 * m}")
-        if mode not in ("distinct", "general"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if ref is not None and ref.m != m:
-            raise ValueError(f"reference of length {ref.m} differs from the window length {m}")
-        self.mode = mode
         self.m = m
         self.length = length
         self.start = 1
@@ -292,7 +287,7 @@ class SlidingSignature:
                 prev_v = v
             vals[p] = rank
             prev = p
-        if mode == "distinct" and rank != length:
+        if pidx.mode == "distinct" and rank != length:
             raise DuplicateValuesError("distinct mode requires a duplicate-free chunk")
         self._vals = vals
         self._nxt = nxt
@@ -321,11 +316,8 @@ class SlidingSignature:
         self._above = above
         self._top = top
 
-        packed = _class_walk(chunk, window_order)
-        if ref is None:
-            ref = RefString(packed)
-        self.ref = ref
-        self.dyn = DynString(ref, packed + [PAD_PACKED] * m)
+        self.ref = pidx.ref
+        self.dyn = DynString(pidx.ref, _class_walk(chunk, window_order) + [PAD_PACKED] * m)
         self._mirror = self.dyn.symbols
         self._stale: list[int] = []
         self._direct = True

@@ -11,6 +11,7 @@ import time
 
 from opmatch.cli import main as cli_main
 from opmatch.matcher import (
+    MatchStats,
     k_isomorphic_check,
     k_isomorphic_subset_oracle,
     match_all,
@@ -180,7 +181,7 @@ def test_criterion_6_structure_suites():
                 assert got.truncated == (len(naive) > limit)
         assert dyn.symbols == shadow
 
-    from opmatch.signature import SlidingSignature
+    from opmatch.selftest import first_window_sliding
 
     for case in range(cases):
         mode = "distinct" if case % 2 == 0 else "general"
@@ -190,7 +191,7 @@ def test_criterion_6_structure_suites():
             chunk = rng.sample(range(10 * length + 10), length)
         else:
             chunk = [rng.randint(0, max(1, m // 2)) for _ in range(length)]
-        sliding = SlidingSignature(chunk, m, mode)
+        sliding = first_window_sliding(chunk, m, mode)
         for i in range(1, length - m + 2):
             assert (
                 sliding.window_view()
@@ -205,22 +206,37 @@ def test_criterion_6_structure_suites():
 def test_criterion_7_scaling_smoke():
     rng = random.Random(0xC7)
     m, k = 1000, 2
-    pool = rng.sample(range(10**8), 4 * 10**5 + m)
-    pattern = pool[:m]
-    text = pool[m:]
+
+    def zigzag(length):
+        # distinct values, x * (length + 1) + i, whose steps alternate up and
+        # down by a random size: every other window start has the pattern's
+        # up/down comparisons, so the prefilter passes every chunk and the
+        # sliding signature filter has to prune the windows
+        out = []
+        x = 0
+        for i in range(length):
+            x += rng.randint(1, 1000) * (1 if i % 2 else -1)
+            out.append(x * (length + 1) + i)
+        return out
+
+    pattern = zigzag(m)
+    text = zigzag(4 * 10**5)
+    stats = MatchStats()
 
     def median_time(seq):
         # the median of 3 calls, so that one host stall does not set a side
         times = []
         for _ in range(3):
             t0 = time.perf_counter()
-            match_all(seq, pattern, k, "distinct")
+            match_all(seq, pattern, k, "distinct", stats=stats)
             times.append(time.perf_counter() - t0)
         return statistics.median(times)
 
     t_small = median_time(text[: 2 * 10**5])
     t_large = median_time(text)
     ratio = t_large / t_small
+    # the run took the sliding path: the prefilter ruled out almost nothing
+    assert stats.prefiltered < 0.01 * stats.windows, (stats.prefiltered, stats.windows)
 
     naive_windows = 2_000
     t0 = time.perf_counter()

@@ -383,7 +383,16 @@ def test_match_empty_cases():
 
 @pytest.mark.parametrize(
     "entry",
-    [k_isomorphic_check, k_isomorphic_witness, k_isomorphic_subset_oracle, match_naive, match_all],
+    [
+        k_isomorphic_check,
+        k_isomorphic_witness,
+        k_isomorphic_subset_oracle,
+        match_naive,
+        match_all,
+        lambda chunk, pattern, k: match_chunk(chunk, PatternIndex(pattern), k),
+    ],
+    ids=["k_isomorphic_check", "k_isomorphic_witness", "k_isomorphic_subset_oracle",
+         "match_naive", "match_all", "match_chunk"],
 )
 def test_negative_k_rejected_by_every_entry_point(entry):
     with pytest.raises(ValueError, match="k must be non-negative"):
@@ -400,9 +409,12 @@ def test_negative_k_rejected_by_every_entry_point(entry):
         lambda bad, good: k_isomorphic_subset_oracle(good, bad, 0),
         lambda bad, good: PatternIndex(bad),
         lambda bad, good: compute_signature(bad),
+        lambda bad, good: SlidingSignature(bad, PatternIndex(good)),
+        lambda bad, good: match_chunk(bad, PatternIndex(good), 0),
     ],
     ids=["match_all", "match_naive", "k_isomorphic_check", "k_isomorphic_witness",
-         "k_isomorphic_subset_oracle", "PatternIndex", "compute_signature"],
+         "k_isomorphic_subset_oracle", "PatternIndex", "compute_signature",
+         "SlidingSignature", "match_chunk"],
 )
 def test_non_int_values_rejected_by_every_entry_point(entry):
     good = [1, 2, 3]

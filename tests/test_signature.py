@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opmatch.fragstring import MismatchStream, RefString
-from opmatch.matcher import MatchStats, match_all
+from opmatch.fragstring import MismatchStream
+from opmatch.matcher import MatchStats, PatternIndex, match_all
+from opmatch.selftest import first_window_sliding
 from opmatch.seqcore import DuplicateValuesError
 from opmatch.signature import (
     REL_EQ,
@@ -155,13 +156,13 @@ def test_signature_characterizes_isomorphism_general():
 
 def test_sliding_init_matches_from_scratch():
     chunk = [1, 10, 6, 4, 8, 5, 7, 9, 3]
-    sliding = SlidingSignature(chunk, 5, "distinct")
+    sliding = first_window_sliding(chunk, 5, "distinct")
     assert sliding.window_view() == compute_signature(chunk[:5], "distinct")
 
 
 def test_sliding_advance_fig_window():
     chunk = [1, 10, 6, 4, 8, 5, 7, 9, 3]
-    sliding = SlidingSignature(chunk, 5, "distinct")
+    sliding = first_window_sliding(chunk, 5, "distinct")
     for window_start in range(2, 5):
         sliding.advance()
         want = compute_signature(chunk[window_start - 1 : window_start + 4], "distinct")
@@ -179,7 +180,7 @@ def test_sliding_every_step_consistent_both_modes():
             chunk = rng.sample(range(10 * length + 10), length)
         else:
             chunk = [rng.randint(0, max(1, m // 2)) for _ in range(length)]
-        sliding = SlidingSignature(chunk, m, mode)
+        sliding = first_window_sliding(chunk, m, mode)
         for i in range(1, length - m + 2):
             assert (
                 sliding.window_view()
@@ -193,7 +194,7 @@ def test_sliding_exhaustive_tiny_chunks():
     import itertools
 
     def consistent(chunk, m, mode):
-        sliding = SlidingSignature(chunk, m, mode)
+        sliding = first_window_sliding(chunk, m, mode)
         length = len(chunk)
         for i in range(1, length - m + 2):
             want = compute_signature(chunk[i - 1 : i - 1 + m], mode)
@@ -222,7 +223,7 @@ def test_sliding_structured_chunks():
             [0] * m + [1] * (length - m),
             [i // 2 for i in range(length)],
         ):
-            sliding = SlidingSignature(chunk, m, "general")
+            sliding = first_window_sliding(chunk, m, "general")
             for i in range(1, length - m + 2):
                 want = compute_signature(chunk[i - 1 : i - 1 + m], "general")
                 assert sliding.window_view() == want, (chunk, m, i)
@@ -232,7 +233,7 @@ def test_sliding_structured_chunks():
 
 def test_sliding_constant_text_general():
     chunk = [7] * 10
-    sliding = SlidingSignature(chunk, 5, "general")
+    sliding = first_window_sliding(chunk, 5, "general")
     first = sliding.window_view()
     for _ in range(5):
         sliding.advance()
@@ -240,7 +241,7 @@ def test_sliding_constant_text_general():
 
 
 def test_sliding_m_equals_one():
-    sliding = SlidingSignature([4, 2], 1, "distinct")
+    sliding = first_window_sliding([4, 2], 1, "distinct")
     from opmatch.signature import MIN_PACKED
 
     assert sliding.window_view() == [MIN_PACKED]
@@ -249,25 +250,21 @@ def test_sliding_m_equals_one():
 
 
 def test_sliding_advance_past_end_raises():
-    sliding = SlidingSignature([3, 1], 2, "distinct")
+    sliding = first_window_sliding([3, 1], 2, "distinct")
     with pytest.raises(ValueError):
         sliding.advance()
 
 
 def test_sliding_rejects_short_chunk():
-    with pytest.raises(ValueError):
-        SlidingSignature([1, 2], 3, "distinct")
-
-
-def test_sliding_rejects_reference_of_another_length():
-    ref = RefString(compute_signature([1, 2, 3, 4, 5, 6], "distinct"))
-    with pytest.raises(ValueError, match="reference of length 6 differs from the window length 4"):
-        SlidingSignature([5, 1, 4, 2, 3, 9, 8, 7], 4, "distinct", ref=ref)
+    with pytest.raises(ValueError, match="shorter than the window"):
+        SlidingSignature([1, 2], PatternIndex([1, 2, 3], "distinct"))
 
 
 def test_sliding_distinct_rejects_duplicates():
+    # the index is built over unique values, so only the chunk's own rank
+    # check sees the repeat past position m
     with pytest.raises(DuplicateValuesError):
-        SlidingSignature([1, 1, 2], 2, "distinct")
+        SlidingSignature([1, 2, 1], PatternIndex([1, 2], "distinct"))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +302,7 @@ def test_sliding_matches_from_scratch_on_adversarial_shapes(case):
     chunk, m = case
     modes = ["general"] + (["distinct"] if len(set(chunk)) == len(chunk) else [])
     for mode in modes:
-        sliding = SlidingSignature(chunk, m, mode)
+        sliding = first_window_sliding(chunk, m, mode)
         for i in range(1, len(chunk) - m + 2):
             want = compute_signature(chunk[i - 1 : i - 1 + m], mode)
             assert sliding.window_view() == want, (mode, i)
@@ -377,7 +374,7 @@ def test_sliding_setup_memory_is_linear():
     chunk = random.Random(5).sample(range(10**6), 20_000)
     tracemalloc.start()
     try:
-        SlidingSignature(chunk, 10_000, "distinct")
+        first_window_sliding(chunk, 10_000, "distinct")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -438,7 +435,7 @@ def test_hybrid_filter_matches_hamming(case):
         ("distinct", _tie_broken(chunk), _tie_broken(pattern)),
     ):
         ref_sig = compute_signature(pat, mode)
-        sliding = SlidingSignature(text, m, mode, ref=RefString(ref_sig))
+        sliding = SlidingSignature(text, PatternIndex(pat, mode))
         windows = len(text) - m + 1
         for i in range(1, windows + 1):
             want_sig = compute_signature(text[i - 1 : i - 1 + m], mode)
@@ -467,11 +464,11 @@ def test_lazy_dynstring_matches_eager_twin(case, data):
         ("distinct", _tie_broken(chunk), _tie_broken(pattern)),
     ):
         ref_sig = compute_signature(pat, mode)
-        ref = RefString(ref_sig)
+        pidx = PatternIndex(pat, mode)
         windows = len(text) - m + 1
         i = data.draw(st.integers(1, windows))
-        lazy = SlidingSignature(text, m, mode, ref=ref)
-        twin = SlidingSignature(text, m, mode, ref=ref)
+        lazy = SlidingSignature(text, pidx)
+        twin = SlidingSignature(text, pidx)
         for j in range(1, windows + 1):
             want_sig = compute_signature(text[j - 1 : j - 1 + m], mode)
             want = signature_hamming(want_sig, ref_sig, cap=limit)
@@ -521,8 +518,8 @@ def test_stale_positions_wait_for_the_dynstring():
     m = 100
     chunk = list(range(2 * m))
     rng.shuffle(chunk)
-    ref = RefString(compute_signature(list(range(m)), "general"))
-    sliding = SlidingSignature(chunk, m, "general", ref=ref)
+    pidx = PatternIndex(list(range(m)), "general")
+    sliding = SlidingSignature(chunk, pidx)
     for i in range(1, m + 2):
         assert sliding.first_mismatches(1).truncated
         if i <= m:
@@ -531,7 +528,7 @@ def test_stale_positions_wait_for_the_dynstring():
     assert sliding._stale == []
     # once the DynString has decided a window, advance records the changed
     # positions and the next DynString scan replays them
-    sliding = SlidingSignature(chunk, m, "general", ref=ref)
+    sliding = SlidingSignature(chunk, pidx)
     sliding.advance()
     assert sliding._stale == []
     sliding._direct = False  # send the window to the DynString
@@ -551,8 +548,7 @@ def test_mirror_is_the_dynstring_symbol_list():
     m = 50
     chunk = list(range(2 * m))
     chunk[60:70] = rng.sample(range(60, 70), 10)
-    ref = RefString(compute_signature(list(range(m)), "distinct"))
-    sliding = SlidingSignature(chunk, m, "distinct", ref=ref)
+    sliding = SlidingSignature(chunk, PatternIndex(list(range(m)), "distinct"))
     for i in range(1, m + 2):
         sliding.first_mismatches(1)
         assert sliding.dyn.symbols is sliding._mirror
@@ -568,9 +564,9 @@ def test_reading_the_dynstring_changes_nothing(case):
     # window; a probed chunk must do exactly what an unprobed twin does
     chunk, pattern, limit, _ = case
     m = len(pattern)
-    ref = RefString(compute_signature(pattern, "general"))
-    probed = SlidingSignature(chunk, m, "general", ref=ref)
-    twin = SlidingSignature(chunk, m, "general", ref=ref)
+    pidx = PatternIndex(pattern, "general")
+    probed = SlidingSignature(chunk, pidx)
+    twin = SlidingSignature(chunk, pidx)
     windows = len(chunk) - m + 1
     for i in range(1, windows + 1):
         got = probed.first_mismatches(limit)
