@@ -1,15 +1,16 @@
 """Dynamic strings over a fixed reference with constant-time LCP queries.
 
-RefString preprocesses a fixed symbol string (suffix array, LCP array,
-sparse-table range minimum) so the longest common prefix of any two of its
-suffixes is an O(1) query. DynString holds a string of length 2m as a flat
-symbol list plus an index of reference fragments, stretches known to equal a
-substring of the reference; every other position is a single-symbol
-fragment. Replacing one symbol splits at most one reference fragment in two,
-and streaming the first mismatches of a window against the reference jumps
-across reference fragments with LCP queries, compacting runs of three or
-more fully matched fragments back into single reference fragments so the
-traversal stays amortized constant per mismatch.
+RefString preprocesses a fixed symbol string (one doubling sort for the
+suffix array and its inverse, the LCP array, sparse-table range minima) so
+the longest common prefix of any two of its suffixes is an O(1) query.
+DynString holds a string of length 2m as a flat symbol list plus an index
+of reference fragments, stretches known to equal a substring of the
+reference; every other position is a single-symbol fragment. Replacing one
+symbol splits at most one reference fragment in two, and streaming the
+first mismatches of a window against the reference jumps across reference
+fragments with LCP queries, compacting runs of three or more fully matched
+fragments back into single reference fragments so the traversal stays
+amortized constant per mismatch.
 """
 
 from __future__ import annotations
@@ -22,40 +23,40 @@ from .seqcore import BitTrieSet
 __all__ = ["RefString", "DynString", "MismatchStream"]
 
 
-def _suffix_array(ranks: list[int]) -> list[int]:
-    """Suffix array by prefix doubling; O(n log^2 n) with C-speed sorts."""
-    n = len(ranks)
+def _suffix_array(symbols: list[int]) -> tuple[list[int], list[int]]:
+    """Suffix array and its inverse by prefix doubling (Manber & Myers);
+    O(n log^2 n) with C-speed sorts.
+
+    Round one sorts on the symbols themselves, every later round on the
+    previous round's dense ranks, so the last round's ranks are the inverse.
+    The past-the-end key sorts below every symbol and every dense rank.
+    """
+    n = len(symbols)
+    end = min(min(symbols), 0) - 1
     sa = list(range(n))
-    rank = list(ranks)
+    rank = symbols
     h = 1
     while True:
-        def key(i: int) -> tuple[int, int]:
-            return (rank[i], rank[i + h] if i + h < n else -1)
-
-        sa.sort(key=key)
-        new = [0] * n
-        prev = key(sa[0])
+        keys = list(zip(rank, rank[h:] + [end] * h))
+        sa.sort(key=keys.__getitem__)
+        rank = [0] * n
         r = 0
-        for t in range(1, n):
-            cur = key(sa[t])
-            if cur != prev:
+        prev = keys[sa[0]]
+        for s in sa:
+            key = keys[s]
+            if key != prev:
                 r += 1
-                prev = cur
-            new[sa[t]] = r
-        rank = new
+                prev = key
+            rank[s] = r
         if r == n - 1:
-            break
+            return sa, rank
         h <<= 1
-    return sa
 
 
-def _lcp_array(seq: list[int], sa: list[int]) -> tuple[list[int], list[int]]:
-    """Rank array plus Kasai LCP array (lcp[t] = lcp of sa[t] and sa[t+1])."""
+def _lcp_array(seq: list[int], sa: list[int], rank: list[int]) -> list[int]:
+    """Kasai LCP array: lcp[t] is the LCP of suffixes sa[t] and sa[t+1]."""
     n = len(sa)
-    rank = [0] * n
-    for t, s in enumerate(sa):
-        rank[s] = t
-    lcp = [0] * max(n - 1, 0)
+    lcp = [0] * (n - 1)
     k = 0
     for i in range(n):
         t = rank[i]
@@ -68,52 +69,33 @@ def _lcp_array(seq: list[int], sa: list[int]) -> tuple[list[int], list[int]]:
         lcp[t] = k
         if k:
             k -= 1
-    return rank, lcp
-
-
-class _SparseTable:
-    """Static range-minimum over an int array; O(n log n) build, O(1) query.
-
-    Row d holds the minima of all windows of width 2^d. Building stops at the
-    first all-zero row: every window that wide or wider has minimum 0, so
-    every deeper row is that same list (a query of width 2^d reads only
-    indices below n - 2^d + 1, which it covers).
-    """
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, data: list[int]):
-        rows = [list(data)]
-        width = 1
-        while 2 * width <= len(data) and any(rows[-1]):
-            prev = rows[-1]
-            rows.append(list(map(min, prev[:-width], prev[width:])))
-            width <<= 1
-        rows += [rows[-1]] * (len(data).bit_length() - len(rows))
-        self._rows = rows
-
-    def min(self, lo: int, hi: int) -> int:
-        """Minimum of data[lo..hi], inclusive; lo <= hi required."""
-        depth = (hi - lo + 1).bit_length() - 1
-        row = self._rows[depth]
-        a = row[lo]
-        b = row[hi - (1 << depth) + 1]
-        return a if a < b else b
+    return lcp
 
 
 class RefString:
-    """Immutable reference symbol string with O(1) suffix LCP queries."""
+    """Immutable reference symbol string with O(1) suffix LCP queries.
+
+    ``_rank`` is the inverse suffix array and ``_rows`` a sparse table over
+    the LCP array: row d holds the minima of all windows of width 2^d.
+    Building stops at the first all-zero row: every window that wide or
+    wider has minimum 0, so every deeper row is that same list (a query of
+    width 2^d reads only indices below m - 2^d, which it covers).
+    """
 
     def __init__(self, symbols: Sequence[int]):
         if not symbols:
             raise ValueError("reference string must be non-empty")
         self.symbols: list[int] = list(symbols)
-        self.m = len(self.symbols)
-        dense = {v: r for r, v in enumerate(sorted(set(self.symbols)))}
-        ranks = [dense[v] for v in self.symbols]
-        sa = _suffix_array(ranks)
-        self._rank, lcp = _lcp_array(ranks, sa)
-        self._rmq = _SparseTable(lcp) if lcp else None
+        self.m = m = len(self.symbols)
+        sa, self._rank = _suffix_array(self.symbols)
+        rows = [_lcp_array(self.symbols, sa, self._rank)]
+        width = 1
+        while 2 * width < m and any(rows[-1]):
+            prev = rows[-1]
+            rows.append(list(map(min, prev[:-width], prev[width:])))
+            width <<= 1
+        rows += [rows[-1]] * ((m - 1).bit_length() - len(rows))
+        self._rows = rows
 
     def lcp(self, i: int, j: int) -> int:
         """Length of the longest common prefix of the suffixes starting at
@@ -127,7 +109,11 @@ class RefString:
         b = self._rank[j - 1]
         if a > b:
             a, b = b, a
-        return self._rmq.min(a, b - 1)
+        depth = (b - a).bit_length() - 1
+        row = self._rows[depth]
+        x = row[a]
+        y = row[b - (1 << depth)]
+        return x if x < y else y
 
 
 @dataclass

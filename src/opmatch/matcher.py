@@ -213,14 +213,14 @@ class PatternIndex:
 
     def __init__(self, pattern: Sequence[int], mode: str = "auto", dict_backend: object = None):
         _validate_ints(pattern, "pattern")
-        mode = resolve_mode(mode, pattern)
+        resolved = resolve_mode(mode, pattern)
         if not pattern:
             raise ValueError("pattern must be non-empty")
-        if mode == "distinct":
+        if mode == "distinct":  # "auto" resolves to it only on unique values
             _validate_distinct(pattern, "pattern")
         self.pattern = list(pattern)
         self.m = m = len(pattern)
-        self.mode = mode
+        self.mode = resolved
         steps = list(range(m))  # one int object per index, shared by every table
         order = sorted(steps, key=pattern.__getitem__)
         self.ref = RefString(_class_walk(pattern, order))
@@ -393,7 +393,11 @@ def match_chunk(
     filtered out when its signature differs from the pattern's in more than
     3k places. A negative k raises ValueError, and the chunk is checked by
     ``SlidingSignature``: int values, a length in [m, 2m] and, in distinct
-    mode, unique values.
+    mode, unique values. The mode is the index's, not resolved again on the
+    chunk: under an index whose "auto" resolved to distinct on the pattern,
+    a chunk that repeats a value raises DuplicateValuesError, where
+    ``match_all`` would resolve to general; build the index with
+    mode="general" for such chunks.
     """
     _validate_k(k)
     sliding = SlidingSignature(chunk, pidx)

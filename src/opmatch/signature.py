@@ -85,7 +85,7 @@ def compute_signature(seq: Sequence[int], mode: str = "auto") -> list[int]:
     repeats, and distinct mode raises DuplicateValuesError when one does.
     """
     _validate_ints(seq, "sequence")
-    mode = resolve_mode(mode, seq)
+    resolve_mode(mode)  # rejects an unknown mode; the walk is the same in every mode
     if mode == "distinct":
         _validate_distinct(seq, "sequence")
     return _class_walk(seq, sorted(range(len(seq)), key=seq.__getitem__))
@@ -213,6 +213,9 @@ class SlidingSignature:
     compared with one pattern's. The window length m, the mode and the
     reference, the pattern's signature, are those of the ``PatternIndex``
     ``pidx``; the chunk's values must be ints, and in distinct mode unique.
+    The index's mode is the contract: an index built with "auto" resolves it
+    on the pattern alone, so a chunk that repeats a value needs an index
+    built with mode="general", or raises DuplicateValuesError.
 
     The current symbols live in ``_mirror``, a flat list of length 2m aligned
     to absolute chunk positions (window start i reads [i, i+m-1]); positions
@@ -288,7 +291,9 @@ class SlidingSignature:
             vals[p] = rank
             prev = p
         if pidx.mode == "distinct" and rank != length:
-            raise DuplicateValuesError("distinct mode requires a duplicate-free chunk")
+            raise DuplicateValuesError(
+                'distinct mode requires a duplicate-free chunk; build the PatternIndex with mode="general"'
+            )
         self._vals = vals
         self._nxt = nxt
         top = rank + 1

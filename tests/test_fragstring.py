@@ -9,6 +9,7 @@ import pytest
 import opmatch
 
 from opmatch.fragstring import DynString, RefString
+from opmatch.signature import compute_signature
 
 
 def naive_lcp(s, i, j):
@@ -59,16 +60,35 @@ def test_lcp_larger_alphabet_and_m200():
         ([3] * 120 + random.Random(48).choices(range(4), k=80), 8),
         (random.Random(49).choices(range(301), k=200), 3),
         ([5], None),
+        # all symbols positive: the past-the-end key must sort below them in
+        # round one and below every dense rank after it
+        ([2, 2, 2], 2),
+        ([4] * 50, 6),
+        (random.Random(50).choices([2, 3, 4], k=60), 6),
+        (compute_signature(list(range(1, 61))), 6),  # symbols {-4, 2}
+        (compute_signature(list(range(60, 0, -1))), 6),  # symbols {4, 2}
     ],
-    ids=["all-distinct", "constant-run-then-random", "few-repeats", "m1"],
+    ids=[
+        "all-distinct",
+        "constant-run-then-random",
+        "few-repeats",
+        "m1",
+        "2x3",
+        "4x50",
+        "random-234",
+        "increasing-signature",
+        "decreasing-signature",
+    ],
 )
 def test_lcp_with_sparse_table_cut_at_zero_row(syms, rows):
     # the sparse table builds rows up to its first all-zero row, which the
     # deeper rows share
     ref = RefString(syms)
     m = len(syms)
+    order = sorted(range(m), key=lambda s: syms[s:])
+    assert [ref._rank[s] for s in order] == list(range(m))  # the inverse suffix array
     if rows is not None:  # m = 1 has no LCP array, hence no table
-        assert len({id(row) for row in ref._rmq._rows}) == rows
+        assert len({id(row) for row in ref._rows}) == rows
     for i in range(1, m + 1):  # every pair, so also the full rank range
         for j in range(1, m + 1):
             assert ref.lcp(i, j) == naive_lcp(syms, i, j), (i, j)

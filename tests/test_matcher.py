@@ -362,6 +362,17 @@ def test_match_chunk_fig_instance():
     assert match_chunk(FIG_TEXT, pidx, 1) == [4]
 
 
+def test_match_chunk_follows_the_index_mode():
+    # "auto" resolves on the pattern alone, so the index is distinct and the
+    # chunk's repeat raises, where match_all resolves on both and matches
+    chunk = [1, 1, 2, 3]
+    assert match_all(chunk, [1, 2], 0) == [2, 3]
+    with pytest.raises(DuplicateValuesError, match='mode="general"'):
+        match_chunk(chunk, PatternIndex([1, 2]), 0)
+    # the chunk owns windows 1 and 2; window 3 is the next chunk's
+    assert match_chunk(chunk, PatternIndex([1, 2], "general"), 0) == [2]
+
+
 def test_match_pattern_equals_text():
     text = [9, 4, 6, 2]
     assert match_all(text, text, 0) == [1]
