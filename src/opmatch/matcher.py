@@ -14,12 +14,21 @@ without verification. Surviving windows are verified exactly by
 reducing the <= 3k signature mismatch positions to a heaviest increasing
 subsequence instance (distinct values) or a heaviest chain instance
 (repeated values allowed).
+
+Before that, ``match_all`` rules out window starts by two necessary
+conditions on the consecutive comparison codes (<, >, and = in general
+mode) of window and pattern. A window with at most k mismatches keeps at
+least m - k positions, so it keeps one of k + 1 pattern blocks whole and
+matches that block's codes (the pigeonhole prefilter), and at most 2k of
+its m - 1 codes differ from the pattern's, since a code can differ only
+next to a dropped position (the comparison-code filter, for m up to
+``_MAX_CODE_M``). Both are exact: no occurrence is ruled out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from operator import add, le, lt, ne, sub
 from typing import Sequence
 
@@ -62,6 +71,14 @@ _SPARSE_CAP = 7
 # candidates decided alone, near-sorted text with 5- to 9-position blocks
 # reads 0.91-1.15x at k = 1 to 8, within the spread of repeated calls.
 _MIN_BLOCK = 5
+# The comparison-code stage runs only for m up to this. It reads one window
+# in O(m/64) words, and its worst chunk reads every owned window, finds an
+# 8th survivor at the end and then takes the sliding path anyway. On such a
+# chunk (random text, then an increasing run that holds the last 8 windows,
+# against an increasing pattern; CPython 3.11, k = 1 to 4) the stage added
+# 3-6% to the sliding path's time at m = 200 and 4-8% at m = 1e3, but 7-14%
+# at m = 2e3, 18-31% at m = 1e4 and 2.2-3.6x at m = 1e5.
+_MAX_CODE_M = 1000
 
 
 def _validate_k(k: int) -> None:
@@ -359,10 +376,16 @@ class MatchStats:
     prefilter leaves to be decided alone counts in ``windows``, in
     ``filtered`` or ``verified`` and in ``occurrences``, never in
     ``dyn_scans`` or ``dyn_chunks``: it builds no DynString.
+    ``code_ruled_out`` counts the windows of chunks with more block
+    candidates than ``_SPARSE_CAP`` that the comparison-code filter ruled
+    out, more than 2k of their m - 1 comparison codes differing from the
+    pattern's; they count in ``windows``, ``filtered`` and ``prefiltered``
+    too.
 
-    The prefilter also rules out windows that the signature filter would
-    pass, since a signature distance of at most 3k does not imply that one
-    of the k + 1 pattern blocks is kept whole. So ``verified`` and
+    The prefilter and the code filter also rule out windows that the
+    signature filter would pass, since a signature distance of at most 3k
+    implies neither that one of the k + 1 pattern blocks is kept whole nor
+    that at most 2k comparison codes differ. So ``verified`` and
     ``dyn_scans`` can read lower than with the sliding path alone."""
 
     windows: int = 0
@@ -372,6 +395,7 @@ class MatchStats:
     dyn_scans: int = 0
     dyn_chunks: int = 0
     prefiltered: int = 0
+    code_ruled_out: int = 0
 
     @property
     def pruning_rate(self) -> float:
@@ -462,6 +486,20 @@ def match_all(
     occur almost anywhere, so the prefilter is skipped unless every block
     has ``_MIN_BLOCK`` = 5 positions or more: when m < 5(k + 1), which
     covers k >= m - 1, every chunk takes the sliding path.
+
+    A chunk with more block candidates than that goes to a second, also
+    exact, test before the sliding path. A window with at most k mismatches
+    keeps at least m - k positions, and every consecutive pair whose two
+    positions are both kept compares the same way in window and pattern. So
+    at most 2k of its m - 1 comparison codes differ from the pattern's.
+    ``_code_starts`` counts the differing codes of each owned window with
+    bit planes of the codes (<, and <= in general mode), O(m/64) words per
+    window, and stops after ``_SPARSE_CAP + 1`` windows within 2k. A chunk
+    with at most ``_SPARSE_CAP`` of them decides each one alone, as above;
+    one with more runs the sliding path. A dense chunk can read every owned
+    window before it falls back, so this stage runs only for m up to
+    ``_MAX_CODE_M``, and not at k = 0, where the one block is the whole
+    pattern, so its finds already are the windows within 2k = 0.
     """
     mode = _check_inputs(text, pattern, k, mode, aligned=False)
     n = len(text)
@@ -469,13 +507,23 @@ def match_all(
     if m > n:
         return []
     pidx = PatternIndex(pattern, mode)
-    blocks = _pattern_blocks(pattern, k, mode) if m >= _MIN_BLOCK * (k + 1) else []
+    blocks: list[tuple[int, bytes]] = []
+    planes: list[int] = []
+    if m >= _MIN_BLOCK * (k + 1):
+        pattern_codes = _comparison_codes(pattern, mode)
+        blocks = _pattern_blocks(pattern_codes, k)
+        if k > 0 and m <= _MAX_CODE_M:
+            planes = _bit_planes(pattern_codes, mode)
     codes = _comparison_codes(text, mode) if blocks else b""
     out: list[int] = []
     for c in range(1, n - m + 2, m):
         if blocks:
             owned = min(m, n - m + 2 - c)
             starts = _candidate_starts(codes, blocks, c - 1, owned)
+            if starts is None and planes:
+                starts = _code_starts(codes, planes, mode, c - 1, owned, m - 1, 2 * k)
+                if starts is not None and stats is not None:
+                    stats.code_ruled_out += owned - len(starts)
             if starts is not None:
                 for s in sorted(starts):
                     if _decide_window(text[s : s + m], pidx, k, stats):
@@ -517,13 +565,45 @@ def _comparison_codes(seq: Sequence[int], mode: str) -> bytes:
     return bytes(map(add, map(lt, seq, rest), map(le, seq, rest)))
 
 
-def _pattern_blocks(pattern: Sequence[int], k: int, mode: str) -> list[tuple[int, bytes]]:
+def _pattern_blocks(codes: bytes, k: int) -> list[tuple[int, bytes]]:
     """(offset, comparison codes) of the pattern's k + 1 contiguous blocks of
-    positions, each of floor(m / (k + 1)) or more positions."""
-    m = len(pattern)
-    codes = _comparison_codes(pattern, mode)
+    positions, each of floor(m / (k + 1)) or more positions, from the
+    pattern's m - 1 comparison codes."""
+    m = len(codes) + 1
     cuts = [j * m // (k + 1) for j in range(k + 2)]
     return [(lo, codes[lo : hi - 1]) for lo, hi in zip(cuts, cuts[1:])]
+
+
+# Per mode, one translate table per bit plane of the comparison codes: the
+# < plane, and in general mode the <= plane, which together tell <, = and >.
+_PLANE_TABLES = {
+    "distinct": (bytes.maketrans(b"\0\1", b"01"),),
+    "general": (bytes.maketrans(b"\0\1\2", b"001"), bytes.maketrans(b"\0\1\2", b"011")),
+}
+
+
+def _bit_planes(codes: bytes, mode: str) -> list[int]:
+    """The comparison codes as one int per bit plane, code j at bit j."""
+    backwards = codes[::-1]  # int(·, 2) reads the first byte as the top bit
+    return [int(backwards.translate(table), 2) for table in _PLANE_TABLES[mode]]
+
+
+def _code_starts(
+    codes: bytes, planes: list[int], mode: str, first: int, owned: int, width: int, cap: int
+) -> list[int] | None:
+    """The 0-based window starts in [first, first + owned) whose ``width``
+    = m - 1 comparison codes differ from the pattern's bit ``planes`` in at
+    most ``cap`` places, or None once there are more than ``_SPARSE_CAP``."""
+    mask = (1 << width) - 1
+    chunk = _bit_planes(codes[first : first + owned - 1 + width], mode)
+    if len(planes) == 1:
+        (p,), (t,) = planes, chunk
+        near = (s for s in range(owned) if ((t >> s ^ p) & mask).bit_count() <= cap)
+    else:
+        (p, q), (t, e) = planes, chunk
+        near = (s for s in range(owned) if ((t >> s ^ p | e >> s ^ q) & mask).bit_count() <= cap)
+    starts = [first + s for s in islice(near, _SPARSE_CAP + 1)]
+    return starts if len(starts) <= _SPARSE_CAP else None
 
 
 def _candidate_starts(

@@ -272,10 +272,12 @@ def suite_reductions(rng: random.Random, iterations: int) -> list[str]:
 
 def suite_match_oracle(rng: random.Random, iterations: int) -> list[str]:
     """match_all equals per-position oracles on small instances: random
-    text, random text with perturbed copies of the pattern planted, and
-    sorted text against a perturbed sorted pattern, so that the prefilter
-    skips chunks, decides candidate windows alone and passes whole chunks
-    to the sliding path."""
+    text, random text with perturbed copies of the pattern planted, sorted
+    text against a perturbed sorted pattern, and a zero background with
+    sparse values in 1..3 (general mode, k = 1, m >= 10) holding perturbed
+    copies, so that the prefilter skips chunks, decides candidate windows
+    alone and passes whole chunks to the comparison-code filter and to the
+    sliding path."""
     bad: list[str] = []
     for _ in range(iterations):
         mode = "distinct" if rng.random() < 0.5 else "general"
@@ -289,8 +291,20 @@ def suite_match_oracle(rng: random.Random, iterations: int) -> list[str]:
             sigma = rng.randint(3, 6)
             text = [rng.randrange(sigma) for _ in range(n)]
             pattern = [rng.randrange(sigma) for _ in range(m)]
-        shape = rng.choice(("random", "planted", "monotone"))
-        if shape == "planted":
+        shape = rng.choice(("random", "planted", "monotone", "zero"))
+        if shape == "zero":
+            # zero blocks occur almost everywhere, and the pattern's two or
+            # three nonzero values keep most windows more than 2k codes away
+            mode, k, m = "general", 1, rng.randint(10, 14)
+            n = rng.randint(3 * m, 60)
+            text = [rng.randint(1, 3) if rng.random() < 0.1 else 0 for _ in range(n)]
+            pattern = [0] * m
+            for j in rng.sample(range(m), rng.randint(2, 3)):
+                pattern[j] = rng.randint(1, 3)
+            for _ in range(rng.randint(1, 3)):
+                s = rng.randrange(n - m + 1)
+                text[s : s + m] = _perturbed_copy(rng, mode, pattern, k)
+        elif shape == "planted":
             # each copy's values lie above the text's and the other copies'
             for t in range(1, rng.randint(1, 3) + 1):
                 s = rng.randrange(n - m + 1)

@@ -210,8 +210,10 @@ def test_criterion_7_scaling_smoke():
     def zigzag(length):
         # distinct values, x * (length + 1) + i, whose steps alternate up and
         # down by a random size: every other window start has the pattern's
-        # up/down comparisons, so the prefilter passes every chunk and the
-        # sliding signature filter has to prune the windows
+        # up/down comparisons, so the prefilter passes every chunk, and the
+        # comparison-code filter finds more than 7 windows within 2k in the
+        # first few starts of each chunk, so every chunk takes the sliding
+        # path and its signature filter has to prune the windows
         out = []
         x = 0
         for i in range(length):
@@ -235,7 +237,8 @@ def test_criterion_7_scaling_smoke():
     t_small = median_time(text[: 2 * 10**5])
     t_large = median_time(text)
     ratio = t_large / t_small
-    # the run took the sliding path: the prefilter ruled out almost nothing
+    # the run took the sliding path: the prefilter and the code filter,
+    # both counted in prefiltered, ruled out almost nothing
     assert stats.prefiltered < 0.01 * stats.windows, (stats.prefiltered, stats.windows)
 
     naive_windows = 2_000

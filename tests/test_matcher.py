@@ -831,17 +831,61 @@ def _boundary_case(delta, k=1):
     return text, pattern, k, "distinct"
 
 
+def _code_distance(a, b):
+    """How many of the m - 1 consecutive comparisons (<, = or >) of a and b
+    differ."""
+    return sum(
+        (a[i] < a[i + 1]) - (a[i] > a[i + 1]) != (b[i] < b[i + 1]) - (b[i] > b[i + 1])
+        for i in range(len(a) - 1)
+    )
+
+
+def _planted_code_case(k, mode):
+    """(text, pattern, k, mode, near, far): an increasing pattern with k
+    peaks, and a decreasing text holding two increasing windows, each in a
+    chunk of its own, whose long increasing runs make the blocks' candidates
+    dense. The window at 0-based start ``near`` dips where the pattern peaks:
+    its comparisons differ in exactly 2k places, and it matches once the k
+    peaks are dropped. The window at ``far`` dips once more, 2k + 1 places."""
+    m = 12 * (k + 1)
+    peaks = range(m - 2, m - 2 * k - 1, -2)
+    pattern = list(range(m))
+    near_copy = [10 * j for j in range(m)]
+    for j in peaks:
+        pattern[j] = 10 * m + j
+        near_copy[j] = 10 * j - 15
+    far_copy = list(near_copy)
+    far_copy[1] = -5
+    n = 3 * m
+    text = [1000 * m + n - i for i in range(n)]
+    far, near = 1, m + 1
+    text[far : far + m] = [20 * m + v for v in far_copy]
+    text[near : near + m] = near_copy
+    return text, pattern, k, mode, near, far
+
+
+def _noisy_background(draw, length):
+    """A zero or an increasing background with a few values changed: its
+    blocks occur almost everywhere, and the comparison codes of most
+    windows differ from a noisy pattern's in more than 2k places."""
+    seq = [0] * length if draw(st.booleans()) else list(range(length))
+    for j in draw(st.lists(st.integers(0, length - 1), max_size=max(1, length // 6))):
+        seq[j] = draw(st.integers(-3, length + 3))
+    return seq
+
+
 @st.composite
 def prefilter_cases(draw):
-    """(text, pattern, k, mode) over the shapes of ``_any_shape``, with
-    copies of the pattern, perturbed at up to k positions, planted at the
-    first or the last window of every chunk."""
+    """(text, pattern, k, mode) over the shapes of ``_any_shape`` or a noisy
+    background, with copies of the pattern, perturbed at up to k positions,
+    planted at the first or the last window of every chunk."""
     mode = draw(st.sampled_from(["distinct", "general"]))
     k = draw(st.integers(0, 3))
     m = draw(st.integers(2, matcher._MIN_BLOCK * (k + 1) + 6))
     n = draw(st.integers(m, 5 * m))
-    text = _any_shape(draw, n)
-    pattern = _any_shape(draw, m)
+    shape = draw(st.sampled_from([_any_shape, _noisy_background]))
+    text = shape(draw, n)
+    pattern = shape(draw, m)
     where = draw(st.sampled_from(["none", "first", "last"]))
     prev = None
     for c in range(1, n - m + 2, m) if where != "none" else ():
@@ -861,15 +905,27 @@ def prefilter_cases(draw):
 
 def test_match_all_equals_naive_through_every_prefilter_route(monkeypatch):
     # every draw must equal match_naive, and each route must decide some
-    routes = {"skip": 0, "sparse": 0, "sparse at the cap": 0, "dense": 0, "no prefilter": 0}
+    routes = {
+        "skip": 0, "sparse": 0, "sparse at the cap": 0, "dense": 0, "no prefilter": 0,
+        **{f"codes{dense} ({mode})": 0 for dense in ("", " dense") for mode in ("distinct", "general")},
+    }
     candidate_starts = matcher._candidate_starts
+    code_starts = matcher._code_starts
     decide_window = matcher._decide_window
     chunk_windows = []
+    code_ruled_out = []
 
     def counted_starts(codes, blocks, first, owned):
         starts = candidate_starts(codes, blocks, first, owned)
         routes["dense" if starts is None else "sparse" if starts else "skip"] += 1
         routes["sparse at the cap"] += starts is not None and len(starts) == matcher._SPARSE_CAP
+        return starts
+
+    def counted_code_starts(codes, planes, mode, first, owned, width, cap):
+        starts = code_starts(codes, planes, mode, first, owned, width, cap)
+        routes[f"codes{' dense' if starts is None else ''} ({mode})"] += 1
+        if starts is not None:
+            code_ruled_out.append(owned - len(starts))
         return starts
 
     def counted_chunk(chunk, pidx, k, stats=None):
@@ -882,11 +938,16 @@ def test_match_all_equals_naive_through_every_prefilter_route(monkeypatch):
         return decide_window(window, pidx, k, stats)
 
     monkeypatch.setattr(matcher, "_candidate_starts", counted_starts)
+    monkeypatch.setattr(matcher, "_code_starts", counted_code_starts)
     monkeypatch.setattr(matcher, "match_chunk", counted_chunk)
     monkeypatch.setattr(matcher, "_decide_window", counted_window)
 
     @settings(max_examples=500, deadline=None)
     @given(prefilter_cases())
+    @example(_planted_code_case(1, "general")[:4])  # code distance exactly 2k, a match
+    @example(_planted_code_case(2, "distinct")[:4])
+    @example(([0] * 40, [0] * 10, 1, "general"))  # every window within 2k: the sliding path
+    @example((list(range(40)), list(range(10)), 1, "distinct"))
     @example(_run_case(matcher._SPARSE_CAP))  # exactly C candidates: each alone
     @example(_run_case(matcher._SPARSE_CAP + 1))  # C + 1: the sliding path
     @example(_run_case(0))  # no candidate in the first chunk: skipped
@@ -899,11 +960,14 @@ def test_match_all_equals_naive_through_every_prefilter_route(monkeypatch):
         n, m = len(text), len(pattern)
         want = match_naive(text, pattern, k, mode)
         chunk_windows.clear()
+        code_ruled_out.clear()
         stats = MatchStats()
         assert match_all(text, pattern, k, mode, stats=stats) == want, case
         if m < matcher._MIN_BLOCK * (k + 1):
             routes["no prefilter"] += 1
             assert stats.prefiltered == 0
+        # the windows the code filter rules out are among the prefiltered
+        assert stats.code_ruled_out == sum(code_ruled_out) <= stats.prefiltered
         # windows the prefilter rules out, those decided alone and those the
         # sliding chunks own cover every window once
         assert stats.prefiltered + sum(chunk_windows) == stats.windows == n - m + 1
@@ -993,3 +1057,70 @@ def test_prefilter_route_of_a_chunk_with_a_known_candidate_count(monkeypatch, ca
     else:  # each candidate window decided alone, with no chunk
         assert calls == [] and decided == [m] * candidates and stats.prefiltered == windows - candidates
     assert stats.verified == candidates and stats.windows == windows
+
+
+@pytest.mark.parametrize("mode", ["distinct", "general"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_code_filter_rules_out_a_window_at_distance_2k_plus_1(monkeypatch, k, mode):
+    # both planted windows lie in chunks whose block candidates are dense;
+    # the code filter passes the window at 2k to _decide_window, which
+    # accepts it, and rules out the window at 2k + 1 before any signature
+    text, pattern, k, mode, near, far = _planted_code_case(k, mode)
+    m = len(pattern)
+    assert _code_distance(text[near : near + m], pattern) == 2 * k
+    assert _code_distance(text[far : far + m], pattern) == 2 * k + 1
+    code_starts = matcher._code_starts
+    decide_window = matcher._decide_window
+    coded = []
+    decided = []
+
+    def counted_code_starts(codes, planes, mode, first, owned, width, cap):
+        starts = code_starts(codes, planes, mode, first, owned, width, cap)
+        coded.append((first, owned, starts))
+        return starts
+
+    def counted_window(window, pidx, k, stats):
+        decided.append(window)
+        return decide_window(window, pidx, k, stats)
+
+    monkeypatch.setattr(matcher, "_code_starts", counted_code_starts)
+    monkeypatch.setattr(matcher, "_decide_window", counted_window)
+    monkeypatch.setattr(matcher, "match_chunk", None)  # no chunk slides
+    stats = MatchStats()
+    got = match_all(text, pattern, k, mode, stats=stats)
+    assert got == match_naive(text, pattern, k, mode)
+    assert near + 1 in got and far + 1 not in got
+    # the two chunks that hold them took the code route
+    assert [first for first, _, _ in coded] == [0, m]
+    assert all(starts is not None for _, _, starts in coded)
+    assert far not in coded[0][2] and near in coded[1][2]
+    assert text[near : near + m] in decided and text[far : far + m] not in decided
+    assert stats.code_ruled_out == sum(owned - len(starts) for _, owned, starts in coded)
+    assert stats.prefiltered == stats.windows - len(decided)
+
+
+@pytest.mark.parametrize(
+    "case, gate_offset, coded",
+    [
+        (_planted_code_case(1, "general")[:4], -1, False),
+        (_planted_code_case(1, "general")[:4], 0, True),
+        ((list(range(40)), list(range(10)), 0, "distinct"), 0, False),
+    ],
+    ids=["m above the gate", "m at the gate", "k = 0"],
+)
+def test_code_filter_runs_only_up_to_the_m_gate_and_above_k_0(monkeypatch, case, gate_offset, coded):
+    # the stage runs for m <= _MAX_CODE_M; at k = 0 the one block is the
+    # whole pattern, and its finds already are the windows within 2k, so
+    # the stage never runs, here on a chunk whose every window is a find
+    text, pattern, k, mode = case
+    calls = []
+    code_starts = matcher._code_starts
+
+    def counted_code_starts(*args):
+        calls.append(args)
+        return code_starts(*args)
+
+    monkeypatch.setattr(matcher, "_MAX_CODE_M", len(pattern) + gate_offset)
+    monkeypatch.setattr(matcher, "_code_starts", counted_code_starts)
+    assert match_all(text, pattern, k, mode) == match_naive(text, pattern, k, mode)
+    assert bool(calls) == coded
