@@ -2,9 +2,14 @@
 
 Find every window of a numeric text whose relative order (and, with
 repeated values, equality pattern) matches a numeric pattern after ignoring
-the elements at up to k shared positions. The fast path maintains a
-sliding-window signature, filters window starts whose signature differs
-from the pattern's in more than 3k places, and verifies the survivors
+the elements at up to k shared positions. The fast path first rules out
+window starts with exact tests on the consecutive comparisons: a pigeonhole
+prefilter (one of k + 1 pattern blocks must occur whole) and, where blocks
+occur densely, a comparison-code filter (at most 2k of the m - 1 codes may
+differ). A chunk left with few candidate windows decides each one alone
+from its own signature; any other chunk maintains a sliding-window
+signature. Either way, windows whose signature differs from the pattern's
+in more than 3k places are filtered out, and the survivors are verified
 exactly through heaviest-increasing-subsequence / heaviest-chain instances
 built from the few mismatch positions.
 """

@@ -134,6 +134,10 @@ class _BenchRow:
 def cmd_bench(args) -> int:
     if args.naive_cap < 1:
         raise ValueError("--naive-cap must be at least 1")
+    algorithms = [name.strip() for name in args.algorithms.split(",")]
+    unknown = [name for name in algorithms if name not in ("fast", "naive")]
+    if unknown:
+        raise ValueError(f"unknown --algorithms {', '.join(map(repr, unknown))}; use fast and naive")
     rng = random.Random(args.seed)
     rows: list[_BenchRow] = []
     for n in parse_int_list(args.n_grid):
@@ -147,7 +151,7 @@ def cmd_bench(args) -> int:
                 occ = match_all(inst.text, inst.pattern, k, inst.mode, stats=stats)
                 fast = time.perf_counter() - t0
                 rows.append(_BenchRow(n, m, k, "fast", fast, stats.pruning_rate, len(occ), False))
-                if "naive" in args.algorithms:
+                if "naive" in algorithms:
                     windows = n - m + 1
                     cap = min(windows, args.naive_cap)
                     sub = inst.text[: cap + m - 1]
@@ -229,7 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-grid", default="200")
     p.add_argument("--k-grid", default="2")
     p.add_argument("--mode", choices=("distinct", "general"), default="distinct")
-    p.add_argument("--algorithms", default="fast,naive")
+    p.add_argument("--algorithms", default="fast,naive",
+                   help="comma-separated, from fast and naive; fast always runs, "
+                        "because the naive rows report its occurrence count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--naive-cap", type=int, default=5000,
                    help="max windows to time naively before extrapolating")

@@ -136,10 +136,10 @@ class DynString:
     lookups. Fragments are disjoint; every position outside them is a
     single-symbol fragment, read straight from the list.
 
-    ``replace`` writes ``symbols`` and splits the fragment it hits. A caller
-    may also write ``symbols`` directly, but must then replay each written
-    position through ``replace`` before the next ``first_mismatches``, so
-    that no fragment covers a symbol that differs from the reference.
+    ``replace`` writes ``symbols`` and splits the fragment it hits, so no
+    fragment covers a symbol that differs from the reference. A caller may
+    write ``symbols`` directly only while there is no reference fragment:
+    before the first ``first_mismatches``, the only call that creates them.
     """
 
     def __init__(self, ref: RefString, initial: Sequence[int]):
@@ -150,11 +150,10 @@ class DynString:
         self.symbols = list(initial)
         self._starts = BitTrieSet(self.n + 2)
         self._frag: dict[int, tuple[int, int]] = {}
-        self._singles = self.n  # positions outside every reference fragment
 
     def fragment_count(self) -> int:
         """Reference fragments plus one per position outside them."""
-        return len(self._frag) + self._singles
+        return len(self._frag) + self.n - sum(ln for _, ln in self._frag.values())
 
     def replace(self, x: int, symbol: int) -> None:
         """Overwrite the symbol at position x; splits the reference fragment
@@ -170,7 +169,6 @@ class DynString:
             return  # x was a single symbol already
         rs, ln = payload
         end = s + ln - 1
-        self._singles += 1
         if x > s:
             frag[s] = (rs, x - s)
         else:
@@ -277,17 +275,12 @@ class DynString:
         last = fulls[-1]
         tail = frag.get(last)
         end = last + (tail[1] if tail is not None else 1)
-        singles = 0
         for s in fulls[1:]:
-            if frag.pop(s, None) is None:
-                singles += 1
-            else:
+            if frag.pop(s, None) is not None:
                 starts.discard(s)
         if first not in frag:
-            singles += 1
             starts.add(first)
         frag[first] = (first - window_start + 1, end - first)
-        self._singles -= singles
 
     def check_tiling(self) -> None:
         """Raise RuntimeError unless the reference fragments are disjoint, lie
@@ -305,5 +298,3 @@ class DynString:
             end = s + ln - 1
         if len(self._starts) != len(self._frag):
             raise RuntimeError("the trie holds a key that starts no fragment")
-        if self._singles != self.n - sum(ln for _, ln in self._frag.values()):
-            raise RuntimeError("single-symbol count out of sync")

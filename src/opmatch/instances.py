@@ -85,16 +85,22 @@ def generate_instance(
     plant: int = 0,
 ) -> Instance:
     """Random instance; optionally overwrite ``plant`` non-overlapping windows
-    with order-isomorphic copies of the pattern perturbed at <= k positions,
-    so each planted window is a true occurrence by construction.
+    with order-isomorphic copies of the pattern perturbed at <= min(k, m)
+    positions, so each planted window is a true occurrence by construction.
+    A negative k or plant raises ValueError before anything is drawn.
     """
     if m < 1 or n < m:
         raise ValueError("need n >= m >= 1")
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if plant < 0:
+        raise ValueError("plant must be non-negative")
     if plant * m > n:
         raise ValueError("too many planted occurrences for the text length")
+    flips = min(k, m)  # a window has m positions to perturb
     spare: list[int] = []
     if mode == "distinct":
-        pool = rng.sample(range(-(10**6), 10**6), n + m + plant * (m + k))
+        pool = rng.sample(range(-(10**6), 10**6), n + m + plant * (m + flips))
         pattern = pool[:m]
         text = pool[m : m + n]
         spare = pool[m + n :]
@@ -122,8 +128,8 @@ def generate_instance(
                 for j in order:
                     classes.setdefault(pattern[j], len(classes))
                 window = [classes[pattern[j]] for j in range(m)]
-            flips = rng.sample(range(m), rng.randint(0, k)) if k else []
-            for j in flips:
+            perturbed = rng.sample(range(m), rng.randint(0, flips)) if flips else []
+            for j in perturbed:
                 if mode == "distinct":
                     window[j] = spare[0]
                     spare = spare[1:]

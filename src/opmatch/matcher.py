@@ -366,7 +366,9 @@ def verify_window(
 
 @dataclass
 class MatchStats:
-    """Counters for one matching run, added once per chunk. ``prefiltered``
+    """Counters for one matching run: a sliding chunk adds its counts once,
+    a window decided alone adds its own, and the prefilter and the code
+    filter add the windows they rule out per chunk. ``prefiltered``
     counts the windows that the pigeonhole prefilter of ``match_all`` ruled
     out without setting up a chunk for them; they are counted in
     ``windows`` and ``filtered`` too, so ``filtered + verified == windows``.

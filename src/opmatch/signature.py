@@ -251,14 +251,12 @@ class SlidingSignature:
     that the span could not have decided the window. ``dyn_scans`` counts
     the windows the DynString decided.
 
-    ``advance`` writes the mirror, and so the DynString's symbols, in place.
     A DynString starts with no reference fragment, and only its scans create
-    them, so until the first DynString scan the written symbols are all it
-    needs. From then on ``advance`` appends each position whose symbol
-    changed to ``_stale``, and the next DynString scan first replays those
-    positions through ``replace``, which splits the reference fragments
-    they fall in, and clears the list. Reading ``dyn`` changes nothing;
-    ``dyn`` is scanned only through ``first_mismatches``.
+    them, so until the first DynString scan ``advance`` writes each changed
+    symbol straight into the mirror. From then on it writes through
+    ``dyn.replace``, which also splits the reference fragment covering the
+    position, so ``dyn``'s tiling holds after every advance. Reading ``dyn``
+    changes nothing; ``dyn`` is scanned only through ``first_mismatches``.
     """
 
     def __init__(self, chunk: Sequence[int], pidx: PatternIndex):
@@ -321,10 +319,8 @@ class SlidingSignature:
         self._above = above
         self._top = top
 
-        self.ref = pidx.ref
         self.dyn = DynString(pidx.ref, _class_walk(chunk, window_order) + [PAD_PACKED] * m)
         self._mirror = self.dyn.symbols
-        self._stale: list[int] = []
         self._direct = True
         self.dyn_scans = 0
 
@@ -344,20 +340,12 @@ class SlidingSignature:
         if self._direct:
             i = self.start
             head = self._mirror[i - 1 : i - 1 + span]
-            found = list(islice(compress(count(1), map(ne, head, self.ref.symbols)), limit + 1))
+            found = list(islice(compress(count(1), map(ne, head, self.dyn.ref.symbols)), limit + 1))
             if len(found) > limit:
                 return MismatchStream(found, True)
             if span == m:
                 return MismatchStream(found, False)
-        dyn = self.dyn
-        stale = self._stale
-        if stale:
-            mirror = self._mirror
-            replace = dyn.replace
-            for p in stale:
-                replace(p, mirror[p - 1])
-            stale.clear()
-        stream = dyn.first_mismatches(self.start, limit)
+        stream = self.dyn.first_mismatches(self.start, limit)
         self.dyn_scans += 1
         # try the direct scan next time only if it could have decided this window
         self._direct = span == m or (stream.truncated and stream.positions[-1] <= span)
@@ -421,14 +409,14 @@ class SlidingSignature:
 
         self.start = i + 1
         mirror = self._mirror
-        stale = self._stale
         scanned = self.dyn_scans
         for p in cand:
             sym = self._symbol_at(p)
             if mirror[p - 1] != sym:
-                mirror[p - 1] = sym
                 if scanned:
-                    stale.append(p)
+                    self.dyn.replace(p, sym)
+                else:
+                    mirror[p - 1] = sym
 
     def _symbol_at(self, p: int) -> int:
         """Recompute position p's symbol from the current window's classes."""

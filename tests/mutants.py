@@ -1,0 +1,167 @@
+"""Mutation gate: every mutant below must make one of its named tests fail.
+
+Run it from any directory with ``python tests/mutants.py``; pytest does not
+collect this file. The named tests first run once against an unmutated copy
+of ``src/`` and must pass there. Then, for each mutant, ``src/`` is copied
+to a temporary directory, the mutant's old text, which must occur exactly
+once in its file, is replaced by the new text, and the named tests run
+against the copy with ``pytest -x`` under a time limit and an address-space
+limit. A failing test, a timeout or a crash counts as killed. A mutant
+whose tests all pass survived, and the script exits 1; so does an old text
+that no longer occurs exactly once. A change that rewrites a mutated line
+updates its mutant here.
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 120
+# a suffix sort whose ranks never separate grows a list every round until
+# the process runs out of memory; the limit makes that a quick failure
+MEMORY_BYTES = 2 * 2**30
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/opmatch
+    old: str
+    new: str
+    tests: tuple[str, ...]  # node ids relative to the repository root
+
+
+MUTANTS = [
+    Mutant(
+        "window decided alone: 3k - 1 cap",
+        "matcher.py",
+        "signature_hamming(sig, pidx.ref.symbols, 3 * k)",
+        "signature_hamming(sig, pidx.ref.symbols, 3 * k - 1)",
+        ("tests/test_matcher.py::test_decide_window_agrees_with_match_chunk_and_the_check",),
+    ),
+    Mutant(
+        "window decided alone: 3k + 1 cap",
+        "matcher.py",
+        "signature_hamming(sig, pidx.ref.symbols, 3 * k)",
+        "signature_hamming(sig, pidx.ref.symbols, 3 * k + 1)",
+        ("tests/test_matcher.py::test_decide_window_agrees_with_match_chunk_and_the_check",),
+    ),
+    Mutant(
+        "sliding chunk: 3k - 1 filter cap",
+        "matcher.py",
+        "cap = 3 * k\n",
+        "cap = 3 * k - 1\n",
+        ("tests/test_matcher.py::test_decide_window_agrees_with_match_chunk_and_the_check",),
+    ),
+    Mutant(
+        "suffix sort: past-the-end key min(symbols) - 1",
+        "fragstring.py",
+        "end = min(min(symbols), 0) - 1",
+        "end = min(symbols) - 1",
+        (
+            "tests/test_fragstring.py::test_lcp_with_sparse_table_cut_at_zero_row[2x3]",
+            "tests/test_fragstring.py::test_lcp_with_sparse_table_cut_at_zero_row[random-234]",
+        ),
+    ),
+    Mutant(
+        "comparison-code filter: 2k - 1 threshold",
+        "matcher.py",
+        "m - 1, 2 * k)",
+        "m - 1, 2 * k - 1)",
+        (
+            "tests/test_matcher.py::test_code_filter_rules_out_a_window_at_distance_2k_plus_1",
+            "tests/test_matcher.py::test_match_all_equals_naive_through_every_prefilter_route",
+        ),
+    ),
+    Mutant(
+        "advance writes the list, not through replace, after the first scan",
+        "signature.py",
+        "self.dyn.replace(p, sym)",
+        "mirror[p - 1] = sym",
+        ("tests/test_signature.py::test_tiling_holds_after_every_advance",),
+    ),
+    Mutant(
+        "advance writes through replace before the first scan",
+        "signature.py",
+        "if scanned:\n",
+        "if True:\n",
+        ("tests/test_signature.py::test_tiling_holds_after_every_advance",),
+    ),
+    Mutant(
+        "fragment count off by one",
+        "fragstring.py",
+        "return len(self._frag) + self.n - sum(",
+        "return len(self._frag) + self.n + 1 - sum(",
+        ("tests/test_fragstring.py::test_dyn_init_roundtrip_and_fragment_count",),
+    ),
+]
+
+
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
+
+
+def _run_tests(src: Path, tests: tuple[str, ...], work: Path) -> str:
+    """"passed", "failed" or "timeout" for ``tests`` run against ``src``.
+    The tests run from ``work``, so hypothesis keeps no examples between
+    runs, and ``opmatch`` must import from ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    where = subprocess.run(
+        [sys.executable, "-c", "import opmatch; print(opmatch.__file__)"],
+        cwd=work, env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    if not Path(where.strip()).is_relative_to(src):
+        raise RuntimeError(f"opmatch imports from {where.strip()}, not from {src}")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    cmd += [str(ROOT / t) for t in tests]
+    try:
+        done = subprocess.run(
+            cmd, cwd=work, env=env, capture_output=True, timeout=TIMEOUT_S, preexec_fn=_limit_memory
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return "passed" if done.returncode == 0 else "failed"
+
+
+def main() -> int:
+    problems = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        clean = work / "clean" / "src"
+        shutil.copytree(ROOT / "src", clean)
+        named = tuple(dict.fromkeys(t for mutant in MUTANTS for t in mutant.tests))
+        start = time.perf_counter()
+        verdict = _run_tests(clean, named, work)
+        print(f"unmutated: named tests {verdict} ({time.perf_counter() - start:.1f} s)")
+        if verdict != "passed":
+            return 1  # a test that fails without a mutant kills nothing
+        for index, mutant in enumerate(MUTANTS):
+            src = work / f"mutant{index}" / "src"
+            shutil.copytree(ROOT / "src", src)
+            path = src / "opmatch" / mutant.file
+            text = path.read_text()
+            found = text.count(mutant.old)
+            if found != 1:
+                print(f"{mutant.name}: old text occurs {found} times in {mutant.file}, not once")
+                problems += 1
+                continue
+            path.write_text(text.replace(mutant.old, mutant.new))
+            start = time.perf_counter()
+            verdict = _run_tests(src, mutant.tests, work)
+            killed = verdict != "passed"
+            problems += not killed
+            status = f"killed ({verdict})" if killed else "SURVIVED"
+            print(f"{mutant.name}: {status} ({time.perf_counter() - start:.1f} s)")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,7 +6,7 @@ import pytest
 
 from opmatch.cli import main
 from opmatch.instances import Instance, generate_instance, parse_instance, parse_int_list
-from opmatch.matcher import match_all
+from opmatch.matcher import match_all, match_naive
 
 
 def run_cli(capsys, *argv):
@@ -261,6 +261,52 @@ def test_generate_instance_validates():
         generate_instance(rng, 5, 9)
     with pytest.raises(ValueError):
         generate_instance(rng, 10, 4, plant=3)
+    for plant in (0, 1):
+        with pytest.raises(ValueError, match="k must be non-negative"):
+            generate_instance(rng, 10, 4, k=-1, plant=plant)
+    with pytest.raises(ValueError, match="plant must be non-negative"):
+        generate_instance(rng, 10, 4, plant=-1)
+
+
+@pytest.mark.parametrize(
+    "flags", [["--k", "-1"], ["--k", "-1", "--plant", "1"], ["--plant", "-1"]]
+)
+def test_gen_rejects_negative_k_and_plant(capsys, flags):
+    code, out, err = run_cli(capsys, "gen", "--n", "10", "--m", "4", *flags)
+    assert code == 2 and out == ""
+    assert "must be non-negative" in err
+
+
+@pytest.mark.parametrize("mode", ["distinct", "general"])
+def test_gen_plants_with_k_above_m(capsys, mode):
+    # k >= m - 1 is a valid instance; a window has only m positions to perturb
+    for seed in range(6):
+        code, out, _ = run_cli(
+            capsys, "gen", "--n", "12", "--m", "3", "--k", "6", "--plant", "2",
+            "--mode", mode, "--seed", str(seed),
+        )
+        assert code == 0
+        inst = parse_instance(out)
+        assert inst.k == 6 and len(inst.planted) == 2
+        assert set(inst.planted) <= set(match_naive(inst.text, inst.pattern, inst.k, mode))
+
+
+@pytest.mark.parametrize("names", ["bogus", "fast,naiveish", "fast,"])
+def test_bench_rejects_unknown_algorithms(capsys, names):
+    code, out, err = run_cli(
+        capsys, "bench", "--n-grid", "300", "--m-grid", "20", "--algorithms", names
+    )
+    assert code == 2 and out == ""
+    assert "unknown --algorithms" in err
+
+
+def test_bench_fast_alone_times_no_naive(capsys):
+    code, out, _ = run_cli(
+        capsys, "bench", "--n-grid", "300", "--m-grid", "20", "--k-grid", "1",
+        "--algorithms", "fast", "--csv",
+    )
+    assert code == 0
+    assert [row.split(",")[3] for row in out.strip().splitlines()[1:]] == ["fast"]
 
 
 def test_bench_smoke_table_and_csv(capsys):

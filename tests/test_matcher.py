@@ -874,11 +874,56 @@ def _noisy_background(draw, length):
     return seq
 
 
+def _near_zigzag(draw, length, defects):
+    """Alternating up and down steps of random size, ``defects`` of them
+    turned to the direction of the step before: each turned step changes
+    one comparison code of a zigzag."""
+    steps = draw(st.lists(st.integers(1, 4), min_size=length, max_size=length))
+    turned = draw(st.sets(st.integers(1, length - 1), min_size=defects, max_size=defects))
+    return list(itertools.accumulate((-1) ** (i + (i in turned)) * s for i, s in enumerate(steps)))
+
+
+def _zigzag_code_case(draw):
+    """(text, pattern, k, "distinct"): near-zigzag text against a zigzag
+    pattern with 2k + 1 to 2k + 4 defects. A defect-free block occurs at
+    every other start, so block candidates are dense, but few windows come
+    within 2k comparison codes of the pattern. Each chunk holds a copy of
+    the pattern with k of its peaks and valleys moved past both neighbours:
+    an occurrence whose codes differ in exactly 2k places, which only the
+    distinct-mode comparison-code filter decides."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(matcher._MIN_BLOCK * (k + 1), matcher._MIN_BLOCK * (k + 1) + 6))
+    n = draw(st.integers(2 * m, 5 * m))
+    text = _near_zigzag(draw, n, draw(st.integers(0, n // 10)))
+    pattern = _near_zigzag(draw, m, draw(st.integers(2 * k + 1, 2 * k + 4)))
+    turns = [j for j in range(1, m - 1) if (pattern[j] - pattern[j - 1]) * (pattern[j] - pattern[j + 1]) > 0]
+    prev = None
+    for c in range(1, n - m + 2, m):
+        s = draw(st.integers(c, min(c + m - 1, n - m + 1)))
+        if prev is not None and s < prev + m:
+            continue
+        copy = [10 * v for v in pattern]
+        moved: list[int] = []
+        for j in draw(st.permutations(turns)):
+            if len(moved) < k and all(abs(j - t) > 1 for t in moved):
+                moved.append(j)
+                lo, hi = sorted((copy[j - 1], copy[j + 1]))
+                copy[j] = lo - 5 if copy[j] > hi else hi + 5
+        text[s - 1 : s - 1 + m] = copy
+        prev = s
+    text = [v * (n + 1) + i for i, v in enumerate(text)]
+    pattern = [v * (m + 1) + j for j, v in enumerate(pattern)]
+    return text, pattern, k, "distinct"
+
+
 @st.composite
 def prefilter_cases(draw):
     """(text, pattern, k, mode) over the shapes of ``_any_shape`` or a noisy
     background, with copies of the pattern, perturbed at up to k positions,
-    planted at the first or the last window of every chunk."""
+    planted at the first or the last window of every chunk; or a zigzag
+    case of ``_zigzag_code_case``."""
+    if draw(st.integers(0, 3)) == 0:
+        return _zigzag_code_case(draw)
     mode = draw(st.sampled_from(["distinct", "general"]))
     k = draw(st.integers(0, 3))
     m = draw(st.integers(2, matcher._MIN_BLOCK * (k + 1) + 6))

@@ -476,7 +476,7 @@ def test_lazy_dynstring_matches_eager_twin(case, data):
             other = twin.first_mismatches(limit)
             assert (other.positions, other.truncated) == (want.positions, want.truncated)
             if j < i:
-                assert lazy.dyn_scans == 0 and lazy._stale == []
+                assert lazy.dyn_scans == 0 and lazy.dyn._frag == {}
             else:
                 lazy._direct = False
                 got = lazy.first_mismatches(limit)
@@ -486,6 +486,40 @@ def test_lazy_dynstring_matches_eager_twin(case, data):
                 twin.advance()
                 lazy.advance()
         assert (lazy.dyn_scans, twin.dyn_scans) == (windows - i + 1, windows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hybrid_cases(), st.data())
+def test_tiling_holds_after_every_advance(case, data):
+    # DynString scans forced at random windows: before the first scan advance
+    # writes the mirror alone, never through ``replace``; after it the tiling
+    # holds after every advance, not only at the next scan
+    chunk, pattern, limit, _ = case
+    m = len(pattern)
+    for mode, text, pat in (
+        ("general", chunk, pattern),
+        ("distinct", _tie_broken(chunk), _tie_broken(pattern)),
+    ):
+        sliding = SlidingSignature(text, PatternIndex(pat, mode))
+        windows = len(text) - m + 1
+        forced = data.draw(st.sets(st.integers(1, windows), max_size=windows))
+        replace = sliding.dyn.replace
+        scans_at_replace: list[int] = []
+
+        def spy(x, symbol):
+            scans_at_replace.append(sliding.dyn_scans)
+            replace(x, symbol)
+
+        sliding.dyn.replace = spy
+        for i in range(1, windows + 1):
+            if i in forced:
+                sliding._direct = False
+            sliding.first_mismatches(limit)
+            if i < windows:
+                sliding.advance()
+                if sliding.dyn_scans:
+                    sliding.dyn.check_tiling()
+        assert 0 not in scans_at_replace, mode
 
 
 def test_match_stats_count_dyn_scans():
@@ -511,9 +545,9 @@ def test_match_stats_count_dyn_scans():
     assert stats.dyn_scans == stats.dyn_chunks == 0
 
 
-def test_stale_positions_wait_for_the_dynstring():
+def test_advance_writes_through_once_the_dynstring_scanned():
     # a shuffled chunk against an increasing pattern: the direct scan decides
-    # every window, so advance records no changes for the DynString
+    # every window, so advance writes the mirror alone and no fragment appears
     rng = random.Random(31)
     m = 100
     chunk = list(range(2 * m))
@@ -525,21 +559,23 @@ def test_stale_positions_wait_for_the_dynstring():
         if i <= m:
             sliding.advance()
     assert sliding.dyn_scans == 0
-    assert sliding._stale == []
-    # once the DynString has decided a window, advance records the changed
-    # positions and the next DynString scan replays them
-    sliding = SlidingSignature(chunk, pidx)
+    assert sliding.dyn._frag == {}
+    # an increasing chunk: the DynString scan of window 2 compacts it into one
+    # reference fragment; the next advance makes position 3 the window minimum,
+    # and writing its symbol splits that fragment before any further scan
+    sliding = SlidingSignature(list(range(2 * m)), pidx)
     sliding.advance()
-    assert sliding._stale == []
     sliding._direct = False  # send the window to the DynString
-    sliding.first_mismatches(1)
+    assert sliding.first_mismatches(1).positions == []
     assert sliding.dyn_scans == 1
+    assert sliding.dyn._frag == {2: (1, m)}
     sliding.advance()
-    assert m + 2 in sliding._stale  # the arriving position's PAD was overwritten
-    assert sliding.window_view() == compute_signature(chunk[2 : m + 2], "general")
+    assert sliding.dyn._frag == {2: (1, 1), 4: (3, m - 2)}
+    sliding.dyn.check_tiling()
+    # the arriving position's PAD was overwritten
+    assert sliding.window_view() == compute_signature(list(range(2, m + 2)), "general")
     sliding._direct = False
-    sliding.first_mismatches(1)
-    assert sliding._stale == []
+    assert sliding.first_mismatches(1).positions == []
     sliding.dyn.check_tiling()
 
 
@@ -573,7 +609,7 @@ def test_reading_the_dynstring_changes_nothing(case):
         want = twin.first_mismatches(limit)
         assert 1 <= probed.dyn.fragment_count() <= 2 * m
         assert (got.positions, got.truncated) == (want.positions, want.truncated)
-        assert (probed._stale, probed.dyn_scans) == (twin._stale, twin.dyn_scans)
+        assert (probed.dyn._frag, probed.dyn_scans) == (twin.dyn._frag, twin.dyn_scans)
         if i < windows:
             probed.advance()
             twin.advance()
