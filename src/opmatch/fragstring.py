@@ -2,7 +2,9 @@
 
 RefString preprocesses a fixed symbol string (one doubling sort for the
 suffix array and its inverse, the LCP array, sparse-table range minima) so
-the longest common prefix of any two of its suffixes is an O(1) query.
+the longest common prefix of any two of its suffixes is an O(1) query. It
+builds those suffix structures at its first LCP query, so only a chunk
+whose DynString scans a window pays for them, once per reference.
 DynString holds a string of length 2m as a flat symbol list plus an index
 of reference fragments, stretches known to equal a substring of the
 reference; every other position is a single-symbol fragment. Replacing one
@@ -75,27 +77,33 @@ def _lcp_array(seq: list[int], sa: list[int], rank: list[int]) -> list[int]:
 class RefString:
     """Immutable reference symbol string with O(1) suffix LCP queries.
 
-    ``_rank`` is the inverse suffix array and ``_rows`` a sparse table over
-    the LCP array: row d holds the minima of all windows of width 2^d.
-    Building stops at the first all-zero row: every window that wide or
-    wider has minimum 0, so every deeper row is that same list (a query of
-    width 2^d reads only indices below m - 2^d, which it covers).
+    ``_index`` is (rank, rows): the inverse suffix array and a sparse table
+    over the LCP array, where row d holds the minima of all windows of width
+    2^d. The first ``lcp`` call, its only reader, builds it and keeps it;
+    until then it is None and the reference holds just its symbols. Building
+    stops at the first all-zero row: every window that wide or wider has
+    minimum 0, so every deeper row is that same list (a query of width 2^d
+    reads only indices below m - 2^d, which it covers).
     """
 
     def __init__(self, symbols: Sequence[int]):
         if not symbols:
             raise ValueError("reference string must be non-empty")
         self.symbols: list[int] = list(symbols)
-        self.m = m = len(self.symbols)
-        sa, self._rank = _suffix_array(self.symbols)
-        rows = [_lcp_array(self.symbols, sa, self._rank)]
+        self.m = len(self.symbols)
+        self._index: tuple[list[int], list[list[int]]] | None = None
+
+    def _build_index(self) -> tuple[list[int], list[list[int]]]:
+        m = self.m
+        sa, rank = _suffix_array(self.symbols)
+        rows = [_lcp_array(self.symbols, sa, rank)]
         width = 1
         while 2 * width < m and any(rows[-1]):
             prev = rows[-1]
             rows.append(list(map(min, prev[:-width], prev[width:])))
             width <<= 1
         rows += [rows[-1]] * ((m - 1).bit_length() - len(rows))
-        self._rows = rows
+        return rank, rows
 
     def lcp(self, i: int, j: int) -> int:
         """Length of the longest common prefix of the suffixes starting at
@@ -103,14 +111,18 @@ class RefString:
         m = self.m
         if not (1 <= i <= m and 1 <= j <= m):
             raise ValueError(f"suffix positions must be in [1, {m}]")
+        index = self._index
+        if index is None:
+            index = self._index = self._build_index()
         if i == j:
             return m - i + 1
-        a = self._rank[i - 1]
-        b = self._rank[j - 1]
+        rank, rows = index
+        a = rank[i - 1]
+        b = rank[j - 1]
         if a > b:
             a, b = b, a
         depth = (b - a).bit_length() - 1
-        row = self._rows[depth]
+        row = rows[depth]
         x = row[a]
         y = row[b - (1 << depth)]
         return x if x < y else y

@@ -208,9 +208,11 @@ def k_isomorphic_witness(
 
 
 class PatternIndex:
-    """Immutable preprocessing of one pattern: ``ref``, the LCP-ready
-    reference over its signature (``ref.symbols`` is the signature's packed
-    symbol list), and flat int tables over the path that the signature links.
+    """Immutable preprocessing of one pattern: ``ref``, the reference over
+    its signature (``ref.symbols`` is the signature's packed symbol list),
+    and flat int tables over the path that the signature links. The index
+    builds no suffix structure: ``ref`` builds its own at its first LCP
+    query, that is when a chunk's DynString first scans a window.
 
     That path visits the value classes in ascending order and each class
     from its rightmost occurrence to its leftmost: an occurrence's EQ symbol

@@ -72,6 +72,41 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "suffix structures built eagerly at construction",
+        "fragstring.py",
+        "self._index: tuple[list[int], list[list[int]]] | None = None\n",
+        "self._index = self._build_index()\n",
+        ("tests/test_fragstring.py::test_suffix_structures_are_built_at_the_first_lcp_query",),
+    ),
+    Mutant(
+        "prefilter from 4-position blocks",
+        "matcher.py",
+        "_MIN_BLOCK = 5\n",
+        "_MIN_BLOCK = 4\n",
+        ("tests/test_matcher.py::test_prefilter_needs_five_positions_in_every_block[9-False]",),
+    ),
+    Mutant(
+        "prefilter from 6-position blocks",
+        "matcher.py",
+        "_MIN_BLOCK = 5\n",
+        "_MIN_BLOCK = 6\n",
+        ("tests/test_matcher.py::test_prefilter_needs_five_positions_in_every_block[10-True]",),
+    ),
+    Mutant(
+        "sparse chunk cap 6",
+        "matcher.py",
+        "_SPARSE_CAP = 7\n",
+        "_SPARSE_CAP = 6\n",
+        ("tests/test_matcher.py::test_prefilter_route_of_a_chunk_with_a_known_candidate_count[7-sparse]",),
+    ),
+    Mutant(
+        "sparse chunk cap 8",
+        "matcher.py",
+        "_SPARSE_CAP = 7\n",
+        "_SPARSE_CAP = 8\n",
+        ("tests/test_matcher.py::test_prefilter_route_of_a_chunk_with_a_known_candidate_count[8-dense]",),
+    ),
+    Mutant(
         "comparison-code filter: 2k - 1 threshold",
         "matcher.py",
         "m - 1, 2 * k)",

@@ -8,7 +8,9 @@ import pytest
 
 import opmatch
 
+from opmatch import fragstring
 from opmatch.fragstring import DynString, RefString
+from opmatch.matcher import MatchStats, match_all, match_naive
 from opmatch.signature import compute_signature
 
 
@@ -85,13 +87,53 @@ def test_lcp_with_sparse_table_cut_at_zero_row(syms, rows):
     # deeper rows share
     ref = RefString(syms)
     m = len(syms)
+    assert ref._index is None
+    assert ref.lcp(1, 1) == m  # the first query builds the index
+    rank, table = ref._index
     order = sorted(range(m), key=lambda s: syms[s:])
-    assert [ref._rank[s] for s in order] == list(range(m))  # the inverse suffix array
+    assert [rank[s] for s in order] == list(range(m))  # the inverse suffix array
     if rows is not None:  # m = 1 has no LCP array, hence no table
-        assert len({id(row) for row in ref._rows}) == rows
+        assert len({id(row) for row in table}) == rows
     for i in range(1, m + 1):  # every pair, so also the full rank range
         for j in range(1, m + 1):
             assert ref.lcp(i, j) == naive_lcp(syms, i, j), (i, j)
+
+
+def test_suffix_structures_are_built_at_the_first_lcp_query(monkeypatch):
+    # the direct route and the direct scan read only the reference's
+    # symbols; the first DynString scan builds the suffix structures, and
+    # every later chunk shares them
+    builds = []
+    suffix_array = fragstring._suffix_array
+
+    def counted(symbols):
+        builds.append(len(symbols))
+        return suffix_array(symbols)
+
+    monkeypatch.setattr(fragstring, "_suffix_array", counted)
+    rng = random.Random(53)
+    text = rng.sample(range(10**6), 2000)
+    pattern = rng.sample(range(10**6), 60)
+    text[700:760] = [10**6 + v for v in pattern]
+    stats = MatchStats()
+    assert match_all(text, pattern, 2, stats=stats) == [701]
+    assert stats.prefiltered == stats.windows - 1 and stats.dyn_scans == 0
+    assert builds == []  # every chunk skipped or decided alone
+
+    text, pattern = list(range(1, 2001)), list(range(1, 201))
+    stats = MatchStats()
+    assert match_all(text, pattern, 1, stats=stats) == match_naive(text, pattern, 1)
+    # nine sliding chunks; the tenth owns one window, decided alone
+    assert stats.dyn_chunks == 9 and stats.dyn_scans == 1800
+    assert builds == [200]  # once, at the first scan of the first chunk
+
+    syms = rng.choices(range(3), k=40)
+    ref = RefString(syms)
+    assert builds == [200]
+    for i in range(1, 41):
+        for j in range(1, 41):
+            assert ref.lcp(i, j) == naive_lcp(syms, i, j)
+    assert builds == [200, 40]
 
 
 def test_refstring_rejects_empty():

@@ -916,14 +916,41 @@ def _zigzag_code_case(draw):
     return text, pattern, k, "distinct"
 
 
+def _sparse_noise_code_case(draw):
+    """(text, pattern, k, "general"): the shape of the general-mixed
+    workload. Text and pattern hold zeros with about 10% of the values in
+    1..3, and the text one copy of the pattern with up to k values changed.
+    Runs of zeros make the block candidates dense, but each nonzero value
+    changes up to two comparison codes, so few windows come within 2k codes
+    of the pattern: the general-mode comparison-code filter decides them."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(matcher._MIN_BLOCK * (k + 1), matcher._MIN_BLOCK * (k + 1) + 30))
+    n = draw(st.integers(2 * m, 5 * m))
+
+    def noise(length):  # 27 of 30 draws, and the shrink target, are zeros
+        draws = draw(st.lists(st.integers(0, 29), min_size=length, max_size=length))
+        return [max(0, v - 26) for v in draws]
+
+    text, pattern = noise(n), noise(m)
+    copy = list(pattern)
+    for j in draw(st.lists(st.integers(0, m - 1), max_size=k)):
+        copy[j] = draw(st.integers(0, 3))
+    s = draw(st.integers(0, n - m))
+    text[s : s + m] = copy
+    return text, pattern, k, "general"
+
+
 @st.composite
 def prefilter_cases(draw):
     """(text, pattern, k, mode) over the shapes of ``_any_shape`` or a noisy
     background, with copies of the pattern, perturbed at up to k positions,
-    planted at the first or the last window of every chunk; or a zigzag
-    case of ``_zigzag_code_case``."""
-    if draw(st.integers(0, 3)) == 0:
+    planted at the first or the last window of every chunk; or a code-route
+    case of ``_zigzag_code_case`` or ``_sparse_noise_code_case``."""
+    shape = draw(st.integers(0, 4))
+    if shape == 0:
         return _zigzag_code_case(draw)
+    if shape == 1:
+        return _sparse_noise_code_case(draw)
     mode = draw(st.sampled_from(["distinct", "general"]))
     k = draw(st.integers(0, 3))
     m = draw(st.integers(2, matcher._MIN_BLOCK * (k + 1) + 6))
@@ -1072,11 +1099,13 @@ def test_decide_window_agrees_with_match_chunk_and_the_check(case):
 
 @pytest.mark.parametrize(
     "candidates, route",
-    [(0, "skip"), (1, "sparse"), (matcher._SPARSE_CAP, "sparse"), (matcher._SPARSE_CAP + 1, "dense")],
+    [(0, "skip"), (1, "sparse"), (7, "sparse"), (8, "dense")],
 )
 def test_prefilter_route_of_a_chunk_with_a_known_candidate_count(monkeypatch, candidates, route):
     # the first chunk holds exactly ``candidates`` increasing windows; the
-    # rest of the decreasing text holds none
+    # rest of the decreasing text holds none. A chunk with up to 7
+    # (_SPARSE_CAP, written out so that a changed cap fails here) decides
+    # each alone, and one with 8 slides
     text, pattern, k, mode = _run_case(candidates)
     m = len(pattern)
     calls = []
@@ -1102,6 +1131,32 @@ def test_prefilter_route_of_a_chunk_with_a_known_candidate_count(monkeypatch, ca
     else:  # each candidate window decided alone, with no chunk
         assert calls == [] and decided == [m] * candidates and stats.prefiltered == windows - candidates
     assert stats.verified == candidates and stats.windows == windows
+
+
+@pytest.mark.parametrize("m, prefiltered", [(9, False), (10, True)])
+def test_prefilter_needs_five_positions_in_every_block(monkeypatch, m, prefiltered):
+    # k = 1 cuts the pattern into two blocks. At m = 9 one block has 4
+    # positions, below _MIN_BLOCK = 5 (written out so that a changed
+    # minimum fails here), so every chunk takes the sliding path; at m = 10
+    # both have 5, and on random text most chunks are skipped
+    rng = random.Random(m)
+    text = rng.sample(range(10**4), 20 * m)
+    pattern = rng.sample(range(10**4), m)
+    text[5 * m : 6 * m] = [10**4 + v for v in pattern]
+    calls = []
+
+    def counted_chunk(chunk, pidx, k, stats=None):
+        calls.append(len(chunk))
+        return match_chunk(chunk, pidx, k, stats)
+
+    monkeypatch.setattr(matcher, "match_chunk", counted_chunk)
+    stats = MatchStats()
+    assert match_all(text, pattern, 1, stats=stats) == match_naive(text, pattern, 1) == [5 * m + 1]
+    chunks = len(range(1, len(text) - m + 2, m))
+    if prefiltered:
+        assert len(calls) < chunks and stats.prefiltered > 0
+    else:
+        assert len(calls) == chunks and stats.prefiltered == 0
 
 
 @pytest.mark.parametrize("mode", ["distinct", "general"])
