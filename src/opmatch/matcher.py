@@ -22,12 +22,16 @@ least m - k positions, so it keeps one of k + 1 pattern blocks whole and
 matches that block's codes (the pigeonhole prefilter), and at most 2k of
 its m - 1 codes differ from the pattern's, since a code can differ only
 next to a dropped position (the comparison-code filter, for m up to
-``_MAX_CODE_M``). Both are exact: no occurrence is ruled out.
+``_MAX_CODE_M``). Both are exact: no occurrence is ruled out. In
+distinct mode the few windows they leave are decided without signatures,
+by one longest-increasing-subsequence pass over the window's values in the
+pattern's value order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, islice
 from operator import add, le, lt, ne, sub
 from typing import Sequence
@@ -35,7 +39,12 @@ from typing import Sequence
 from .fragstring import RefString
 from .seqcore import _validate_distinct, _validate_ints, resolve_mode
 from .signature import SlidingSignature, _class_walk, signature_hamming
-from .subsequence import heaviest_chain, heaviest_increasing_subsequence, lis_length_at_least
+from .subsequence import (
+    heaviest_chain,
+    heaviest_increasing_subsequence,
+    lis_deficit_at_most,
+    lis_length_at_least,
+)
 
 __all__ = [
     "PatternIndex",
@@ -58,12 +67,14 @@ _SENTINEL = float("-inf")
 # decided alone costs 1/16-1/18 of a sliding 2m chunk at m = 1e3 and
 # 1/11-1/13 at m = 1e5 when the capped scan rejects it, and 1/12-1/13 and
 # 1/8-1/11 when it reaches verification (CPython 3.11, random distinct text,
-# k = 2), so 7 lies below every measured break-even count.
+# k = 2), so 7 lies below every measured break-even count. Those windows took
+# the signature route, as general-mode windows do; a distinct-mode window's
+# patience pass costs less.
 _SPARSE_CAP = 7
 # The prefilter runs only when every block has at least this many positions.
 # A block of b positions meets random text at a start with probability about
 # 2^-(b - 1), so short blocks leave most chunks several candidates, each one
-# an O(m log m) signature of its own. Against the sliding path alone
+# a window decided alone. Against the sliding path alone
 # (CPython 3.11, n = 4e3 to 8e3, candidates decided as m-long chunks),
 # 4-position blocks ran up to 1.2x slower at k = 2, and 3-position blocks
 # 1.7x slower on near-sorted text at m = 6; 5-position blocks ran 0.4-0.9x
@@ -208,11 +219,15 @@ def k_isomorphic_witness(
 
 
 class PatternIndex:
-    """Immutable preprocessing of one pattern: ``ref``, the reference over
-    its signature (``ref.symbols`` is the signature's packed symbol list),
-    and flat int tables over the path that the signature links. The index
-    builds no suffix structure: ``ref`` builds its own at its first LCP
-    query, that is when a chunk's DynString first scans a window.
+    """Immutable preprocessing of one pattern: flat int tables over the path
+    that its signature links, and ``ref``, the reference over the signature
+    (``ref.symbols`` is the signature's packed symbol list). ``ref`` is
+    built, by the class walk, the first time it is read: by a chunk's
+    ``SlidingSignature`` or by a general-mode window decided alone. A
+    distinct-mode window decided alone reads only ``order``, so an index
+    whose chunks are all skipped or decided alone in distinct mode holds no
+    signature. ``ref`` in turn builds its suffix structures at its first
+    LCP query, that is when a chunk's DynString first scans a window.
 
     That path visits the value classes in ascending order and each class
     from its rightmost occurrence to its leftmost: an occurrence's EQ symbol
@@ -223,7 +238,9 @@ class PatternIndex:
     0 unused) is its inverse, the path step of each position, which in
     distinct mode is the count of smaller values. ``class_lo`` and
     ``class_hi`` give, per step, the first and the last step of its value
-    class. One sort of the pattern gives every table.
+    class; they are read only in general mode, and in distinct mode, where
+    every class has one position, each holds the step itself. One sort of
+    the pattern gives every table and the signature.
 
     ``dict_backend`` selects nothing, like the CLI's ``--dict-backend``: it
     is accepted and ignored so that callers which still pass the retired
@@ -242,17 +259,17 @@ class PatternIndex:
         self.mode = resolved
         steps = list(range(m))  # one int object per index, shared by every table
         order = sorted(steps, key=pattern.__getitem__)
-        self.ref = RefString(_class_walk(pattern, order))
-        values = list(map(pattern.__getitem__, order))
         class_lo = steps.copy()
         class_hi = steps.copy()
-        lo = 0
-        for hi in [*compress(range(m - 1), map(ne, values, values[1:])), m - 1]:
-            if hi > lo:  # a repeated value: the path enters at its rightmost occurrence
-                order[lo : hi + 1] = reversed(order[lo : hi + 1])
-                class_lo[lo : hi + 1] = [lo] * (hi + 1 - lo)
-                class_hi[lo : hi + 1] = [hi] * (hi + 1 - lo)
-            lo = hi + 1
+        if resolved == "general":
+            values = list(map(pattern.__getitem__, order))
+            lo = 0
+            for hi in [*compress(range(m - 1), map(ne, values, values[1:])), m - 1]:
+                if hi > lo:  # a repeated value: the path enters at its rightmost occurrence
+                    order[lo : hi + 1] = reversed(order[lo : hi + 1])
+                    class_lo[lo : hi + 1] = [lo] * (hi + 1 - lo)
+                    class_hi[lo : hi + 1] = [hi] * (hi + 1 - lo)
+                lo = hi + 1
         rank = [0] * (m + 1)
         for t, p in zip(steps, order):
             rank[p + 1] = t
@@ -260,6 +277,17 @@ class PatternIndex:
         self.rank = rank
         self.class_lo = class_lo
         self.class_hi = class_hi
+
+    @cached_property
+    def ref(self) -> RefString:
+        """The reference over the pattern's signature, from the class walk
+        over the positions by value, ties by position: ``order`` with each
+        class run turned back, step t read at class_lo + class_hi - t."""
+        order = self.order
+        if self.mode == "general":
+            turned = map(sub, map(add, self.class_lo, self.class_hi), range(self.m))
+            order = list(map(order.__getitem__, turned))
+        return RefString(_class_walk(self.pattern, order))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +407,10 @@ class MatchStats:
     DynString decided at least one window. A candidate window that the
     prefilter leaves to be decided alone counts in ``windows``, in
     ``filtered`` or ``verified`` and in ``occurrences``, never in
-    ``dyn_scans`` or ``dyn_chunks``: it builds no DynString.
+    ``dyn_scans`` or ``dyn_chunks``: it builds no DynString. In distinct
+    mode such a window always counts in ``verified``, since its patience
+    pass decides it without a signature filter; in general mode it counts
+    in ``filtered`` when its signature differs in more than 3k places.
     ``code_ruled_out`` counts the windows of chunks with more block
     candidates than ``_SPARSE_CAP`` that the comparison-code filter ruled
     out, more than 2k of their m - 1 comparison codes differing from the
@@ -481,10 +512,13 @@ def match_all(
     at the block's offset cannot be an occurrence, so the rule is exact.
     A chunk with no candidate start is skipped; one with at most
     ``_SPARSE_CAP`` decides each candidate's window alone
-    (``_decide_window``: the window's signature, one Hamming scan against
-    the pattern's that stops after 3k + 1 mismatches, and ``verify_window``
-    below that cap, the rule ``match_chunk`` applies, with no sliding
-    set-up); one with more runs the sliding path over the whole chunk. The
+    (``_decide_window``, with no sliding set-up: in distinct mode one
+    patience pass over the window's values in the pattern's value order
+    that stops at the (k + 1)-th value it cannot append; in general mode
+    the window's signature, one Hamming scan against the pattern's that
+    stops after 3k + 1 mismatches, and ``verify_window`` below that cap,
+    the rule ``match_chunk`` applies); one with more runs the sliding path
+    over the whole chunk. The
     finds stop at ``_SPARSE_CAP + 1`` candidates, so a chunk costs
     O(k + 1) ``find`` calls, each over fewer than 2m bytes. Short blocks
     occur almost anywhere, so the prefilter is skipped unless every block
@@ -546,16 +580,28 @@ def match_all(
 def _decide_window(
     window: Sequence[int], pidx: PatternIndex, k: int, stats: MatchStats | None
 ) -> bool:
-    """The verdict of ``match_chunk`` on one m-long window, under the same
-    3k cap and the same verification, from the window's own signature and
-    one capped Hamming scan against the pattern's: no sliding set-up."""
-    sig = _class_walk(window, sorted(range(pidx.m), key=window.__getitem__))
-    stream = signature_hamming(sig, pidx.ref.symbols, 3 * k)
-    found = not stream.truncated and verify_window(window, pidx, stream.positions, k)
+    """The verdict of ``match_chunk`` on one m-long window, with no sliding
+    set-up.
+
+    In distinct mode the window matches iff its values, read in the
+    pattern's value order, keep a strictly increasing subsequence of m - k
+    values: one patience pass that stops at the (k + 1)-th value it cannot
+    append, O(m + k log m), with no sort and no signature. The window counts
+    as verified. In general mode it is the rule ``match_chunk`` applies: the
+    window's signature, one Hamming scan against the pattern's that stops
+    after 3k + 1 mismatches, and ``verify_window`` below that cap."""
+    if pidx.mode == "distinct":
+        found = lis_deficit_at_most(map(window.__getitem__, pidx.order), k)
+        kept = True
+    else:
+        sig = _class_walk(window, sorted(range(pidx.m), key=window.__getitem__))
+        stream = signature_hamming(sig, pidx.ref.symbols, 3 * k)
+        kept = not stream.truncated
+        found = kept and verify_window(window, pidx, stream.positions, k)
     if stats is not None:
         stats.windows += 1
-        stats.filtered += stream.truncated
-        stats.verified += not stream.truncated
+        stats.filtered += not kept
+        stats.verified += kept
         stats.occurrences += found
     return found
 

@@ -1,7 +1,7 @@
 """Increasing-subsequence solvers.
 
-Three related problems back the match verifier: a decision-form longest
-strictly increasing subsequence, the heaviest strictly increasing
+Three related problems back the match verifier: two decision forms of the
+longest strictly increasing subsequence, the heaviest strictly increasing
 subsequence of weighted items, and the heaviest chain of weighted planar
 points (strict dominance in both coordinates, equal points allowed
 together). The solvers take plain tuples: (value, weight) items and
@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 __all__ = [
     "WeightedSeqItem",
     "WeightedPoint",
     "lis_length_at_least",
+    "lis_deficit_at_most",
     "heaviest_increasing_subsequence",
     "heaviest_chain",
     "his_bruteforce",
@@ -62,6 +63,41 @@ def lis_length_at_least(seq: Sequence[int], target: int) -> bool:
         else:
             tails[i] = x
     return False
+
+
+def lis_deficit_at_most(seq: Iterable[Any], k: int) -> bool:
+    """True iff dropping at most k values of ``seq`` leaves it strictly
+    increasing, that is iff its longest strictly increasing subsequence
+    has at least len(seq) - k values; False for k < 0.
+
+    One patience-sorting pass over any iterable: a value above the last
+    tail extends the longest subsequence, and any other value replaces a
+    tail and leaves its length unchanged, so the deficit counts those
+    values and never falls. The pass returns False at the (k + 1)-th of
+    them without reading further; an accept costs one append per value and
+    at most k bisects.
+    """
+    if k < 0:
+        return False
+    it = iter(seq)
+    for top in it:  # the first value, if any, is the first tail
+        break
+    else:
+        return True
+    tails = [top]
+    append = tails.append
+    budget = k
+    for x in it:
+        if x > top:
+            append(x)
+            top = x
+        elif budget > 0:
+            budget -= 1
+            tails[bisect_left(tails, x)] = x
+            top = tails[-1]
+        else:
+            return False
+    return True
 
 
 def heaviest_increasing_subsequence(items: Sequence[tuple[Any, int]]) -> tuple[int, list[int]]:

@@ -41,18 +41,53 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant(
-        "window decided alone: 3k - 1 cap",
+        "general-mode window decided alone: 3k - 1 cap",
         "matcher.py",
         "signature_hamming(sig, pidx.ref.symbols, 3 * k)",
         "signature_hamming(sig, pidx.ref.symbols, 3 * k - 1)",
         ("tests/test_matcher.py::test_decide_window_agrees_with_match_chunk_and_the_check",),
     ),
     Mutant(
-        "window decided alone: 3k + 1 cap",
+        "general-mode window decided alone: 3k + 1 cap",
         "matcher.py",
         "signature_hamming(sig, pidx.ref.symbols, 3 * k)",
         "signature_hamming(sig, pidx.ref.symbols, 3 * k + 1)",
         ("tests/test_matcher.py::test_decide_window_agrees_with_match_chunk_and_the_check",),
+    ),
+    Mutant(
+        "patience pass: deficit budget k - 1",
+        "subsequence.py",
+        "budget = k\n",
+        "budget = k - 1\n",
+        ("tests/test_subsequence.py::test_lis_deficit_matches_lis_length",),
+    ),
+    Mutant(
+        "patience pass: deficit budget k + 1",
+        "subsequence.py",
+        "budget = k\n",
+        "budget = k + 1\n",
+        ("tests/test_subsequence.py::test_lis_deficit_matches_lis_length",),
+    ),
+    Mutant(
+        "patience pass reads on past the budget",
+        "subsequence.py",
+        "        else:\n            return False\n    return True\n",
+        "        else:\n            budget -= 1\n    return budget >= 0\n",
+        ("tests/test_subsequence.py::test_lis_deficit_stops_at_the_first_value_over_budget",),
+    ),
+    Mutant(
+        "distinct-mode window decided alone through the signature route",
+        "matcher.py",
+        "    if pidx.mode == \"distinct\":\n        found = lis_deficit_at_most(",
+        "    if False:\n        found = lis_deficit_at_most(",
+        ("tests/test_matcher.py::test_distinct_direct_route_builds_no_signature",),
+    ),
+    Mutant(
+        "pattern reference rebuilt at every read",
+        "matcher.py",
+        "    @cached_property\n    def ref(self)",
+        "    @property\n    def ref(self)",
+        ("tests/test_matcher.py::test_general_direct_route_builds_the_reference_once",),
     ),
     Mutant(
         "sliding chunk: 3k - 1 filter cap",

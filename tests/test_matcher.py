@@ -21,7 +21,7 @@ from opmatch.matcher import (
 )
 from opmatch.seqcore import DuplicateValuesError
 from opmatch.signature import SlidingSignature, compute_signature, signature_hamming
-from opmatch.subsequence import heaviest_chain, heaviest_increasing_subsequence
+from opmatch.subsequence import heaviest_chain, heaviest_increasing_subsequence, lis_deficit_at_most
 
 FIG_TEXT = [1, 10, 6, 4, 8, 5, 7, 9, 3]
 FIG_PATTERN = [1, 4, 2, 5, 11]
@@ -609,8 +609,10 @@ def test_weakened_filter_cap_is_caught_by_oracle_comparison(monkeypatch):
 
 
 def test_weakened_window_cap_is_caught_by_oracle_comparison(monkeypatch):
-    # the same check for the windows match_all decides alone: _decide_window
-    # scans for 3k mismatches, the wrapper for 2k
+    # the same check for the windows match_all decides alone, in each mode:
+    # in general mode _decide_window scans for 3k mismatches, the wrapper
+    # for 2k; in distinct mode its patience pass allows k misses, the
+    # wrapper k - 1. The values are distinct, so both modes match alike
     rng = random.Random(131)
     cases = []
     for _ in range(300):
@@ -626,18 +628,20 @@ def test_weakened_window_cap_is_caught_by_oracle_comparison(monkeypatch):
             text[s : s + m] = copy
         text = [v * (n + 1) + i for i, v in enumerate(text)]  # distinct, orders kept
         want = match_naive(text, pattern, k)
-        assert match_all(text, pattern, k) == want
+        assert match_all(text, pattern, k) == match_all(text, pattern, k, "general") == want
         cases.append((text, pattern, k, want))
     monkeypatch.setattr(
         matcher, "signature_hamming", lambda a, b, cap=None: signature_hamming(a, b, cap * 2 // 3)
     )
-    broken = 0
-    for text, pattern, k, want in cases:
-        got = match_all(text, pattern, k)
-        assert set(got) <= set(want)
-        if got != want:
-            broken += 1
-    assert broken > 0
+    monkeypatch.setattr(matcher, "lis_deficit_at_most", lambda seq, k: lis_deficit_at_most(seq, k - 1))
+    for mode in ("distinct", "general"):
+        broken = 0
+        for text, pattern, k, want in cases:
+            got = match_all(text, pattern, k, mode)
+            assert set(got) <= set(want)
+            if got != want:
+                broken += 1
+        assert broken > 0, mode
 
 
 def test_filter_bound_is_tight_in_practice():
@@ -1091,10 +1095,75 @@ def test_decide_window_agrees_with_match_chunk_and_the_check(case):
     stats = MatchStats()
     got = matcher._decide_window(window, pidx, k, stats)
     assert got == bool(match_chunk(window, pidx, k)) == k_isomorphic_check(window, pattern, k, mode)
-    d = len(signature_hamming(compute_signature(window, mode), pidx.ref.symbols).positions)
-    kept = d <= 3 * k
+    if mode == "distinct":  # the patience pass decides every window: no signature filter
+        kept = True
+    else:
+        d = len(signature_hamming(compute_signature(window, mode), pidx.ref.symbols).positions)
+        kept = d <= 3 * k
     assert (stats.windows, stats.filtered, stats.verified, stats.occurrences) == (1, not kept, kept, got)
     assert stats.dyn_scans == stats.dyn_chunks == stats.prefiltered == 0
+
+
+def _direct_route_case():
+    """Random distinct text at m = 60, k = 2 with two planted copies of the
+    pattern: at 701 with k values displaced (a match), at 1301 with k + 1
+    (not one). The displaced values lie in the first of the k + 1 blocks,
+    so both copies are prefilter candidates. Every chunk is skipped or
+    decides its candidates alone."""
+    rng = random.Random(53)
+    text = rng.sample(range(10**6), 2000)
+    pattern = rng.sample(range(10**6), 60)
+    by_value = sorted(pattern)
+    for start, displaced in ((700, 2), (1300, 3)):
+        base = 10**7 * start  # above the background, and apart per copy
+        copy = [base + 4 * v for v in pattern]
+        for j in rng.sample(range(20), displaced):  # far from its own rank
+            copy[j] = base + 4 * by_value[(by_value.index(pattern[j]) + 30) % 60] + 1
+        text[start : start + 60] = copy
+    return text, pattern, 2
+
+
+def test_distinct_direct_route_builds_no_signature(monkeypatch):
+    # a distinct-mode window decided alone reads only the pattern's value
+    # order, so neither the pattern's reference nor any signature is built
+    text, pattern, k = _direct_route_case()
+    want = match_naive(text, pattern, k)
+    assert want == [701]
+
+    def refuse(*args):
+        raise AssertionError("the distinct direct route built a signature")
+
+    monkeypatch.setattr(matcher, "RefString", refuse)
+    monkeypatch.setattr(matcher, "_class_walk", refuse)
+    monkeypatch.setattr(matcher, "match_chunk", refuse)
+    stats = MatchStats()
+    assert match_all(text, pattern, k, stats=stats) == want
+    # both planted copies reach the patience pass, and it rejects one
+    assert (stats.verified, stats.occurrences) == (2, 1)
+    assert stats.prefiltered == stats.filtered == stats.windows - 2
+
+
+def test_general_direct_route_builds_the_reference_once(monkeypatch):
+    # a general-mode window decided alone compares signatures, so the
+    # pattern's reference is built at the first such window and kept
+    text, pattern, k = _direct_route_case()
+    builds = []
+    ref_string = matcher.RefString
+
+    def counted(symbols):
+        builds.append(len(symbols))
+        return ref_string(symbols)
+
+    monkeypatch.setattr(matcher, "RefString", counted)
+    monkeypatch.setattr(matcher, "match_chunk", None)  # no chunk slides
+    stats = MatchStats()
+    assert match_all(text, pattern, k, "general", stats=stats) == match_naive(text, pattern, k, "general")
+    assert stats.windows - stats.prefiltered == 2 and stats.occurrences == 1
+    assert builds == [60]  # at the first window decided alone, not again at the second
+    # a fresh index builds its own, with each value class walked left to right
+    for fresh in (pattern, [3, 1, 3, 3, 0, 1, 2, 3]):
+        assert PatternIndex(fresh, "general").ref.symbols == compute_signature(fresh, "general")
+    assert builds == [60, 60, 8]
 
 
 @pytest.mark.parametrize(

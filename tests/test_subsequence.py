@@ -1,9 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from opmatch import subsequence
 from opmatch.subsequence import (
     WeightedPoint,
     WeightedSeqItem,
@@ -11,6 +12,7 @@ from opmatch.subsequence import (
     heaviest_chain,
     heaviest_increasing_subsequence,
     his_bruteforce,
+    lis_deficit_at_most,
     lis_length_at_least,
 )
 
@@ -38,6 +40,64 @@ def test_lis_decision_matches_dp():
         full = lis_length_dp(seq)
         for target in range(0, len(seq) + 2):
             assert lis_length_at_least(seq, target) == (full >= target)
+
+
+@st.composite
+def deficit_cases(draw):
+    """(seq, k): distinct or repeated values, k from 0 to len(seq)."""
+    if draw(st.booleans()):
+        seq = draw(st.lists(st.integers(-40, 40), max_size=24, unique=True))
+    else:
+        seq = draw(st.lists(st.integers(0, 4), max_size=24))
+    return seq, draw(st.integers(0, len(seq)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(deficit_cases())
+@example(([3, 1, 2, 4], 1))  # deficit exactly k: accepted
+@example(([3, 2, 1, 4], 1))  # deficit k + 1: rejected
+@example(([5, 1, 4, 2, 3, 6], 2))  # deficit exactly k
+@example(([5, 4, 1, 3, 2, 6], 2))  # deficit k + 1
+@example(([2, 2, 2, 2], 3))  # equal values never extend: deficit 3
+@example(([2, 2, 2, 2], 2))
+def test_lis_deficit_matches_lis_length(case):
+    seq, k = case
+    want = lis_length_at_least(seq, len(seq) - k)
+    assert want == (len(seq) - lis_length_dp(seq) <= k)
+    assert lis_deficit_at_most(seq, k) is want
+    assert lis_deficit_at_most(iter(seq), k) is want
+
+
+def test_lis_deficit_stops_at_the_first_value_over_budget(monkeypatch):
+    # on a strictly decreasing input every value after the first misses, so
+    # the pass reads the first, spends k bisects on the next k and returns
+    # False at the (k + 1)-th miss, k + 2 values in; no answer depends on
+    # the early return, so only the count of values read shows it
+    bisects = []
+    bisect_left = subsequence.bisect_left
+
+    def counted_bisect(tails, x):
+        bisects.append(x)
+        return bisect_left(tails, x)
+
+    monkeypatch.setattr(subsequence, "bisect_left", counted_bisect)
+    for k in range(5):
+        read = []
+
+        def values():
+            for x in range(20, 0, -1):
+                read.append(x)
+                yield x
+
+        bisects.clear()
+        assert lis_deficit_at_most(values(), k) is False
+        assert len(read) == k + 2 and len(bisects) == k
+        # an accept reads every value and bisects at most k times
+        bisects.clear()
+        assert lis_deficit_at_most([*range(19), *range(k)], k) is True
+        assert len(bisects) == k
+    assert lis_deficit_at_most([], 0) is True
+    assert lis_deficit_at_most([1], -1) is False
 
 
 def test_his_examples():
