@@ -25,7 +25,8 @@ next to a dropped position (the comparison-code filter, for m up to
 ``_MAX_CODE_M``). Both are exact: no occurrence is ruled out. In
 distinct mode the few windows they leave are decided without signatures,
 by one longest-increasing-subsequence pass over the window's values in the
-pattern's value order.
+pattern's value order; so is every window they leave when m <= 8(3k + 1),
+where the signature filter would read each window whole.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice
-from operator import add, le, lt, ne, sub
+from operator import add, itemgetter, le, lt, ne, sub
 from typing import Sequence
 
 from .fragstring import RefString
 from .seqcore import _validate_distinct, _validate_ints, resolve_mode
-from .signature import SlidingSignature, _class_walk, signature_hamming
+from .signature import _DIRECT_SPAN, SlidingSignature, _class_walk, signature_hamming
 from .subsequence import (
     heaviest_chain,
     heaviest_increasing_subsequence,
@@ -69,7 +70,9 @@ _SENTINEL = float("-inf")
 # 1/8-1/11 when it reaches verification (CPython 3.11, random distinct text,
 # k = 2), so 7 lies below every measured break-even count. Those windows took
 # the signature route, as general-mode windows do; a distinct-mode window's
-# patience pass costs less.
+# patience pass costs less. A dense distinct chunk with m <= 8(3k + 1)
+# decides every owned window alone whatever its count: there the sliding
+# path's direct scan reads each whole window too, on top of its set-up.
 _SPARSE_CAP = 7
 # The prefilter runs only when every block has at least this many positions.
 # A block of b positions meets random text at a start with probability about
@@ -228,6 +231,8 @@ class PatternIndex:
     whose chunks are all skipped or decided alone in distinct mode holds no
     signature. ``ref`` in turn builds its suffix structures at its first
     LCP query, that is when a chunk's DynString first scans a window.
+    In distinct mode ``by_order`` gathers a window's values in ``order``,
+    one C-level call per window decided alone.
 
     That path visits the value classes in ascending order and each class
     from its rightmost occurrence to its leftmost: an occurrence's EQ symbol
@@ -236,11 +241,11 @@ class PatternIndex:
     floor (NONE-MIN). ``order`` lists the 0-based positions in path order,
     that is by value, ties by descending position; ``rank`` (1-based, index
     0 unused) is its inverse, the path step of each position, which in
-    distinct mode is the count of smaller values. ``class_lo`` and
-    ``class_hi`` give, per step, the first and the last step of its value
-    class; they are read only in general mode, and in distinct mode, where
-    every class has one position, each holds the step itself. One sort of
-    the pattern gives every table and the signature.
+    distinct mode is the count of smaller values. In general mode
+    ``class_lo`` and ``class_hi`` give, per step, the first and the last
+    step of its value class; a distinct-mode index has neither, since every
+    class there has one position. One sort of the pattern gives every table
+    and the signature.
 
     ``dict_backend`` selects nothing, like the CLI's ``--dict-backend``: it
     is accepted and ignored so that callers which still pass the retired
@@ -259,9 +264,9 @@ class PatternIndex:
         self.mode = resolved
         steps = list(range(m))  # one int object per index, shared by every table
         order = sorted(steps, key=pattern.__getitem__)
-        class_lo = steps.copy()
-        class_hi = steps.copy()
         if resolved == "general":
+            class_lo = steps.copy()
+            class_hi = steps.copy()
             values = list(map(pattern.__getitem__, order))
             lo = 0
             for hi in [*compress(range(m - 1), map(ne, values, values[1:])), m - 1]:
@@ -270,13 +275,15 @@ class PatternIndex:
                     class_lo[lo : hi + 1] = [lo] * (hi + 1 - lo)
                     class_hi[lo : hi + 1] = [hi] * (hi + 1 - lo)
                 lo = hi + 1
+            self.class_lo = class_lo
+            self.class_hi = class_hi
+        else:  # itemgetter of one index returns the bare value, so m = 1 slices
+            self.by_order = itemgetter(*order) if m > 1 else itemgetter(slice(0, 1))
         rank = [0] * (m + 1)
         for t, p in zip(steps, order):
             rank[p + 1] = t
         self.order = order
         self.rank = rank
-        self.class_lo = class_lo
-        self.class_hi = class_hi
 
     @cached_property
     def ref(self) -> RefString:
@@ -410,7 +417,10 @@ class MatchStats:
     ``dyn_scans`` or ``dyn_chunks``: it builds no DynString. In distinct
     mode such a window always counts in ``verified``, since its patience
     pass decides it without a signature filter; in general mode it counts
-    in ``filtered`` when its signature differs in more than 3k places.
+    in ``filtered`` when its signature differs in more than 3k places. So
+    does every window of a dense distinct chunk with m <= 8(3k + 1), which
+    is decided alone too: such a run reads 0 in ``filtered`` unless the
+    prefilter or the code filter rules windows out.
     ``code_ruled_out`` counts the windows of chunks with more block
     candidates than ``_SPARSE_CAP`` that the comparison-code filter ruled
     out, more than 2k of their m - 1 comparison codes differing from the
@@ -538,6 +548,13 @@ def match_all(
     window before it falls back, so this stage runs only for m up to
     ``_MAX_CODE_M``, and not at k = 0, where the one block is the whole
     pattern, so its finds already are the windows within 2k = 0.
+
+    A distinct-mode chunk that both tests leave dense still skips the
+    sliding path when m <= 8(3k + 1), the direct scan's span at the filter's
+    cap of 3k mismatches: there that scan would read every symbol of every
+    window, so the patience pass decides each owned window alone, with no
+    chunk set-up, ``advance`` or verification. General mode, larger m, and
+    m < 5(k + 1), where neither test runs, keep the sliding path.
     """
     mode = _check_inputs(text, pattern, k, mode, aligned=False)
     n = len(text)
@@ -553,6 +570,8 @@ def match_all(
         if k > 0 and m <= _MAX_CODE_M:
             planes = _bit_planes(pattern_codes, mode)
     codes = _comparison_codes(text, mode) if blocks else b""
+    # the direct scan would read these windows whole: decide dense chunks window by window
+    alone = mode == "distinct" and m <= _DIRECT_SPAN * (3 * k + 1)
     out: list[int] = []
     for c in range(1, n - m + 2, m):
         if blocks:
@@ -562,6 +581,8 @@ def match_all(
                 starts = _code_starts(codes, planes, mode, c - 1, owned, m - 1, 2 * k)
                 if starts is not None and stats is not None:
                     stats.code_ruled_out += owned - len(starts)
+            if starts is None and alone:
+                starts = range(c - 1, c - 1 + owned)
             if starts is not None:
                 for s in sorted(starts):
                     if _decide_window(text[s : s + m], pidx, k, stats):
@@ -586,12 +607,13 @@ def _decide_window(
     In distinct mode the window matches iff its values, read in the
     pattern's value order, keep a strictly increasing subsequence of m - k
     values: one patience pass that stops at the (k + 1)-th value it cannot
-    append, O(m + k log m), with no sort and no signature. The window counts
-    as verified. In general mode it is the rule ``match_chunk`` applies: the
+    append, O(m + k log m), with no sort and no signature. It also decides
+    every window of a dense chunk when m <= 8(3k + 1). The window counts as
+    verified. In general mode it is the rule ``match_chunk`` applies: the
     window's signature, one Hamming scan against the pattern's that stops
     after 3k + 1 mismatches, and ``verify_window`` below that cap."""
     if pidx.mode == "distinct":
-        found = lis_deficit_at_most(map(window.__getitem__, pidx.order), k)
+        found = lis_deficit_at_most(pidx.by_order(window), k)
         kept = True
     else:
         sig = _class_walk(window, sorted(range(pidx.m), key=window.__getitem__))

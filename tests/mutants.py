@@ -142,6 +142,20 @@ MUTANTS = [
         ("tests/test_matcher.py::test_prefilter_route_of_a_chunk_with_a_known_candidate_count[8-dense]",),
     ),
     Mutant(
+        "dense distinct chunk decided alone only below 8(3k + 1)",
+        "matcher.py",
+        "m <= _DIRECT_SPAN * (3 * k + 1)",
+        "m < _DIRECT_SPAN * (3 * k + 1)",
+        ("tests/test_matcher.py::test_dense_distinct_chunk_decides_its_windows_alone_up_to_8_3k_plus_1[32-True]",),
+    ),
+    Mutant(
+        "dense distinct chunk decided alone up to 8(3k + 2)",
+        "matcher.py",
+        "m <= _DIRECT_SPAN * (3 * k + 1)",
+        "m <= _DIRECT_SPAN * (3 * k + 2)",
+        ("tests/test_matcher.py::test_dense_distinct_chunk_decides_its_windows_alone_up_to_8_3k_plus_1[33-False]",),
+    ),
+    Mutant(
         "comparison-code filter: 2k - 1 threshold",
         "matcher.py",
         "m - 1, 2 * k)",

@@ -982,7 +982,8 @@ def prefilter_cases(draw):
 def test_match_all_equals_naive_through_every_prefilter_route(monkeypatch):
     # every draw must equal match_naive, and each route must decide some
     routes = {
-        "skip": 0, "sparse": 0, "sparse at the cap": 0, "dense": 0, "no prefilter": 0,
+        "skip": 0, "sparse": 0, "sparse at the cap": 0, "no prefilter": 0,
+        "dense, decided alone": 0, "dense, sliding (distinct)": 0,
         **{f"codes{dense} ({mode})": 0 for dense in ("", " dense") for mode in ("distinct", "general")},
     }
     candidate_starts = matcher._candidate_starts
@@ -990,26 +991,36 @@ def test_match_all_equals_naive_through_every_prefilter_route(monkeypatch):
     decide_window = matcher._decide_window
     chunk_windows = []
     code_ruled_out = []
+    dense = []  # [True] while the prefilter stages leave the current chunk dense
 
     def counted_starts(codes, blocks, first, owned):
         starts = candidate_starts(codes, blocks, first, owned)
-        routes["dense" if starts is None else "sparse" if starts else "skip"] += 1
-        routes["sparse at the cap"] += starts is not None and len(starts) == matcher._SPARSE_CAP
+        dense[:] = [starts is None]
+        if starts is not None:
+            routes["sparse" if starts else "skip"] += 1
+            routes["sparse at the cap"] += len(starts) == matcher._SPARSE_CAP
         return starts
 
     def counted_code_starts(codes, planes, mode, first, owned, width, cap):
         starts = code_starts(codes, planes, mode, first, owned, width, cap)
+        dense[:] = [starts is None]
         routes[f"codes{' dense' if starts is None else ''} ({mode})"] += 1
         if starts is not None:
             code_ruled_out.append(owned - len(starts))
         return starts
 
     def counted_chunk(chunk, pidx, k, stats=None):
+        if dense == [True] and pidx.mode == "distinct":
+            # a dense distinct chunk slides only where the direct scan would
+            # not read its whole windows
+            assert pidx.m > matcher._DIRECT_SPAN * (3 * k + 1)
+            routes["dense, sliding (distinct)"] += 1
         chunk_windows.append(min(pidx.m, len(chunk) - pidx.m + 1))
         return match_chunk(chunk, pidx, k, stats)
 
     def counted_window(window, pidx, k, stats):
         assert len(window) == pidx.m
+        routes["dense, decided alone"] += dense == [True]
         chunk_windows.append(1)
         return decide_window(window, pidx, k, stats)
 
@@ -1023,9 +1034,9 @@ def test_match_all_equals_naive_through_every_prefilter_route(monkeypatch):
     @example(_planted_code_case(1, "general")[:4])  # code distance exactly 2k, a match
     @example(_planted_code_case(2, "distinct")[:4])
     @example(([0] * 40, [0] * 10, 1, "general"))  # every window within 2k: the sliding path
-    @example((list(range(40)), list(range(10)), 1, "distinct"))
+    @example((list(range(40)), list(range(10)), 1, "distinct"))  # m <= 8(3k + 1): each window alone
     @example(_run_case(matcher._SPARSE_CAP))  # exactly C candidates: each alone
-    @example(_run_case(matcher._SPARSE_CAP + 1))  # C + 1: the sliding path
+    @example(_run_case(matcher._SPARSE_CAP + 1))  # C + 1 and m > 8(3k + 1): the sliding path
     @example(_run_case(0))  # no candidate in the first chunk: skipped
     @example(_boundary_case(0))  # m = 5(k + 1): 5-position blocks
     @example(_boundary_case(-1))  # m < 5(k + 1): no prefilter
@@ -1037,6 +1048,7 @@ def test_match_all_equals_naive_through_every_prefilter_route(monkeypatch):
         want = match_naive(text, pattern, k, mode)
         chunk_windows.clear()
         code_ruled_out.clear()
+        dense.clear()
         stats = MatchStats()
         assert match_all(text, pattern, k, mode, stats=stats) == want, case
         if m < matcher._MIN_BLOCK * (k + 1):
@@ -1226,6 +1238,45 @@ def test_prefilter_needs_five_positions_in_every_block(monkeypatch, m, prefilter
         assert len(calls) < chunks and stats.prefiltered > 0
     else:
         assert len(calls) == chunks and stats.prefiltered == 0
+
+
+@pytest.mark.parametrize("m, alone", [(32, True), (33, False)])
+def test_dense_distinct_chunk_decides_its_windows_alone_up_to_8_3k_plus_1(monkeypatch, m, alone):
+    # near-sorted text against an increasing pattern at k = 1: every window
+    # keeps a whole block, and every one within 2k comparison codes, so each
+    # chunk is dense. At m = 32 = 8(3k + 1) (written out so that a changed
+    # direct span or route bound fails here) the direct scan would read every
+    # symbol of every window, so each owned window is decided alone; at
+    # m = 33 every chunk takes the sliding path
+    n = 3 * m - 1  # two chunks, each owning m windows
+    windows = n - m + 1
+    text = list(range(n))
+    for j in range(5, n - 1, 20):  # one or two adjacent swaps per window
+        text[j], text[j + 1] = text[j + 1], text[j]
+    pattern = list(range(m))
+    calls = []
+    decided = []
+    decide_window = matcher._decide_window
+
+    def counted_chunk(chunk, pidx, k, stats=None):
+        calls.append(len(chunk))
+        return match_chunk(chunk, pidx, k, stats)
+
+    def counted_window(window, pidx, k, stats):
+        decided.append(len(window))
+        return decide_window(window, pidx, k, stats)
+
+    monkeypatch.setattr(matcher, "match_chunk", counted_chunk)
+    monkeypatch.setattr(matcher, "_decide_window", counted_window)
+    stats = MatchStats()
+    got = match_all(text, pattern, 1, stats=stats)
+    assert got == match_naive(text, pattern, 1)
+    assert 0 < len(got) < windows  # windows holding two swaps do not match
+    assert stats.windows == windows and stats.prefiltered == 0
+    if alone:
+        assert calls == [] and decided == [m] * windows and stats.verified == windows
+    else:
+        assert calls == [2 * m, 2 * m - 1] and decided == []
 
 
 @pytest.mark.parametrize("mode", ["distinct", "general"])
