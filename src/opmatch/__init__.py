@@ -6,12 +6,17 @@ the elements at up to k shared positions. The fast path first rules out
 window starts with exact tests on the consecutive comparisons: a pigeonhole
 prefilter (one of k + 1 pattern blocks must occur whole) and, where blocks
 occur densely, a comparison-code filter (at most 2k of the m - 1 codes may
-differ). A chunk left with few candidate windows decides each one alone
-from its own signature; any other chunk maintains a sliding-window
-signature. Either way, windows whose signature differs from the pattern's
-in more than 3k places are filtered out, and the survivors are verified
-exactly through heaviest-increasing-subsequence / heaviest-chain instances
-built from the few mismatch positions.
+differ). A chunk left with few candidate windows decides each one alone.
+With distinct values, one patience-sorting pass decides such a window: it
+matches iff its values, read in the pattern's value order, keep a strictly
+increasing subsequence of m - k values, and the pass stops at the (k + 1)-th
+value it cannot append. The same pass decides every window of a dense chunk
+when m <= 8(3k + 1). With repeated values, a window decided alone is
+filtered out when its signature differs from the pattern's in more than 3k
+places. Every other chunk maintains a sliding-window signature and filters
+its windows by the same 3k bound. The windows that a signature filter keeps
+are verified exactly through heaviest-increasing-subsequence /
+heaviest-chain instances built from the few mismatch positions.
 """
 
 from .matcher import (

@@ -341,10 +341,13 @@ def all_suites() -> list[Suite]:
 def run_suites(
     iterations: int, seed: int, report: Callable[[str], None] = print
 ) -> int:
-    """Run every suite; report one line each; return the number of failures."""
+    """Run every suite; report one line each; return the number of failures.
+    A negative ``iterations`` raises ValueError; 0 skips every suite."""
+    if iterations < 0:
+        raise ValueError("iterations must be non-negative")
     failures = 0
     for suite in all_suites():
-        if iterations <= 0:
+        if iterations == 0:
             report(f"{suite.name}: SKIPPED (0 iterations)")
             continue
         # zlib.crc32 is stable across processes, unlike hash() of a str

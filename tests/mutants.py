@@ -166,6 +166,13 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "comparison-code filter only up to m = 199",
+        "matcher.py",
+        "_MAX_CODE_M = 1000\n",
+        "_MAX_CODE_M = 199\n",
+        ("tests/test_shapes.py::test_shape_takes_its_route[zero-background-m200]",),
+    ),
+    Mutant(
         "advance writes the list, not through replace, after the first scan",
         "signature.py",
         "self.dyn.replace(p, sym)",

@@ -330,6 +330,13 @@ def test_bench_smoke_table_and_csv(capsys):
 def test_selftest_zero_iterations_exits_clean(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--iterations", "0")
     assert code == 0
+    assert out.count("SKIPPED (0 iterations)") == len(out.splitlines()) > 0
+
+
+def test_selftest_negative_iterations_exit_two(capsys):
+    code, out, err = run_cli(capsys, "selftest", "--iterations", "-3")
+    assert code == 2 and out == ""
+    assert "iterations must be non-negative" in err
 
 
 def test_selftest_small_run_passes(capsys):
