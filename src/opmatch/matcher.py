@@ -39,7 +39,7 @@ from typing import Sequence
 
 from .fragstring import RefString
 from .seqcore import _validate_distinct, _validate_ints, resolve_mode
-from .signature import _DIRECT_SPAN, SlidingSignature, _class_walk, signature_hamming
+from .signature import _DIRECT_SPAN, SlidingSignature, _class_walk, path_order, signature_hamming
 from .subsequence import (
     heaviest_chain,
     heaviest_increasing_subsequence,
@@ -96,6 +96,9 @@ _MAX_CODE_M = 1000
 
 
 def _validate_k(k: int) -> None:
+    """k must be exactly an ``int``, as values must be, and non-negative."""
+    if type(k) is not int:
+        raise TypeError("k must be an int")
     if k < 0:
         raise ValueError("k must be non-negative")
 
@@ -238,8 +241,9 @@ class PatternIndex:
     from its rightmost occurrence to its leftmost: an occurrence's EQ symbol
     points at the next occurrence to its right, and a class's rightmost
     occurrence points down at the leftmost of the class below (LT) or at the
-    floor (NONE-MIN). ``order`` lists the 0-based positions in path order,
-    that is by value, ties by descending position; ``rank`` (1-based, index
+    floor (NONE-MIN). ``order`` lists the 0-based positions in path order
+    (``path_order``: by value, ties by descending position), the order in
+    which the class walk writes the signature; ``rank`` (1-based, index
     0 unused) is its inverse, the path step of each position, which in
     distinct mode is the count of smaller values. In general mode
     ``class_lo`` and ``class_hi`` give, per step, the first and the last
@@ -263,15 +267,14 @@ class PatternIndex:
         self.m = m = len(pattern)
         self.mode = resolved
         steps = list(range(m))  # one int object per index, shared by every table
-        order = sorted(steps, key=pattern.__getitem__)
+        order = sorted(reversed(steps), key=pattern.__getitem__)  # path_order over those ints
         if resolved == "general":
             class_lo = steps.copy()
             class_hi = steps.copy()
             values = list(map(pattern.__getitem__, order))
             lo = 0
             for hi in [*compress(range(m - 1), map(ne, values, values[1:])), m - 1]:
-                if hi > lo:  # a repeated value: the path enters at its rightmost occurrence
-                    order[lo : hi + 1] = reversed(order[lo : hi + 1])
+                if hi > lo:  # a repeated value
                     class_lo[lo : hi + 1] = [lo] * (hi + 1 - lo)
                     class_hi[lo : hi + 1] = [hi] * (hi + 1 - lo)
                 lo = hi + 1
@@ -287,14 +290,9 @@ class PatternIndex:
 
     @cached_property
     def ref(self) -> RefString:
-        """The reference over the pattern's signature, from the class walk
-        over the positions by value, ties by position: ``order`` with each
-        class run turned back, step t read at class_lo + class_hi - t."""
-        order = self.order
-        if self.mode == "general":
-            turned = map(sub, map(add, self.class_lo, self.class_hi), range(self.m))
-            order = list(map(order.__getitem__, turned))
-        return RefString(_class_walk(self.pattern, order))
+        """The reference over the pattern's signature: the class walk over
+        ``order``."""
+        return RefString(_class_walk(self.pattern, self.order))
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +614,7 @@ def _decide_window(
         found = lis_deficit_at_most(pidx.by_order(window), k)
         kept = True
     else:
-        sig = _class_walk(window, sorted(range(pidx.m), key=window.__getitem__))
+        sig = _class_walk(window, path_order(window))
         stream = signature_hamming(sig, pidx.ref.symbols, 3 * k)
         kept = not stream.truncated
         found = kept and verify_window(window, pidx, stream.positions, k)

@@ -39,6 +39,7 @@ __all__ = [
     "unpack_symbol",
     "format_symbol",
     "compute_signature",
+    "path_order",
     "signature_hamming",
     "SlidingSignature",
     "window_predecessors",
@@ -88,36 +89,40 @@ def compute_signature(seq: Sequence[int], mode: str = "auto") -> list[int]:
     resolve_mode(mode)  # rejects an unknown mode; the walk is the same in every mode
     if mode == "distinct":
         _validate_distinct(seq, "sequence")
-    return _class_walk(seq, sorted(range(len(seq)), key=seq.__getitem__))
+    return _class_walk(seq, path_order(seq))
+
+
+def path_order(seq: Sequence[int]) -> list[int]:
+    """The 0-based positions of ``seq`` in signature path order: by value,
+    ties by descending position, so the path visits the value classes in
+    ascending order and each class from its rightmost occurrence to its
+    leftmost."""
+    return sorted(range(len(seq) - 1, -1, -1), key=seq.__getitem__)
 
 
 def _class_walk(seq: Sequence[int], order: list[int]) -> list[int]:
     """Packed symbols of positions 0..len(order)-1 of ``seq``, given exactly
-    those positions ordered by value, ties by position. Both modes share it:
+    those positions in path order (``path_order``). Both modes share it:
     distinct-mode callers reject repeated values first.
 
-    Each value class is one run of ``order``. Every occurrence but the last
-    points at the next one (EQ); the rightmost points at the leftmost
-    occurrence of the class below (LT), or is NONE-MIN in the lowest class.
+    Each symbol points at the position the path visited just before it: an
+    occurrence after its class's first is EQ to the next occurrence to its
+    right, and a class's first-visited, rightmost occurrence is LT to the
+    leftmost occurrence of the class below, or NONE-MIN in the lowest class.
     The loop packs each symbol in place as ``pack_symbol`` does, with
     REL_LT = 0: a call per position made the walk 1.3-1.7x slower.
     """
-    out = [0] * len(order)
-    below = leftmost = prev = -1
+    out = [MIN_PACKED] * len(order)
+    prev = -1
     prev_v = None
     for p in order:
         v = seq[p]
         if v == prev_v:
-            out[prev] = (p - prev) << 2 | REL_EQ
-        else:
-            if prev >= 0:
-                out[prev] = MIN_PACKED if below < 0 else (below - prev) << 2
-                below = leftmost
-            leftmost = p
-            prev_v = v
+            out[p] = (prev - p) << 2 | REL_EQ
+        elif prev >= 0:
+            out[p] = (prev - p) << 2
         prev = p
-    if prev >= 0:
-        out[prev] = MIN_PACKED if below < 0 else (below - prev) << 2
+        prev_v = v
     return out
 
 
@@ -134,7 +139,8 @@ def signature_hamming(
         return MismatchStream(list(found), False)
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    positions = list(islice(found, cap + 1))
+    # islice refuses a bound past sys.maxsize, and a cap past m reads all m
+    positions = list(islice(found, min(cap, len(a)) + 1))
     return MismatchStream(positions, len(positions) > cap)
 
 
@@ -144,8 +150,8 @@ def window_predecessors(
     """Window predecessor of every arriving position of one chunk, offline.
 
     ``vals[p]`` is the dense value rank (1..R) of 1-based chunk position p
-    (``vals[0]`` is unused), ``order`` the 0-based chunk positions ordered by
-    value, ties by position, and ``last[r]`` the rightmost occurrence of rank
+    (``vals[0]`` is unused), ``order`` the 0-based chunk positions in path
+    order (``path_order``), and ``last[r]`` the rightmost occurrence of rank
     r in the first window [1, m], 0 when absent (length R + 2). Entry i of the
     result, for i in 1..L - m, belongs to a = i + m, the position that arrives
     when the window leaves i: it is the largest rank below ``vals[a]`` present
@@ -164,8 +170,9 @@ def window_predecessors(
     length = len(vals) - 1
     top = len(last) - 1
     # ranks of m+1..L, linked with the sentinels 0 and top; lead[r] is rank
-    # r's leftmost position past m. up[r] is the union-find parent: r while
-    # r is alive, else a smaller rank with every rank in between dead.
+    # r's leftmost position past m, the path's last visit to r there. up[r]
+    # is the union-find parent: r while r is alive, else a smaller rank with
+    # every rank in between dead.
     below = [0] * (top + 1)
     above = [0] * (top + 1)
     lead = [0] * (top + 1)
@@ -177,8 +184,8 @@ def window_predecessors(
             up[v] = alive = v
         else:
             up[v] = alive
+            lead[v] = j + 1
             if v != tail:
-                lead[v] = j + 1
                 above[tail] = v
                 below[v] = tail
                 tail = v
@@ -228,17 +235,17 @@ class SlidingSignature:
     the arriving value, and the rightmost occurrences of the value classes
     just above the departing and arriving values.
 
-    Set-up sorts the chunk once. That one order gives the dense value ranks,
-    the occurrence links ``_nxt[p]`` (the next chunk position holding the
-    same value, 0 for none), the first window's signature and the window
-    predecessors of ``window_predecessors``. The window's value classes are
-    flat per-rank ints: ``_first[v]`` and ``_last[v]`` hold the leftmost and
-    rightmost occurrence in the window (0 when absent), and the ranks present
-    form a doubly linked list, ``_below[v]`` and ``_above[v]``, with the
-    sentinels 0 and R + 1. Since a window holds every chunk position between
-    its ends, the occurrences of one value in it follow the ``_nxt`` links
-    from ``_first[v]`` to ``_last[v]``, so set-up and every list stay O(m)
-    words. ``advance`` unlinks a departing class in O(1); its old upper
+    Set-up sorts the chunk once, in path order. That one order gives the dense
+    value ranks, the occurrence links ``_nxt[p]`` (the next chunk position
+    holding the same value, 0 for none), the first window's signature and the
+    window predecessors of ``window_predecessors``. The window's value classes
+    are flat per-rank ints: ``_first[v]`` and ``_last[v]`` hold the leftmost
+    and rightmost occurrence in the window (0 when absent), and the ranks
+    present form a doubly linked list, ``_below[v]`` and ``_above[v]``, with
+    the sentinels 0 and R + 1. Since a window holds every chunk position
+    between its ends, the occurrences of one value in it follow the ``_nxt``
+    links from ``_first[v]`` to ``_last[v]``, so set-up and every list stay
+    O(m) words. ``advance`` unlinks a departing class in O(1); its old upper
     neighbour is the class above the departing value, whose rightmost
     occurrence may need a new symbol. An arriving class links in above its
     precomputed window predecessor. So no query searches: upkeep is O(1) per
@@ -273,7 +280,7 @@ class SlidingSignature:
         self.length = length
         self.start = 1
 
-        order = sorted(range(length), key=chunk.__getitem__)
+        order = path_order(chunk)
         # 1-based position tables over dense value ranks
         vals = [0] * (length + 1)
         nxt = [0] * (length + 1)
@@ -284,7 +291,7 @@ class SlidingSignature:
             v = chunk[j]
             p = j + 1
             if v == prev_v:
-                nxt[prev] = p
+                nxt[p] = prev
             else:
                 rank += 1
                 prev_v = v
@@ -307,11 +314,11 @@ class SlidingSignature:
             p = j + 1
             v = vals[p]
             if v != tail:
-                first[v] = p
+                last[v] = p
                 above[tail] = v
                 below[v] = tail
                 tail = v
-            last[v] = p
+            first[v] = p
         above[tail] = top
         below[top] = tail
         self._pred = window_predecessors(vals, order, last, m)
@@ -342,7 +349,8 @@ class SlidingSignature:
         if self._direct:
             i = self.start
             head = self._mirror[i - 1 : i - 1 + span]
-            found = list(islice(compress(count(1), map(ne, head, self.dyn.ref.symbols)), limit + 1))
+            diffs = compress(count(1), map(ne, head, self.dyn.ref.symbols))
+            found = list(islice(diffs, min(limit, span) + 1))  # bounded below sys.maxsize
             if len(found) > limit:
                 return MismatchStream(found, True)
             if span == m:

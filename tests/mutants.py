@@ -187,6 +187,20 @@ MUTANTS = [
         ("tests/test_signature.py::test_tiling_holds_after_every_advance",),
     ),
     Mutant(
+        "signature path with ties by ascending position",
+        "signature.py",
+        "sorted(range(len(seq) - 1, -1, -1), key=seq.__getitem__)",
+        "sorted(range(len(seq)), key=seq.__getitem__)",
+        ("tests/test_signature.py::test_general_mode_with_repeats",),
+    ),
+    Mutant(
+        "DynString scan walks every symbol: matched runs are never merged",
+        "fragstring.py",
+        "        first = fulls[0]\n",
+        "        return\n        first = fulls[0]\n",
+        ("tests/test_acceptance.py::test_per_window_cost_is_flat_in_m",),
+    ),
+    Mutant(
         "fragment count off by one",
         "fragstring.py",
         "return len(self._frag) + self.n - sum(",

@@ -10,6 +10,7 @@ import statistics
 import time
 
 from opmatch.cli import main as cli_main
+from opmatch.fragstring import RefString
 from opmatch.matcher import (
     MatchStats,
     k_isomorphic_check,
@@ -254,6 +255,56 @@ def test_criterion_7_scaling_smoke():
         f"criterion 7 (scaling smoke: doubling ratio {ratio:.2f} <= 3.0, "
         f"fast {speedup:.0f}x naive >= 10x): PASS"
     )
+
+
+def test_per_window_cost_is_flat_in_m(monkeypatch):
+    # the paper's O(n(log log m + k log log k)) bound: per window, the filter
+    # costs O(k + log log m), almost nothing in m. Monotone text with 12
+    # adjacent swaps against a monotone pattern with one swap in the middle
+    # sends every window to the DynString, which crosses each matched
+    # stretch with one LCP query
+    k = 2
+    lcp_calls = [0]
+    lcp = RefString.lcp
+
+    def counted(ref, i, j):
+        lcp_calls[0] += 1
+        return lcp(ref, i, j)
+
+    def instance(m):
+        rng = random.Random(13)
+        text = list(range(12_000 + m - 1))
+        for j in rng.sample(range(len(text) - 1), 12):
+            text[j], text[j + 1] = text[j + 1], text[j]
+        pattern = list(range(m))
+        pattern[m // 2], pattern[m // 2 + 1] = pattern[m // 2 + 1], pattern[m // 2]
+        return text, pattern
+
+    for m in (1_000, 4_000, 16_000):
+        text, pattern = instance(m)
+        stats = MatchStats()
+        lcp_calls[0] = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(RefString, "lcp", counted)
+            match_all(text, pattern, k, "distinct", stats=stats)
+        assert stats.dyn_scans == stats.windows == 12_000, (m, stats)
+        # 6.6, 7.2 and 3.9 queries per scan here; a scan that makes none
+        # walks its window symbol by symbol
+        per_scan = lcp_calls[0] / stats.dyn_scans
+        assert 1 <= per_scan <= 4 * (k + 1), f"m = {m}: {per_scan:.1f} LCP queries per scan"
+
+    # both sides have 12 000 windows, so their time ratio is the ratio per
+    # window; the median of 3 calls a side, the sides alternating, so that
+    # one host stall does not set a side
+    sides = {m: (instance(m), []) for m in (1_000, 16_000)}
+    for _ in range(3):
+        for (text, pattern), times in sides.values():
+            t0 = time.perf_counter()
+            match_all(text, pattern, k, "distinct")
+            times.append(time.perf_counter() - t0)
+    ratio = statistics.median(sides[16_000][1]) / statistics.median(sides[1_000][1])
+    assert ratio <= 2.0, f"time per window grew {ratio:.2f}x from m = 1 000 to 16 000"
+    print(f"per-window cost flat in m (m = 16 000 vs 1 000: {ratio:.2f}x <= 2x): PASS")
 
 
 def test_criterion_8_determinism(capsys):

@@ -59,6 +59,14 @@ def test_negative_k_exit_two(capsys, argv):
     assert "k must be non-negative" in err
 
 
+@pytest.mark.parametrize("algorithm", ["fast", "naive"])
+def test_huge_k_prints_every_window(capsys, algorithm):
+    # 3k + 1 overflows a C index; any k >= m is exact as m
+    argv = ["--text", "1 2 3", "--pattern", "1 2", "--k", "99999999999999999999"]
+    code, out, err = run_cli(capsys, "match", *argv, "--algorithm", algorithm)
+    assert (code, out, err) == (0, "1\n2\n", "")
+
+
 def test_match_json_encodes_same_occurrences(capsys):
     _, plain, _ = run_cli(capsys, "match", *FIG, "--k", "1")
     _, as_json, _ = run_cli(capsys, "match", *FIG, "--k", "1", "--json")

@@ -394,7 +394,7 @@ def test_match_empty_cases():
         match_all([1, 2, 3], [1], -1)
 
 
-@pytest.mark.parametrize(
+K_ENTRY_POINTS = pytest.mark.parametrize(
     "entry",
     [
         k_isomorphic_check,
@@ -407,9 +407,39 @@ def test_match_empty_cases():
     ids=["k_isomorphic_check", "k_isomorphic_witness", "k_isomorphic_subset_oracle",
          "match_naive", "match_all", "match_chunk"],
 )
+
+
+@K_ENTRY_POINTS
 def test_negative_k_rejected_by_every_entry_point(entry):
     with pytest.raises(ValueError, match="k must be non-negative"):
         entry(FIG_PATTERN, FIG_PATTERN, -1)
+
+
+@K_ENTRY_POINTS
+def test_non_int_k_rejected_by_every_entry_point(entry):
+    # as values are: a float or a bool is refused, not truncated or read as 1
+    for bad in (1.5, 2.0, True):
+        with pytest.raises(TypeError, match="k must be an int"):
+            entry(FIG_PATTERN, FIG_PATTERN, bad)
+
+
+def test_huge_k_answers_like_naive():
+    # 3k + 1 lies past sys.maxsize; a window differs in at most m places, so
+    # every window matches, as for any k >= m
+    rng = random.Random(8)
+    k = 10**19
+    for mode in ("distinct", "general"):
+        for m in (1, 3, 12, 40):
+            if mode == "distinct":
+                text = rng.sample(range(200), 100)
+            else:
+                text = [rng.randint(0, 4) for _ in range(100)]
+            pattern = text[:m]
+            every = match_naive(text, pattern, k, mode)
+            assert every == list(range(1, len(text) - m + 2))
+            assert match_all(text, pattern, k, mode) == every
+            # a full 2m chunk owns its first m windows
+            assert match_chunk(text[: 2 * m], PatternIndex(pattern, "general"), k) == every[:m]
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 from opmatch.seqcore import BitTrieSet, DuplicateValuesError
 
 
-def test_dict_basic_semantics():
+def test_bittrie_basic_semantics():
     d = BitTrieSet(100)
     assert d.add(3) is True
     assert d.add(7) is True
@@ -18,7 +18,7 @@ def test_dict_basic_semantics():
     assert d.pred(5) is None
 
 
-def test_dict_matches_reference_on_random_interleavings():
+def test_bittrie_matches_reference_on_random_interleavings():
     rng = random.Random(11)
     universe = 700
     d = BitTrieSet(universe)

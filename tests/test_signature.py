@@ -342,7 +342,7 @@ def _predecessor_inputs(chunk, m):
     """vals, order and last for window_predecessors, built independently of set-up."""
     dense = sorted(set(chunk))
     vals = [0] + [bisect_left(dense, x) + 1 for x in chunk]
-    order = sorted(range(len(chunk)), key=chunk.__getitem__)
+    order = sorted(range(len(chunk)), key=lambda j: (chunk[j], -j))  # path order
     last = [0] * (len(dense) + 2)
     for p in range(1, m + 1):
         last[vals[p]] = p

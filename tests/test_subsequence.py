@@ -131,19 +131,19 @@ def test_his_equal_values_never_chain():
 
 
 # The solvers bisect raw values, so they must be exact both on bounded
-# non-negative int keys (case "bittrie") and on any mutually comparable keys
-# (case "sorted": -inf, floats and ints mixed, the way ``reduce_general``
+# non-negative int keys (case "int") and on any mutually comparable keys
+# (case "mixed": -inf, floats and ints mixed, the way ``reduce_general``
 # emits them).
 _MIXED_KEYS = (float("-inf"), -2.5, -1, 0, 0.5, 3, 3.25, 7)
 
 
 def _random_key(rng, keys, hi):
-    if keys == "bittrie":
+    if keys == "int":
         return rng.randint(0, hi)
     return rng.choice(_MIXED_KEYS[: hi + 1])
 
 
-@pytest.mark.parametrize("keys", ["bittrie", "sorted"])
+@pytest.mark.parametrize("keys", ["int", "mixed"])
 def test_his_matches_bruteforce(keys):
     rng = random.Random(17)
     for _ in range(2000):
@@ -189,7 +189,7 @@ def test_chain_empty():
     assert chain_bruteforce([]) == 0
 
 
-@pytest.mark.parametrize("keys", ["bittrie", "sorted"])
+@pytest.mark.parametrize("keys", ["int", "mixed"])
 def test_chain_matches_bruteforce(keys):
     rng = random.Random(23)
     for _ in range(2000):
