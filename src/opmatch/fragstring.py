@@ -7,11 +7,12 @@ builds those suffix structures at its first LCP query, so only a chunk
 whose DynString scans a window pays for them, once per reference.
 DynString holds a string of length 2m as a flat symbol list plus an index
 of reference fragments, stretches known to equal a substring of the
-reference; every other position is a single-symbol fragment. Replacing one
-symbol splits at most one reference fragment in two, and streaming the
-first mismatches of a window against the reference jumps across reference
-fragments with LCP queries, compacting runs of three or more fully matched
-fragments back into single reference fragments so the traversal stays
+reference; every other position is a single symbol. Replacing one symbol
+splits at most one reference fragment in two. Streaming the first
+mismatches of a window against the reference is one loop over pieces: a
+reference fragment is crossed with one LCP query, a single symbol (a piece
+of length 1) with one compare. Runs of three or more fully matched pieces
+are compacted back into single reference fragments, so the traversal stays
 amortized constant per mismatch.
 """
 
@@ -146,7 +147,7 @@ class DynString:
     reference. The index is a dict from a fragment's absolute start to
     its (ref_start, length), with the starts in a bit trie for predecessor
     lookups. Fragments are disjoint; every position outside them is a
-    single-symbol fragment, read straight from the list.
+    single symbol, read straight from the list.
 
     ``replace`` writes ``symbols`` and splits the fragment it hits, so no
     fragment covers a symbol that differs from the reference. A caller may
@@ -193,9 +194,12 @@ class DynString:
     def first_mismatches(self, i: int, limit: int) -> MismatchStream:
         """All window positions p in [1, m] with content[i + p - 1] differing
         from the reference at p, in increasing order, truncated after
-        limit + 1. Runs of >= 3 fragments (single symbols included) fully
-        contained in a matched gap are compacted into a single reference
-        fragment.
+        limit + 1.
+
+        One loop walks the window piece by piece: a reference fragment is
+        crossed with one capped LCP query, a single symbol is a piece of
+        length 1 compared directly. Runs of >= 3 pieces fully contained in
+        a matched gap are compacted into a single reference fragment.
         """
         ref = self.ref
         m = ref.m
@@ -211,34 +215,29 @@ class DynString:
         out: list[int] = []
         end_window = i + m - 1
         anchor = i  # first position of the current matched gap
-        gap_fulls: list[int] = []  # starts of fragments fully inside the gap
+        gap_fulls: list[int] = []  # starts of pieces fully inside the gap
         truncated = False
 
+        # the piece at s: the reference fragment payload, or None for the
+        # single symbol at s = pos, a piece of length 1
         pos = i
-        # payload: the reference fragment at s, or None for the single symbol at pos
         s = self._starts.pred(i)
         payload = piece(s)
-        if payload is not None and s + payload[1] <= i:
+        if payload is None or s + payload[1] <= i:
+            s = i
             payload = None
         while pos <= end_window:
-            if payload is not None:
+            if payload is None:
+                fend = pos
+                pos += cur[pos - 1] == sym[pos - i]
+            else:
                 rs, ln = payload
                 fend = s + ln - 1
-                run = lcp(rs + (pos - s), pos - i + 1)
-                rem_frag = fend - pos + 1
-                rem_win = end_window - pos + 1
-                step = run if run < rem_frag else rem_frag
-                if step > rem_win:
-                    step = rem_win
-                pos += step
-                if step == rem_frag:
-                    # matched through the fragment end
-                    if s >= anchor:
-                        gap_fulls.append(s)
-                    s = pos
-                    if pos <= end_window:
-                        payload = piece(s)
-                    continue
+                past = (fend if fend < end_window else end_window) + 1
+                pos += lcp(rs + (pos - s), pos - i + 1)
+                if pos > past:
+                    pos = past
+            if pos <= fend:  # stopped inside the piece
                 if pos > end_window:
                     break  # matched to the window end mid-fragment
                 out.append(pos - i + 1)
@@ -250,27 +249,13 @@ class DynString:
                 if len(out) > limit:
                     truncated = True
                     break
-                if pos > fend:
-                    s = pos
-                    payload = piece(s)
-                continue
-            # single symbol; it lies inside the gap, which starts at or before pos
-            if cur[pos - 1] == sym[pos - i]:
-                gap_fulls.append(pos)
-            else:
-                out.append(pos - i + 1)
-                if len(gap_fulls) >= 3:
-                    self._compact(gap_fulls, i)
-                gap_fulls = []
-                anchor = pos + 1
-                if len(out) > limit:
-                    truncated = True
-                    break
-            pos += 1
-            if pos <= end_window:
-                s = pos
-                payload = piece(s)
-        if not truncated and len(gap_fulls) >= 3:
+                if pos <= fend:
+                    continue  # the fragment's rest is the next piece
+            elif s >= anchor:
+                gap_fulls.append(s)  # matched through a piece inside the gap
+            s = pos
+            payload = piece(s)
+        if len(gap_fulls) >= 3:
             self._compact(gap_fulls, i)
         return MismatchStream(out, truncated)
 

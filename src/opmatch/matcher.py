@@ -38,7 +38,7 @@ from operator import add, itemgetter, le, lt, ne, sub
 from typing import Sequence
 
 from .fragstring import RefString
-from .seqcore import _validate_distinct, _validate_ints, resolve_mode
+from .seqcore import _validate_distinct, _validate_ints, _validate_k, resolve_mode
 from .signature import _DIRECT_SPAN, SlidingSignature, _class_walk, path_order, signature_hamming
 from .subsequence import (
     heaviest_chain,
@@ -93,14 +93,6 @@ _MIN_BLOCK = 5
 # 3-6% to the sliding path's time at m = 200 and 4-8% at m = 1e3, but 7-14%
 # at m = 2e3, 18-31% at m = 1e4 and 2.2-3.6x at m = 1e5.
 _MAX_CODE_M = 1000
-
-
-def _validate_k(k: int) -> None:
-    """k must be exactly an ``int``, as values must be, and non-negative."""
-    if type(k) is not int:
-        raise TypeError("k must be an int")
-    if k < 0:
-        raise ValueError("k must be non-negative")
 
 
 def _check_inputs(
@@ -374,6 +366,7 @@ def verify_window(
 ) -> bool:
     """Exact verdict for one filter-surviving window, given the complete set
     of signature mismatch positions (at most 3k of them)."""
+    _validate_k(k)
     threshold = pidx.m + 1 - k
     if pidx.mode == "distinct":
         items = reduce_distinct(window, pidx, mismatches)

@@ -42,6 +42,15 @@ def _validate_ints(seq: Sequence[int], name: str) -> None:
         raise TypeError(f"{name} values must be int, got {found}")
 
 
+def _validate_k(k: int, name: str = "k") -> None:
+    """A count such as k must be exactly an ``int``, as values must be, and
+    non-negative."""
+    if type(k) is not int:
+        raise TypeError(f"{name} must be an int")
+    if k < 0:
+        raise ValueError(f"{name} must be non-negative")
+
+
 _SHIFT = 8
 _FAN = 1 << _SHIFT
 _LOW = _FAN - 1

@@ -23,7 +23,7 @@ from operator import ne
 from typing import TYPE_CHECKING, Sequence
 
 from .fragstring import DynString, MismatchStream
-from .seqcore import DuplicateValuesError, _validate_distinct, _validate_ints, resolve_mode
+from .seqcore import DuplicateValuesError, _validate_distinct, _validate_ints, _validate_k, resolve_mode
 
 if TYPE_CHECKING:
     from .matcher import PatternIndex
@@ -137,8 +137,7 @@ def signature_hamming(
     found = compress(count(1), map(ne, a, b))
     if cap is None:
         return MismatchStream(list(found), False)
-    if cap < 0:
-        raise ValueError("cap must be non-negative")
+    _validate_k(cap, "cap")
     # islice refuses a bound past sys.maxsize, and a cap past m reads all m
     positions = list(islice(found, min(cap, len(a)) + 1))
     return MismatchStream(positions, len(positions) > cap)
@@ -378,16 +377,15 @@ class SlidingSignature:
 
         if first[u] != i:
             raise RuntimeError("window bookkeeping out of sync")
+        su = above[u]
         if last[u] == i:
-            # the class leaves: unlink it; its old upper neighbour is succ(u + 1)
+            # the class leaves: unlink it
             first[u] = last[u] = 0
-            su = above[u]
             w = below[u]
             above[w] = su
             below[su] = w
         else:
             first[u] = self._nxt[i]
-            su = 0  # u stays linked: read its neighbour once v is in
         cand = [arriving]
         old = last[v]
         if old:
@@ -403,13 +401,9 @@ class SlidingSignature:
             below[x] = v
         last[v] = arriving
 
-        # su becomes succ(u + 1) in the new window: v when it just linked in
-        # between u and u's old upper neighbour. Every candidate lies in the
-        # new window; skip the repeats.
-        if not su:
-            su = above[u]
-        elif u < v < su:
-            su = v
+        # su, u's old upper neighbour, and v's upper neighbour sv may have a
+        # new lower neighbour; a new v linked in between u and su has sv ==
+        # su. Every candidate lies in the new window; skip the repeats.
         top = self._top
         if su != v and su != top:
             cand.append(last[su])

@@ -201,6 +201,20 @@ MUTANTS = [
         ("tests/test_acceptance.py::test_per_window_cost_is_flat_in_m",),
     ),
     Mutant(
+        "DynString scan records a fragment cut by a mismatch as matched whole",
+        "fragstring.py",
+        "            elif s >= anchor:\n",
+        "            else:\n",
+        ("tests/test_fragstring.py::test_randomized_shadow_equivalence",),
+    ),
+    Mutant(
+        "DynString scan compacts a gap closed by a mismatch only from four pieces",
+        "fragstring.py",
+        "                if len(gap_fulls) >= 3:\n",
+        "                if len(gap_fulls) >= 4:\n",
+        ("tests/test_fragstring.py::test_compaction_layout_of_a_scan_from_inside_a_fragment",),
+    ),
+    Mutant(
         "fragment count off by one",
         "fragstring.py",
         "return len(self._frag) + self.n - sum(",

@@ -300,6 +300,24 @@ def test_compaction_reduces_fragments_on_matching_scan():
     assert dyn.symbols == syms + [-1] * m
 
 
+def test_compaction_layout_of_a_scan_from_inside_a_fragment():
+    # window 2 starts inside the fragment at 1, mismatches inside it at 5,
+    # matches through its end at 8, then over the single symbols 9, 10, 11,
+    # mismatches at 12 and matches 13, 14, 15 to the window end: each gap of
+    # three pieces becomes one fragment, and the fragment at 1, cut by the
+    # mismatch, stays as it is
+    ref = RefString([0, 0, 0, 0, 1, 1, 1, 1, 2, 3, 4, 5, 6, 7])
+    content = [0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 3, 9, 5, 6, 7] + [-1] * 13
+    dyn = DynString(ref, content)
+    assert dyn.first_mismatches(1, 0).positions == [9]
+    assert dyn._frag == {1: (1, 8)}
+    assert dyn.first_mismatches(2, 5) == fragstring.MismatchStream([4, 11], False)
+    assert dyn._frag == {1: (1, 8), 9: (8, 3), 13: (12, 3)}
+    assert dyn.fragment_count() == 3 + 28 - 14
+    assert dyn.symbols == content
+    dyn.check_tiling()
+
+
 def test_tiling_check_survives_optimize_flag():
     # each corruption of the fragment index must raise even where
     # ``python -O`` strips asserts

@@ -403,9 +403,10 @@ K_ENTRY_POINTS = pytest.mark.parametrize(
         match_naive,
         match_all,
         lambda chunk, pattern, k: match_chunk(chunk, PatternIndex(pattern), k),
+        lambda window, pattern, k: verify_window(window, PatternIndex(pattern), [], k),
     ],
     ids=["k_isomorphic_check", "k_isomorphic_witness", "k_isomorphic_subset_oracle",
-         "match_naive", "match_all", "match_chunk"],
+         "match_naive", "match_all", "match_chunk", "verify_window"],
 )
 
 

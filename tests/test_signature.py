@@ -75,6 +75,10 @@ def test_hamming_cap_at_and_below_zero():
     assert signature_hamming(sig_a, sig_b, cap=0) == MismatchStream([1], True)
     with pytest.raises(ValueError, match="cap must be non-negative"):
         signature_hamming(sig_a, sig_a, cap=-1)
+    # as for k: a bool is not read as 1, nor a float passed on to islice
+    for bad in (True, 1.5):
+        with pytest.raises(TypeError, match="cap must be an int"):
+            signature_hamming(sig_a, sig_b, cap=bad)
 
 
 def test_sorted_chain_signature():
