@@ -10,13 +10,14 @@ differ). A chunk left with few candidate windows decides each one alone.
 With distinct values, one patience-sorting pass decides such a window: it
 matches iff its values, read in the pattern's value order, keep a strictly
 increasing subsequence of m - k values, and the pass stops at the (k + 1)-th
-value it cannot append. The same pass decides every window of a dense chunk
-when m <= 8(3k + 1). With repeated values, a window decided alone is
-filtered out when its signature differs from the pattern's in more than 3k
-places. Every other chunk maintains a sliding-window signature and filters
-its windows by the same 3k bound. The windows that a signature filter keeps
-are verified exactly through heaviest-increasing-subsequence /
-heaviest-chain instances built from the few mismatch positions.
+value it cannot append. A dense chunk with m <= 8(3k + 1) does not slide:
+bit-parallel counts of the pattern's broken order edges reject or certify
+its windows together, leaving the pass the few they cannot certify. With
+repeated values, a window decided alone is filtered out when its signature
+differs from the pattern's in more than 3k places. Every other chunk
+maintains a sliding-window signature and filters its windows by the same
+3k bound. The windows that a signature filter keeps are verified exactly
+through heaviest-increasing-subsequence / heaviest-chain instances built from the few mismatch positions.
 """
 
 from .matcher import (

@@ -25,8 +25,11 @@ next to a dropped position (the comparison-code filter, for m up to
 ``_MAX_CODE_M``). Both are exact: no occurrence is ruled out. In
 distinct mode the few windows they leave are decided without signatures,
 by one longest-increasing-subsequence pass over the window's values in the
-pattern's value order; so is every window they leave when m <= 8(3k + 1),
-where the signature filter would read each window whole.
+pattern's value order. When they leave a chunk dense and m <= 8(3k + 1),
+where the signature filter would read each window whole, the chunk's
+windows are decided together instead: bit-parallel counts of the
+pattern's broken order edges reject or certify most of them, and the
+patience pass decides the rest.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice
-from operator import add, itemgetter, le, lt, ne, sub
+from operator import add, gt, itemgetter, le, lt, ne, sub
 from typing import Sequence
 
 from .fragstring import RefString
@@ -71,8 +74,8 @@ _SENTINEL = float("-inf")
 # k = 2), so 7 lies below every measured break-even count. Those windows took
 # the signature route, as general-mode windows do; a distinct-mode window's
 # patience pass costs less. A dense distinct chunk with m <= 8(3k + 1)
-# decides every owned window alone whatever its count: there the sliding
-# path's direct scan reads each whole window too, on top of its set-up.
+# never slides, whatever its count: there the sliding path's direct scan
+# reads each whole window too, on top of its set-up.
 _SPARSE_CAP = 7
 # The prefilter runs only when every block has at least this many positions.
 # A block of b positions meets random text at a start with probability about
@@ -227,7 +230,9 @@ class PatternIndex:
     signature. ``ref`` in turn builds its suffix structures at its first
     LCP query, that is when a chunk's DynString first scans a window.
     In distinct mode ``by_order`` gathers a window's values in ``order``,
-    one C-level call per window decided alone.
+    one C-level call per window decided alone, and ``links``, built at its
+    first read, names the comparisons that a dense chunk decided together
+    makes.
 
     That path visits the value classes in ascending order and each class
     from its rightmost occurrence to its leftmost: an occurrence's EQ symbol
@@ -285,6 +290,23 @@ class PatternIndex:
         """The reference over the pattern's signature: the class walk over
         ``order``."""
         return RefString(_class_walk(self.pattern, self.order))
+
+    @cached_property
+    def links(self) -> list[tuple[int, int, int, int]]:
+        """Distinct mode: the pattern's m - 1 order edges, for
+        ``_decide_dense_chunk``. Edge r links x_r and x_{r+1}, where x is a
+        window read in ``order``. Its entry (d, lo, e, lo2) names two
+        comparisons as an offset and a shift: window values at positions
+        lo and lo + |d| compare as x_r > x_{r+1} when d > 0, and as its
+        negation when d < 0; (e, lo2) names x_r > x_{r+2} the same way,
+        and the last edge, which has no x_{r+2}, names it e = 0 (never).
+        Built at the first read, so the constructor does no more work."""
+        order = self.order
+        links = [(b - a, min(a, b), c - a, min(a, c)) for a, b, c in zip(order, order[1:], order[2:])]
+        if self.m > 1:
+            a, b = order[-2:]
+            links.append((b - a, min(a, b), 0, 0))
+        return links
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +432,10 @@ class MatchStats:
     pass decides it without a signature filter; in general mode it counts
     in ``filtered`` when its signature differs in more than 3k places. So
     does every window of a dense distinct chunk with m <= 8(3k + 1), which
-    is decided alone too: such a run reads 0 in ``filtered`` unless the
-    prefilter or the code filter rules windows out.
+    is decided together with the chunk's other windows (a rejected window
+    too, and a window left to the patience pass once): such a run reads 0
+    in ``filtered`` unless the prefilter or the code filter rules windows
+    out.
     ``code_ruled_out`` counts the windows of chunks with more block
     candidates than ``_SPARSE_CAP`` that the comparison-code filter ruled
     out, more than 2k of their m - 1 comparison codes differing from the
@@ -543,9 +567,13 @@ def match_all(
     A distinct-mode chunk that both tests leave dense still skips the
     sliding path when m <= 8(3k + 1), the direct scan's span at the filter's
     cap of 3k mismatches: there that scan would read every symbol of every
-    window, so the patience pass decides each owned window alone, with no
-    chunk set-up, ``advance`` or verification. General mode, larger m, and
-    m < 5(k + 1), where neither test runs, keep the sliding path.
+    window, so the chunk is decided with no chunk set-up, ``advance`` or
+    verification: ``_decide_dense_chunk`` decides the owned windows
+    together. Bit planes of the pattern's broken order edges reject every
+    window with more than k of them and certify most of the rest, and the
+    patience pass decides the few they cannot certify. General mode,
+    larger m, and m < 5(k + 1), where neither test runs, keep the sliding
+    path.
     """
     mode = _check_inputs(text, pattern, k, mode, aligned=False)
     n = len(text)
@@ -561,8 +589,8 @@ def match_all(
         if k > 0 and m <= _MAX_CODE_M:
             planes = _bit_planes(pattern_codes, mode)
     codes = _comparison_codes(text, mode) if blocks else b""
-    # the direct scan would read these windows whole: decide dense chunks window by window
-    alone = mode == "distinct" and m <= _DIRECT_SPAN * (3 * k + 1)
+    # the direct scan would read these windows whole: decide dense chunks together
+    together = mode == "distinct" and m <= _DIRECT_SPAN * (3 * k + 1)
     out: list[int] = []
     for c in range(1, n - m + 2, m):
         if blocks:
@@ -572,8 +600,9 @@ def match_all(
                 starts = _code_starts(codes, planes, mode, c - 1, owned, m - 1, 2 * k)
                 if starts is not None and stats is not None:
                     stats.code_ruled_out += owned - len(starts)
-            if starts is None and alone:
-                starts = range(c - 1, c - 1 + owned)
+            if starts is None and together:
+                out.extend(_decide_dense_chunk(text, c - 1, owned, pidx, k, stats))
+                continue
             if starts is not None:
                 for s in sorted(starts):
                     if _decide_window(text[s : s + m], pidx, k, stats):
@@ -599,10 +628,11 @@ def _decide_window(
     pattern's value order, keep a strictly increasing subsequence of m - k
     values: one patience pass that stops at the (k + 1)-th value it cannot
     append, O(m + k log m), with no sort and no signature. It also decides
-    every window of a dense chunk when m <= 8(3k + 1). The window counts as
-    verified. In general mode it is the rule ``match_chunk`` applies: the
-    window's signature, one Hamming scan against the pattern's that stops
-    after 3k + 1 mismatches, and ``verify_window`` below that cap."""
+    the windows of a dense chunk that ``_decide_dense_chunk`` cannot
+    certify. The window counts as verified. In general mode it is the rule
+    ``match_chunk`` applies: the window's signature, one Hamming scan
+    against the pattern's that stops after 3k + 1 mismatches, and
+    ``verify_window`` below that cap."""
     if pidx.mode == "distinct":
         found = lis_deficit_at_most(pidx.by_order(window), k)
         kept = True
@@ -617,6 +647,84 @@ def _decide_window(
         stats.verified += kept
         stats.occurrences += found
     return found
+
+
+def _decide_dense_chunk(
+    text: Sequence[int], first: int, owned: int, pidx: PatternIndex, k: int, stats: MatchStats | None
+) -> list[int]:
+    """The 1-based occurrence starts among the distinct-mode windows at
+    0-based starts [first, first + owned), all decided together.
+
+    Read a window in the pattern's value order as x_0, ..., x_{m-1}. Edge r
+    is broken when x_r > x_{r+1}. Deleting one value repairs at most one
+    broken edge, so a window that breaks more than k edges is rejected. A
+    window with at most k is accepted when one deletion per broken edge
+    leaves x rising: edge r deletes x_{r+1} (right) if x_r < x_{r+2} or r
+    is the last edge, and x_r (left) otherwise. Every pair of kept neighbours
+    then rises unless some edge r deletes left while x_{r-1} > x_{r+1}
+    or edge r - 2 deletes right; such windows get the patience pass
+    (``_decide_window``), as do no others. Two adjacent broken edges need
+    no term of their own: x_r > x_{r+1} > x_{r+2} makes edge r delete left.
+
+    Each comparison is one bit per window. For each offset d of
+    ``pidx.links``, one C-level compare of the chunk's values with
+    themselves d places on packs bit s + lo of G_d as text[first + s + lo]
+    > text[first + s + lo + d]; shifting it right by lo and masking to the
+    owned windows gives that comparison for every window at once, and its
+    complement the reverse one. Broken edges are counted by a bit-sliced
+    binary counter that starts at 2^B - (k + 1) and marks a window at its
+    first carry out of B = k.bit_length() bits, so each edge costs O(log k)
+    big-int operations. The walk keeps the last two edges' planes only.
+    Every window counts as verified, as it would when decided alone.
+
+    The compares cost O(U m) for the U offsets that the pattern's edges
+    use, so a pattern whose edges spread over many offsets, or a text
+    whose windows mostly hold a conflict, can make the chunk slower than
+    one patience pass per window."""
+    m = pidx.m
+    links = pidx.links
+    seg = text[first : first + owned + m - 1]
+    mask = (1 << owned) - 1
+    planes = {0: 0}
+    for d in {abs(d) for link in links for d in link[::2]} - {0}:
+        (g,) = _bit_planes(bytes(map(gt, seg, seg[d:])), "distinct")
+        planes[d] = g
+        planes[-d] = ~g
+    bits = k.bit_length()
+    start = (1 << bits) - (k + 1)  # carries out at the (k + 1)-th broken edge
+    count = [mask if start >> j & 1 else 0 for j in range(bits)]
+    over = bad = 0  # windows past k broken edges; windows the deletions do not certify
+    far = prev = right = 0  # x_{r-1} > x_{r+1}; edges r - 2 and r - 1 delete right
+    for d, lo, e, lo2 in links:
+        broken = planes[d] >> lo & mask
+        down = planes[e] >> lo2 & mask  # x_r > x_{r+2}
+        left = broken & down
+        bad |= left & (far | prev)
+        prev, right = right, broken ^ left
+        far = down
+        carry = broken
+        for j, c in enumerate(count):
+            if not carry:
+                break
+            count[j] = c ^ carry
+            carry &= c
+        else:
+            over |= carry
+            if over == mask:
+                break
+    kept = mask & ~over
+    out: list[int] = []
+    for s, digit in enumerate(bin(kept)[:1:-1]):  # bit 0 first
+        if digit == "0":
+            continue
+        if not bad >> s & 1 or _decide_window(text[first + s : first + s + m], pidx, k, stats):
+            out.append(first + s + 1)
+    if stats is not None:
+        certain = owned - (kept & bad).bit_count()
+        stats.windows += certain
+        stats.verified += certain
+        stats.occurrences += (kept & ~bad).bit_count()
+    return out
 
 
 def _comparison_codes(seq: Sequence[int], mode: str) -> bytes:

@@ -142,18 +142,46 @@ MUTANTS = [
         ("tests/test_matcher.py::test_prefilter_route_of_a_chunk_with_a_known_candidate_count[8-dense]",),
     ),
     Mutant(
-        "dense distinct chunk decided alone only below 8(3k + 1)",
+        "dense distinct chunk decided together only below 8(3k + 1)",
         "matcher.py",
         "m <= _DIRECT_SPAN * (3 * k + 1)",
         "m < _DIRECT_SPAN * (3 * k + 1)",
         ("tests/test_matcher.py::test_dense_distinct_chunk_decides_its_windows_alone_up_to_8_3k_plus_1[32-True]",),
     ),
     Mutant(
-        "dense distinct chunk decided alone up to 8(3k + 2)",
+        "dense distinct chunk decided together up to 8(3k + 2)",
         "matcher.py",
         "m <= _DIRECT_SPAN * (3 * k + 1)",
         "m <= _DIRECT_SPAN * (3 * k + 2)",
         ("tests/test_matcher.py::test_dense_distinct_chunk_decides_its_windows_alone_up_to_8_3k_plus_1[33-False]",),
+    ),
+    Mutant(
+        "dense chunk certifies a window whose deletions two edges apart meet",
+        "matcher.py",
+        "bad |= left & (far | prev)",
+        "bad |= left & far",
+        ("tests/test_matcher.py::test_dense_chunk_decides_each_window_like_the_patience_pass",),
+    ),
+    Mutant(
+        "dense chunk certifies a left deletion past a higher left neighbour",
+        "matcher.py",
+        "bad |= left & (far | prev)",
+        "bad |= left & prev",
+        ("tests/test_matcher.py::test_dense_chunk_decides_each_window_like_the_patience_pass",),
+    ),
+    Mutant(
+        "dense chunk rejects windows at k broken edges",
+        "matcher.py",
+        "start = (1 << bits) - (k + 1)",
+        "start = (1 << bits) - k",
+        ("tests/test_matcher.py::test_dense_chunk_decides_each_window_like_the_patience_pass",),
+    ),
+    Mutant(
+        "dense chunk leaves a right deletion's conflicts to the patience pass too",
+        "matcher.py",
+        "bad |= left & (far | prev)",
+        "bad |= broken & (far | prev)",
+        ("tests/test_shapes.py::test_shape_takes_its_route[near-sorted-m200]",),
     ),
     Mutant(
         "comparison-code filter: 2k - 1 threshold",

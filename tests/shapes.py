@@ -14,7 +14,9 @@ that ``match_all`` makes:
   candidates alone; no comparison-code filter runs and no chunk slides;
 - ``codes``: the comparison-code filter rules windows out of dense chunks,
   and no chunk slides;
-- ``dense-alone``: every window is decided alone, dense chunks included;
+- ``dense-together``: no chunk slides, and dense chunks are decided
+  together: the bit planes of their broken pattern edges certify all but
+  at most 5% of the windows, which get the patience pass;
 - ``direct``: chunks slide, and the direct scan decides every window they
   own, with no DynString scan;
 - ``dynstring``: chunks slide, and their DynString decides windows.
@@ -87,8 +89,8 @@ def _planted() -> Instance:
 def _near_sorted() -> Instance:
     """distinct-verify's shape: sorted values with 2% adjacent swaps in text
     and pattern, m = 200, k = 10. Every chunk stays dense through both
-    prefilter stages, and m <= 8(3k + 1) = 248, so each window gets the
-    patience pass."""
+    prefilter stages, and m <= 8(3k + 1) = 248, so each chunk is decided
+    together."""
     r = random.Random(1)
 
     def swap_some(seq):
@@ -137,7 +139,7 @@ SHAPES = {
         Shape("gen-m1000-distinct", "candidates", (668, 2382), lambda: _gen(4000, 1000, 2, "distinct", 2)),
         Shape("gen-m1000-general", "candidates", (671, 2378), lambda: _gen(4000, 1000, 2, "general", 2)),
         # m <= 8(3k + 1) = 56: the direct scan would read each window whole
-        Shape("monotone-m30-distinct", "dense-alone", 2971, lambda: _monotone(30, 2, "distinct")),
+        Shape("monotone-m30-distinct", "dense-together", 2971, lambda: _monotone(30, 2, "distinct")),
         Shape("monotone-m30-general", "direct", 2971, lambda: _monotone(30, 2, "general")),
         # every window matches, and the direct span 8(3k + 1) = 32 is
         # shorter than the window, so the direct scan cannot decide it
@@ -150,7 +152,7 @@ SHAPES = {
         Shape("decreasing-m200-general", "dynstring", 2801, lambda: _monotone(200, 1, "general", -1)),
         Shape("zero-background-m200", "codes", (101, 1401, 2701), _zero_background),
         Shape("planted-m500", "candidates", (701,), _planted),
-        Shape("near-sorted-m200", "dense-alone", 2712, _near_sorted),
+        Shape("near-sorted-m200", "dense-together", 2712, _near_sorted),
         Shape("zigzag-m300", "direct", (2701,), _zigzag),
     ]
 }

@@ -966,7 +966,7 @@ def test_match_all_equals_naive_through_every_prefilter_route(routes):
     # every draw must equal match_naive, and each route must decide some
     reached = {
         "skip": 0, "sparse": 0, "sparse at the cap": 0, "no prefilter": 0,
-        "dense, decided alone": 0, "dense, sliding (distinct)": 0,
+        "dense, decided together": 0, "dense, sliding (distinct)": 0,
         **{f"codes{dense} ({mode})": 0 for dense in ("", " dense") for mode in ("distinct", "general")},
     }
 
@@ -975,7 +975,7 @@ def test_match_all_equals_naive_through_every_prefilter_route(routes):
     @example(planted_code_case(1, "general")[:4])  # code distance exactly 2k, a match
     @example(planted_code_case(2, "distinct")[:4])
     @example(([0] * 40, [0] * 10, 1, "general"))  # every window within 2k: the sliding path
-    @example((list(range(40)), list(range(10)), 1, "distinct"))  # m <= 8(3k + 1): each window alone
+    @example((list(range(40)), list(range(10)), 1, "distinct"))  # m <= 8(3k + 1): decided together
     @example(run_case(matcher._SPARSE_CAP))  # exactly C candidates: each alone
     @example(run_case(matcher._SPARSE_CAP + 1))  # C + 1 and m > 8(3k + 1): the sliding path
     @example(run_case(0))  # no candidate in the first chunk: skipped
@@ -988,6 +988,7 @@ def test_match_all_equals_naive_through_every_prefilter_route(routes):
         n, m = len(text), len(pattern)
         want = match_naive(text, pattern, k, mode)
         routes.log.clear()
+        routes.inner.clear()
         stats = MatchStats()
         assert match_all(text, pattern, k, mode, stats=stats) == want, case
         chunk_windows = code_ruled_out = 0
@@ -1011,10 +1012,19 @@ def test_match_all_equals_naive_through_every_prefilter_route(routes):
                     assert pidx.m > matcher._DIRECT_SPAN * (3 * k + 1)
                     reached["dense, sliding (distinct)"] += 1
                 chunk_windows += min(pidx.m, len(chunk) - pidx.m + 1)
+            elif name == "_decide_dense_chunk":
+                owned, pidx = args[2:4]
+                # only a dense distinct chunk whose windows the direct scan
+                # would read whole
+                assert dense and pidx.mode == "distinct"
+                assert pidx.m <= matcher._DIRECT_SPAN * (3 * k + 1)
+                reached["dense, decided together"] += 1
+                chunk_windows += owned
             else:  # _decide_window
                 window, pidx = args[:2]
-                assert len(window) == pidx.m
-                reached["dense, decided alone"] += dense
+                # a window decided alone is a candidate: a dense chunk
+                # slides or is decided together
+                assert len(window) == pidx.m and not dense
                 chunk_windows += 1
         if m < matcher._MIN_BLOCK * (k + 1):
             reached["no prefilter"] += 1
@@ -1022,7 +1032,8 @@ def test_match_all_equals_naive_through_every_prefilter_route(routes):
         # the windows the code filter rules out are among the prefiltered
         assert stats.code_ruled_out == code_ruled_out <= stats.prefiltered
         # windows the prefilter rules out, those decided alone and those the
-        # sliding chunks own cover every window once
+        # sliding chunks and the chunks decided together own cover every
+        # window once
         assert stats.prefiltered + chunk_windows == stats.windows == n - m + 1
         assert stats.filtered + stats.verified == stats.windows
         assert stats.occurrences == len(want)
@@ -1193,8 +1204,8 @@ def test_dense_distinct_chunk_decides_its_windows_alone_up_to_8_3k_plus_1(routes
     # keeps a whole block, and every one within 2k comparison codes, so each
     # chunk is dense. At m = 32 = 8(3k + 1) (written out so that a changed
     # direct span or route bound fails here) the direct scan would read every
-    # symbol of every window, so each owned window is decided alone; at
-    # m = 33 every chunk takes the sliding path
+    # symbol of every window, so no chunk slides: each chunk decides its m
+    # owned windows together; at m = 33 every chunk takes the sliding path
     n = 3 * m - 1  # two chunks, each owning m windows
     windows = n - m + 1
     text = list(range(n))
@@ -1208,10 +1219,57 @@ def test_dense_distinct_chunk_decides_its_windows_alone_up_to_8_3k_plus_1(routes
     decided = routes.lengths("_decide_window")
     assert 0 < len(got) < windows  # windows holding two swaps do not match
     assert stats.windows == windows and stats.prefiltered == 0
+    together = [args[2] for _, args, _ in routes.calls("_decide_dense_chunk")]
     if alone:
-        assert calls == [] and decided == [m] * windows and stats.verified == windows
+        assert calls == [] and together == [m, m] and decided == [] and stats.verified == windows
     else:
-        assert calls == [2 * m, 2 * m - 1] and decided == []
+        assert calls == [2 * m, 2 * m - 1] and together == [] and decided == []
+
+
+def _displaced(draw, n):
+    """range(n) with up to 4 values moved, each to any place."""
+    values = list(range(n))
+    for _ in range(draw(st.integers(0, 4))):
+        values.insert(draw(st.integers(0, n - 1)), values.pop(draw(st.integers(0, n - 1))))
+    return values
+
+
+@st.composite
+def dense_chunk_cases(draw):
+    """(text, pattern, k, first, owned): a near-sorted or displaced pattern
+    of 2 to 40 values, a text of up to 3m values of a ``_distinct_shape`` or
+    displaced, and a run of window starts in it."""
+    m = draw(st.integers(2, 40))
+    k = draw(st.integers(0, 6))
+    n = draw(st.integers(m, 3 * m))
+    pattern = _adjacent_swaps(draw, range(m)) if draw(st.booleans()) else _displaced(draw, m)
+    text = _distinct_shape(draw, n) if draw(st.booleans()) else _displaced(draw, n)
+    first = draw(st.integers(0, n - m))
+    return text, pattern, k, first, draw(st.integers(1, n - m + 1 - first))
+
+
+@settings(max_examples=600, deadline=None)
+@given(dense_chunk_cases())
+# edge 1 deletes right and edge 3 left: the kept 3 > 2 need the patience pass
+@example(([1, 3, 0, 5, 2, 4], list(range(6)), 2, 0, 1))
+# edge 1 deletes left, but x_0 > x_2: the kept 1 > 0 need the patience pass
+@example(([1, 3, 0, 2], list(range(4)), 1, 0, 1))
+# adjacent broken edges 1 and 2 delete left then right: 1 < 3 < 5 is certified
+@example(([1, 4, 3, 2, 5], list(range(5)), 2, 0, 1))
+# the first edge deletes left and the last edge right: 1 < 2 < 4 < 6 is certified
+@example(([3, 1, 2, 4, 6, 5], list(range(6)), 2, 0, 1))
+def test_dense_chunk_decides_each_window_like_the_patience_pass(case):
+    # every window that the chunk's broken-edge count and deletions decide,
+    # and every one that they leave to the patience pass, gets its verdict
+    text, pattern, k, first, owned = case
+    pidx = PatternIndex(pattern, "distinct")
+    m = len(pattern)
+    stats = MatchStats()
+    got = matcher._decide_dense_chunk(text, first, owned, pidx, k, stats)
+    starts = range(first, first + owned)
+    want = [s + 1 for s in starts if lis_deficit_at_most(pidx.by_order(text[s : s + m]), k)]
+    assert got == want
+    assert (stats.windows, stats.verified, stats.filtered, stats.occurrences) == (owned, owned, 0, len(want))
 
 
 @pytest.mark.parametrize("mode", ["distinct", "general"])
