@@ -13,11 +13,13 @@ _KNOWN_KEYS = ("text", "pattern", "k", "mode", "planted")
 
 def parse_int_list(raw: str) -> list[int]:
     """Whitespace/comma-separated signed decimal integers."""
-    parts = raw.replace(",", " ").split()
-    try:
-        return list(map(int, parts))
-    except ValueError as exc:
-        raise ValueError(f"not an integer list: {raw.strip()!r}") from exc
+    # int() also reads digit groups ("1_0") and non-ASCII digits ("٣", "４")
+    if raw.isascii() and "_" not in raw:
+        try:
+            return list(map(int, raw.replace(",", " ").split()))
+        except ValueError:
+            pass
+    raise ValueError(f"not an integer list: {raw.strip()!r}")
 
 
 @dataclass

@@ -21,15 +21,14 @@ mode) of window and pattern. A window with at most k mismatches keeps at
 least m - k positions, so it keeps one of k + 1 pattern blocks whole and
 matches that block's codes (the pigeonhole prefilter), and at most 2k of
 its m - 1 codes differ from the pattern's, since a code can differ only
-next to a dropped position (the comparison-code filter, for m up to
-``_MAX_CODE_M``). Both are exact: no occurrence is ruled out. In
-distinct mode the few windows they leave are decided without signatures,
-by one longest-increasing-subsequence pass over the window's values in the
-pattern's value order. When they leave a chunk dense and m <= 8(3k + 1),
-where the signature filter would read each window whole, the chunk's
-windows are decided together instead: bit-parallel counts of the
+next to a dropped position (the comparison-code filter). Both are exact:
+no occurrence is ruled out. In distinct mode the few windows they leave
+are decided without signatures, by one longest-increasing-subsequence
+pass over the window's values in the pattern's value order, and a dense
+chunk may decide its windows together: bit-parallel counts of the
 pattern's broken order edges reject or certify most of them, and the
-patience pass decides the rest.
+patience pass decides the rest. ``match_all`` states which route each
+chunk takes.
 """
 
 from __future__ import annotations
@@ -67,15 +66,15 @@ __all__ = [
 _ORACLE_CAP = 14
 _SENTINEL = float("-inf")
 # A chunk with at most this many prefilter candidates decides each of them
-# alone (``_decide_window``); one with more takes the sliding path. A window
-# decided alone costs 1/16-1/18 of a sliding 2m chunk at m = 1e3 and
-# 1/11-1/13 at m = 1e5 when the capped scan rejects it, and 1/12-1/13 and
-# 1/8-1/11 when it reaches verification (CPython 3.11, random distinct text,
-# k = 2), so 7 lies below every measured break-even count. Those windows took
-# the signature route, as general-mode windows do; a distinct-mode window's
-# patience pass costs less. A dense distinct chunk with m <= 8(3k + 1)
-# never slides, whatever its count: there the sliding path's direct scan
-# reads each whole window too, on top of its set-up.
+# alone (``_decide_window``); ``match_all`` routes one with more. A window
+# decided alone by the signature route, as general-mode windows are, costs
+# 1/16-1/18 of a sliding 2m chunk at m = 1e3 and 1/11-1/13 at m = 1e5 when
+# the capped scan rejects it, and 1/12-1/13 and 1/8-1/11 when it reaches
+# verification (CPython 3.11, random distinct text, k = 2), so 7 lies below
+# every measured break-even count. In distinct mode the cap is conservative:
+# a window's patience pass costs about 1/290 of a sliding chunk at m = 1e3
+# (0.05 ms against 15.8 ms), and where the break-even count lies against
+# the routes of a dense chunk is not measured.
 _SPARSE_CAP = 7
 # The prefilter runs only when every block has at least this many positions.
 # A block of b positions meets random text at a start with probability about
@@ -430,17 +429,16 @@ class MatchStats:
     ``dyn_scans`` or ``dyn_chunks``: it builds no DynString. In distinct
     mode such a window always counts in ``verified``, since its patience
     pass decides it without a signature filter; in general mode it counts
-    in ``filtered`` when its signature differs in more than 3k places. So
-    does every window of a dense distinct chunk with m <= 8(3k + 1), which
-    is decided together with the chunk's other windows (a rejected window
-    too, and a window left to the patience pass once): such a run reads 0
-    in ``filtered`` unless the prefilter or the code filter rules windows
-    out.
-    ``code_ruled_out`` counts the windows of chunks with more block
-    candidates than ``_SPARSE_CAP`` that the comparison-code filter ruled
-    out, more than 2k of their m - 1 comparison codes differing from the
-    pattern's; they count in ``windows``, ``filtered`` and ``prefiltered``
-    too.
+    in ``filtered`` when its signature differs in more than 3k places.
+    Every window of a chunk decided together counts in ``verified`` too (a
+    rejected window as well, and a window left to the patience pass once):
+    such a run reads 0 in ``filtered`` unless the prefilter or the code
+    filter rules windows out.
+    ``code_ruled_out`` counts the windows that the comparison-code filter
+    ruled out, more than 2k of their m - 1 comparison codes differing from
+    the pattern's; they count in ``windows``, ``filtered`` and
+    ``prefiltered`` too. ``match_all`` states which chunks each stage
+    reads.
 
     The prefilter and the code filter also rule out windows that the
     signature filter would pass, since a signature distance of at most 3k
@@ -535,45 +533,46 @@ def match_all(
     one byte each, and each block's are found with ``bytes.find`` among the
     chunk's own window starts. A start where no block's comparisons occur
     at the block's offset cannot be an occurrence, so the rule is exact.
-    A chunk with no candidate start is skipped; one with at most
-    ``_SPARSE_CAP`` decides each candidate's window alone
-    (``_decide_window``, with no sliding set-up: in distinct mode one
-    patience pass over the window's values in the pattern's value order
-    that stops at the (k + 1)-th value it cannot append; in general mode
-    the window's signature, one Hamming scan against the pattern's that
-    stops after 3k + 1 mismatches, and ``verify_window`` below that cap,
-    the rule ``match_chunk`` applies); one with more runs the sliding path
-    over the whole chunk. The
-    finds stop at ``_SPARSE_CAP + 1`` candidates, so a chunk costs
+    The finds stop at ``_SPARSE_CAP + 1`` candidates, so a chunk costs
     O(k + 1) ``find`` calls, each over fewer than 2m bytes. Short blocks
-    occur almost anywhere, so the prefilter is skipped unless every block
-    has ``_MIN_BLOCK`` = 5 positions or more: when m < 5(k + 1), which
-    covers k >= m - 1, every chunk takes the sliding path.
+    occur almost anywhere, so the prefilter runs only when every block has
+    ``_MIN_BLOCK`` = 5 positions or more, that is when m >= 5(k + 1), which
+    rules out k >= m - 1.
 
-    A chunk with more block candidates than that goes to a second, also
-    exact, test before the sliding path. A window with at most k mismatches
-    keeps at least m - k positions, and every consecutive pair whose two
-    positions are both kept compares the same way in window and pattern. So
-    at most 2k of its m - 1 comparison codes differ from the pattern's.
+    A chunk with more block candidates than ``_SPARSE_CAP`` goes to a
+    second, also exact, test. A window with at most k mismatches keeps at
+    least m - k positions, and every consecutive pair whose two positions
+    are both kept compares the same way in window and pattern. So at most
+    2k of its m - 1 comparison codes differ from the pattern's.
     ``_code_starts`` counts the differing codes of each owned window with
     bit planes of the codes (<, and <= in general mode), O(m/64) words per
-    window, and stops after ``_SPARSE_CAP + 1`` windows within 2k. A chunk
-    with at most ``_SPARSE_CAP`` of them decides each one alone, as above;
-    one with more runs the sliding path. A dense chunk can read every owned
-    window before it falls back, so this stage runs only for m up to
-    ``_MAX_CODE_M``, and not at k = 0, where the one block is the whole
-    pattern, so its finds already are the windows within 2k = 0.
+    window, and stops after ``_SPARSE_CAP + 1`` windows within 2k. A dense
+    chunk can read every owned window before the stage gives up, so it runs
+    only for m up to ``_MAX_CODE_M``, and not at k = 0, where the one block
+    is the whole pattern, so its finds already are the windows within
+    2k = 0.
 
-    A distinct-mode chunk that both tests leave dense still skips the
-    sliding path when m <= 8(3k + 1), the direct scan's span at the filter's
-    cap of 3k mismatches: there that scan would read every symbol of every
-    window, so the chunk is decided with no chunk set-up, ``advance`` or
-    verification: ``_decide_dense_chunk`` decides the owned windows
-    together. Bit planes of the pattern's broken order edges reject every
-    window with more than k of them and certify most of the rest, and the
-    patience pass decides the few they cannot certify. General mode,
-    larger m, and m < 5(k + 1), where neither test runs, keep the sliding
-    path.
+    Each chunk then takes one route:
+
+    - Decided alone, when either test leaves it at most ``_SPARSE_CAP``
+      windows (a chunk left none is skipped). ``_decide_window`` decides
+      each with no sliding set-up: in distinct mode one patience pass over
+      the window's values in the pattern's value order that stops at the
+      (k + 1)-th value it cannot append; in general mode the window's
+      signature, one Hamming scan against the pattern's that stops after
+      3k + 1 mismatches, and ``verify_window`` below that cap, the rule
+      ``match_chunk`` applies.
+    - Decided together, when the prefilter ran and the tests left more, in
+      distinct mode with m <= 8(3k + 1), the direct scan's span at the
+      filter's cap of 3k mismatches: there that scan would read every
+      symbol of every window. ``_decide_dense_chunk`` decides the owned
+      windows with no chunk set-up, ``advance`` or verification. Bit planes
+      of the pattern's broken order edges reject every window with more
+      than k of them and certify most of the rest, and the patience pass
+      decides the few they cannot certify.
+    - The sliding path over the whole chunk (``match_chunk``) otherwise: in
+      general mode, for larger m, and for m < 5(k + 1), where neither test
+      runs.
     """
     mode = _check_inputs(text, pattern, k, mode, aligned=False)
     n = len(text)
@@ -590,31 +589,29 @@ def match_all(
             planes = _bit_planes(pattern_codes, mode)
     codes = _comparison_codes(text, mode) if blocks else b""
     # the direct scan would read these windows whole: decide dense chunks together
-    together = mode == "distinct" and m <= _DIRECT_SPAN * (3 * k + 1)
+    together = bool(blocks) and mode == "distinct" and m <= _DIRECT_SPAN * (3 * k + 1)
     out: list[int] = []
-    for c in range(1, n - m + 2, m):
-        if blocks:
-            owned = min(m, n - m + 2 - c)
-            starts = _candidate_starts(codes, blocks, c - 1, owned)
-            if starts is None and planes:
-                starts = _code_starts(codes, planes, mode, c - 1, owned, m - 1, 2 * k)
-                if starts is not None and stats is not None:
-                    stats.code_ruled_out += owned - len(starts)
-            if starts is None and together:
-                out.extend(_decide_dense_chunk(text, c - 1, owned, pidx, k, stats))
-                continue
-            if starts is not None:
-                for s in sorted(starts):
-                    if _decide_window(text[s : s + m], pidx, k, stats):
-                        out.append(s + 1)
-                if stats is not None:
-                    ruled_out = owned - len(starts)
-                    stats.windows += ruled_out
-                    stats.filtered += ruled_out
-                    stats.prefiltered += ruled_out
-                continue
-        occ = match_chunk(text[c - 1 : c - 1 + 2 * m], pidx, k, stats)
-        out.extend(c - 1 + r for r in occ)
+    for first in range(0, n - m + 1, m):
+        owned = min(m, n - m + 1 - first)
+        starts = _candidate_starts(codes, blocks, first, owned) if blocks else None
+        if starts is None and planes:
+            starts = _code_starts(codes, planes, mode, first, owned, m - 1, 2 * k)
+            if starts is not None and stats is not None:
+                stats.code_ruled_out += owned - len(starts)
+        if starts is not None:
+            for s in sorted(starts):
+                if _decide_window(text[s : s + m], pidx, k, stats):
+                    out.append(s + 1)
+            if stats is not None:
+                ruled_out = owned - len(starts)
+                stats.windows += ruled_out
+                stats.filtered += ruled_out
+                stats.prefiltered += ruled_out
+        elif together:
+            out.extend(_decide_dense_chunk(text, first, owned, pidx, k, stats))
+        else:
+            occ = match_chunk(text[first : first + 2 * m], pidx, k, stats)
+            out.extend(first + r for r in occ)
     return out
 
 
@@ -675,7 +672,9 @@ def _decide_dense_chunk(
     binary counter that starts at 2^B - (k + 1) and marks a window at its
     first carry out of B = k.bit_length() bits, so each edge costs O(log k)
     big-int operations. The walk keeps the last two edges' planes only.
-    Every window counts as verified, as it would when decided alone.
+    Every window counts as verified, as it would when decided alone. The
+    chunk adds its counts to ``stats`` in one place; its patience passes
+    add none.
 
     The compares cost O(U m) for the U offsets that the pattern's edges
     use, so a pattern whose edges spread over many offsets, or a text
@@ -717,13 +716,12 @@ def _decide_dense_chunk(
     for s, digit in enumerate(bin(kept)[:1:-1]):  # bit 0 first
         if digit == "0":
             continue
-        if not bad >> s & 1 or _decide_window(text[first + s : first + s + m], pidx, k, stats):
+        if not bad >> s & 1 or _decide_window(text[first + s : first + s + m], pidx, k, None):
             out.append(first + s + 1)
     if stats is not None:
-        certain = owned - (kept & bad).bit_count()
-        stats.windows += certain
-        stats.verified += certain
-        stats.occurrences += (kept & ~bad).bit_count()
+        stats.windows += owned
+        stats.verified += owned
+        stats.occurrences += len(out)
     return out
 
 

@@ -156,6 +156,20 @@ MUTANTS = [
         ("tests/test_matcher.py::test_dense_distinct_chunk_decides_its_windows_alone_up_to_8_3k_plus_1[33-False]",),
     ),
     Mutant(
+        "dense chunk decided without the prefilter",
+        "matcher.py",
+        "together = bool(blocks) and mode",
+        "together = mode",
+        ("tests/test_matcher.py::test_prefilter_needs_five_positions_in_every_block[9-False]",),
+    ),
+    Mutant(
+        "dense chunk counts its patience-pass windows twice",
+        "matcher.py",
+        "first + s + m], pidx, k, None)",
+        "first + s + m], pidx, k, stats)",
+        ("tests/test_matcher.py::test_dense_chunk_decides_each_window_like_the_patience_pass",),
+    ),
+    Mutant(
         "dense chunk certifies a window whose deletions two edges apart meet",
         "matcher.py",
         "bad |= left & (far | prev)",

@@ -42,6 +42,9 @@ def test_match_bad_input_exit_two(capsys):
     assert "error:" in err
     code, _, err = run_cli(capsys, "match", "--pattern", "1 2", "--k", "0")
     assert code == 2
+    code, _, err = run_cli(capsys, "match", "--pattern", "1 2", "--text", "1_0 2 3")
+    assert code == 2
+    assert "not an integer list" in err
 
 
 @pytest.mark.parametrize(
@@ -259,8 +262,13 @@ def test_parse_int_list_formats():
     assert parse_int_list("1, 2,  -3") == [1, 2, -3]
     assert parse_int_list(" 4\n5 ") == [4, 5]
     assert parse_int_list(",1,,2\t3") == [1, 2, 3]
+    assert parse_int_list("+5 -0 007") == [5, 0, 7]
     with pytest.raises(ValueError):
         parse_int_list("1 2 three")
+    # int() reads these, but they are not ASCII signed decimal integers
+    for token in ("1_0", "\u0663", "\uff14"):
+        with pytest.raises(ValueError, match="not an integer list"):
+            parse_int_list(f"1 {token} 2")
 
 
 def test_generate_instance_validates():
