@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .instances import generate_instance, parse_instance, parse_int_list
+from .instances import _parse_int, generate_instance, parse_instance, parse_int_list
 from .matcher import (
     MatchStats,
     k_isomorphic_witness,
@@ -26,9 +26,8 @@ from .matcher import (
     match_naive,
 )
 from .selftest import run_suites
+from .seqcore import MODES
 from .signature import compute_signature, format_symbol
-
-_MODES = ("distinct", "general", "auto")
 
 
 def _add_io_flags(p: argparse.ArgumentParser, need_text: bool = True) -> None:
@@ -36,8 +35,8 @@ def _add_io_flags(p: argparse.ArgumentParser, need_text: bool = True) -> None:
         p.add_argument("--text", help="text sequence (integers)")
     p.add_argument("--pattern", help="pattern sequence (integers)")
     p.add_argument("--file", help="instance file; '-' reads standard input")
-    p.add_argument("--k", type=int, default=None, help="mismatch budget")
-    p.add_argument("--mode", choices=_MODES, default=None)
+    p.add_argument("--k", type=_parse_int, default=None, help="mismatch budget")
+    p.add_argument("--mode", choices=MODES, default=None)
 
 
 def _load_sequences(args) -> tuple[list[int], list[int], int, str]:
@@ -200,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     # parsed for existing callers, but they select nothing: the chunks run
     # one after another, and the fragment starts are always a bit trie
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_parse_int, default=1,
                    help="must be at least 1; selects nothing (chunks run sequentially)")
     p.add_argument("--dict-backend", choices=("bittrie", "sorted"), default=None,
                    help="selects nothing (the fragment starts are always a bit trie)")
@@ -208,23 +207,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check one alignment and print a witness")
     _add_io_flags(p)
-    p.add_argument("--at", type=int, default=None, help="1-based window start in the text")
+    p.add_argument("--at", type=_parse_int, default=None, help="1-based window start in the text")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("signature", help="print a sequence's signature")
     p.add_argument("--seq", help="sequence (integers); defaults to standard input")
-    p.add_argument("--mode", choices=_MODES, default="auto")
+    p.add_argument("--mode", choices=MODES, default="auto")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_signature)
 
     p = sub.add_parser("gen", help="generate a random instance file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--mode", choices=("distinct", "general"), default="distinct")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--plant", type=int, default=0, help="number of planted occurrences")
+    p.add_argument("--n", type=_parse_int, required=True)
+    p.add_argument("--m", type=_parse_int, required=True)
+    p.add_argument("--k", type=_parse_int, default=0)
+    # instances are drawn in one of the two concrete modes, never "auto"
+    p.add_argument("--mode", choices=MODES[:2], default="distinct")
+    p.add_argument("--seed", type=_parse_int, default=0)
+    p.add_argument("--plant", type=_parse_int, default=0, help="number of planted occurrences")
     p.add_argument("--output", "-o", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_gen)
 
@@ -232,19 +232,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", default="20000,40000")
     p.add_argument("--m-grid", default="200")
     p.add_argument("--k-grid", default="2")
-    p.add_argument("--mode", choices=("distinct", "general"), default="distinct")
+    p.add_argument("--mode", choices=MODES[:2], default="distinct")
     p.add_argument("--algorithms", default="fast,naive",
                    help="comma-separated, from fast and naive; fast always runs, "
                         "because the naive rows report its occurrence count")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--naive-cap", type=int, default=5000,
+    p.add_argument("--seed", type=_parse_int, default=0)
+    p.add_argument("--naive-cap", type=_parse_int, default=5000,
                    help="max windows to time naively before extrapolating")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("selftest", help="run the randomized oracle suites")
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iterations", type=_parse_int, default=200)
+    p.add_argument("--seed", type=_parse_int, default=0)
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from .seqcore import _validate_k, resolve_mode
+
 __all__ = ["Instance", "parse_instance", "parse_int_list", "generate_instance"]
 
 _KNOWN_KEYS = ("text", "pattern", "k", "mode", "planted")
@@ -20,6 +22,16 @@ def parse_int_list(raw: str) -> list[int]:
         except ValueError:
             pass
     raise ValueError(f"not an integer list: {raw.strip()!r}")
+
+
+def _parse_int(raw: str) -> int:
+    """One signed decimal integer, under ``parse_int_list``'s rule: the
+    ``k:`` line and every integer flag of the CLI are read here."""
+    try:
+        (value,) = parse_int_list(raw.replace(",", "_"))  # "_" is refused, so a comma is too
+    except ValueError:
+        raise ValueError(f"not an integer: {raw.strip()!r}") from None
+    return value
 
 
 @dataclass
@@ -65,14 +77,11 @@ def parse_instance(raw: str) -> Instance:
         pattern=parse_int_list(fields["pattern"]),
     )
     if "k" in fields:
-        inst.k = int(fields["k"])
-        if inst.k < 0:
-            raise ValueError("k must be non-negative")
+        inst.k = _parse_int(fields["k"])
+        _validate_k(inst.k)
     if "mode" in fields:
-        mode = fields["mode"]
-        if mode not in ("distinct", "general", "auto"):
-            raise ValueError(f"unknown mode {mode!r}")
-        inst.mode = mode
+        inst.mode = fields["mode"]
+        resolve_mode(inst.mode)  # rejects an unknown mode; "auto" stays unresolved
     if "planted" in fields:
         inst.planted = parse_int_list(fields["planted"])
     return inst
@@ -89,14 +98,13 @@ def generate_instance(
     """Random instance; optionally overwrite ``plant`` non-overlapping windows
     with order-isomorphic copies of the pattern perturbed at <= min(k, m)
     positions, so each planted window is a true occurrence by construction.
-    A negative k or plant raises ValueError before anything is drawn.
+    A k or plant that is not an int raises TypeError, and a negative one
+    ValueError, before anything is drawn.
     """
     if m < 1 or n < m:
         raise ValueError("need n >= m >= 1")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if plant < 0:
-        raise ValueError("plant must be non-negative")
+    _validate_k(k)
+    _validate_k(plant, "plant")
     if plant * m > n:
         raise ValueError("too many planted occurrences for the text length")
     flips = min(k, m)  # a window has m positions to perturb

@@ -40,7 +40,7 @@ from operator import add, gt, itemgetter, le, lt, ne, sub
 from typing import Sequence
 
 from .fragstring import RefString
-from .seqcore import _validate_distinct, _validate_ints, _validate_k, resolve_mode
+from .seqcore import _validate_k, check_sequences, resolve_mode
 from .signature import _DIRECT_SPAN, SlidingSignature, _class_walk, path_order, signature_hamming
 from .subsequence import (
     heaviest_chain,
@@ -103,17 +103,12 @@ def _check_inputs(
     """The input contract of the public matching entry points; returns the
     resolved mode. ``aligned`` means a and b are one alignment of two
     equal-length sequences; otherwise a is a text and b a non-empty pattern.
-    Both need k >= 0, int values and, in distinct mode, unique values."""
+    Both need k >= 0 and pass ``check_sequences``."""
     names = ("first sequence", "second sequence") if aligned else ("text", "pattern")
     _validate_k(k)
-    _validate_ints(a, names[0])
-    _validate_ints(b, names[1])
+    resolved = check_sequences(mode, (names[0], a), (names[1], b))
     if aligned and len(a) != len(b):
         raise ValueError("sequences must have equal length")
-    resolved = resolve_mode(mode, a, b)
-    if mode == "distinct":  # "auto" resolves to it only on unique values
-        _validate_distinct(a, names[0])
-        _validate_distinct(b, names[1])
     if not aligned and len(b) < 1:
         raise ValueError("pattern must be non-empty")
     return resolved
@@ -253,12 +248,9 @@ class PatternIndex:
     """
 
     def __init__(self, pattern: Sequence[int], mode: str = "auto", dict_backend: object = None):
-        _validate_ints(pattern, "pattern")
-        resolved = resolve_mode(mode, pattern)
+        resolved = check_sequences(mode, ("pattern", pattern))
         if not pattern:
             raise ValueError("pattern must be non-empty")
-        if mode == "distinct":  # "auto" resolves to it only on unique values
-            _validate_distinct(pattern, "pattern")
         self.pattern = list(pattern)
         self.m = m = len(pattern)
         self.mode = resolved

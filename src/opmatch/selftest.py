@@ -22,7 +22,7 @@ from .matcher import (
     match_all,
     verify_window,
 )
-from .seqcore import BitTrieSet
+from .seqcore import BitTrieSet, _validate_k
 from .signature import SlidingSignature, compute_signature, signature_hamming
 from .subsequence import (
     WeightedPoint,
@@ -342,9 +342,9 @@ def run_suites(
     iterations: int, seed: int, report: Callable[[str], None] = print
 ) -> int:
     """Run every suite; report one line each; return the number of failures.
-    A negative ``iterations`` raises ValueError; 0 skips every suite."""
-    if iterations < 0:
-        raise ValueError("iterations must be non-negative")
+    ``iterations`` is a count: one that is not an int raises TypeError, a
+    negative one ValueError; 0 skips every suite."""
+    _validate_k(iterations, "iterations")
     failures = 0
     for suite in all_suites():
         if iterations == 0:

@@ -1,5 +1,12 @@
-"""The input checks shared by every entry point, the distinct-values error
-and the bit trie over the DynString's fragment starts."""
+"""The input contract shared by every entry point, the distinct-values
+error and the bit trie over the DynString's fragment starts.
+
+The contract: a mode is one of ``MODES``; every value of a sequence is
+exactly an ``int``; in distinct mode no sequence repeats a value; and a
+count such as k is exactly an ``int`` and non-negative. ``check_sequences``
+holds the first three, ``_validate_k`` the last. Integers read from text
+(instance files and CLI flags) follow one rule too, in ``instances``.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +15,13 @@ from typing import Sequence
 __all__ = [
     "BitTrieSet",
     "DuplicateValuesError",
+    "MODES",
+    "check_sequences",
     "resolve_mode",
 ]
+
+# the two concrete modes first, then "auto", which resolves to one of them
+MODES = ("distinct", "general", "auto")
 
 
 class DuplicateValuesError(ValueError):
@@ -18,14 +30,26 @@ class DuplicateValuesError(ValueError):
 
 def resolve_mode(mode: str, *seqs: Sequence[int]) -> str:
     """Resolve "auto" to "general" when any sequence repeats a value."""
-    if mode in ("distinct", "general"):
-        return mode
-    if mode != "auto":
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if mode != "auto":
+        return mode
     for s in seqs:
         if len(set(s)) != len(s):
             return "general"
     return "distinct"
+
+
+def check_sequences(mode: str, *named: tuple[str, Sequence[int]]) -> str:
+    """Check (name, sequence) pairs against the contract and return the
+    resolved mode: int values (TypeError), in distinct mode unique values
+    (DuplicateValuesError), and a known mode (ValueError)."""
+    for name, seq in named:
+        _validate_ints(seq, name)
+    if mode == "distinct":  # "auto" resolves to it only on unique values
+        for name, seq in named:
+            _validate_distinct(seq, name)
+    return resolve_mode(mode, *(seq for _, seq in named))
 
 
 def _validate_distinct(seq: Sequence[int], name: str) -> None:

@@ -23,7 +23,7 @@ from operator import ne
 from typing import TYPE_CHECKING, Sequence
 
 from .fragstring import DynString, MismatchStream
-from .seqcore import DuplicateValuesError, _validate_distinct, _validate_ints, _validate_k, resolve_mode
+from .seqcore import DuplicateValuesError, _validate_ints, _validate_k, check_sequences
 
 if TYPE_CHECKING:
     from .matcher import PatternIndex
@@ -85,10 +85,7 @@ def compute_signature(seq: Sequence[int], mode: str = "auto") -> list[int]:
     ints (TypeError otherwise), "auto" picks "general" when a value
     repeats, and distinct mode raises DuplicateValuesError when one does.
     """
-    _validate_ints(seq, "sequence")
-    resolve_mode(mode)  # rejects an unknown mode; the walk is the same in every mode
-    if mode == "distinct":
-        _validate_distinct(seq, "sequence")
+    check_sequences(mode, ("sequence", seq))  # the walk is the same in every mode
     return _class_walk(seq, path_order(seq))
 
 

@@ -263,6 +263,20 @@ MUTANTS = [
         "return len(self._frag) + self.n + 1 - sum(",
         ("tests/test_fragstring.py::test_dyn_init_roundtrip_and_fragment_count",),
     ),
+    Mutant(
+        "integers read with digit groups",
+        "instances.py",
+        'if raw.isascii() and "_" not in raw:',
+        "if raw.isascii():",
+        ("tests/test_cli.py::test_parse_int_list_formats",),
+    ),
+    Mutant(
+        "shared sequence check skips its distinct-values loop",
+        "seqcore.py",
+        'if mode == "distinct":  # "auto" resolves to it only on unique values',
+        "if False:",
+        ("tests/test_matcher.py::test_distinct_values_checked_only_when_distinct_is_asked",),
+    ),
 ]
 
 

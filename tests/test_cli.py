@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from opmatch.cli import main
+from opmatch.cli import build_parser, main
 from opmatch.instances import Instance, generate_instance, parse_instance, parse_int_list
 from opmatch.matcher import match_all, match_naive
+from opmatch.selftest import run_suites
 
 
 def run_cli(capsys, *argv):
@@ -269,6 +270,56 @@ def test_parse_int_list_formats():
     for token in ("1_0", "\u0663", "\uff14"):
         with pytest.raises(ValueError, match="not an integer list"):
             parse_int_list(f"1 {token} 2")
+
+
+# every integer flag, after the arguments its subcommand needs otherwise
+INT_FLAGS = [
+    (["match", *FIG], "--k"),
+    (["match", *FIG], "--threads"),
+    (["verify", *FIG], "--k"),
+    (["verify", *FIG], "--at"),
+    *((["gen", "--n", "10", "--m", "4"], flag) for flag in ("--n", "--m", "--k", "--seed", "--plant")),
+    *((["bench", "--n-grid", "100", "--m-grid", "10"], flag) for flag in ("--seed", "--naive-cap")),
+    (["selftest"], "--iterations"),
+    (["selftest"], "--seed"),
+]
+# int() reads each of these as 10, 3 or 4; "1 2" holds two integers
+NOT_ONE_INTEGER = ["1_0", "\u0663", "\uff14", "1 2"]
+
+
+@pytest.mark.parametrize("token", NOT_ONE_INTEGER)
+@pytest.mark.parametrize("argv,flag", INT_FLAGS, ids=lambda v: v if isinstance(v, str) else v[0])
+def test_integer_flags_read_one_ascii_integer(capsys, argv, flag, token):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, token])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    dest = flag.lstrip("-").replace("-", "_")
+    for raw in ("+3", " 3 "):
+        assert getattr(build_parser().parse_args([*argv, flag, raw]), dest) == 3
+
+
+@pytest.mark.parametrize("token", NOT_ONE_INTEGER)
+def test_instance_k_line_reads_one_ascii_integer(tmp_path, capsys, token):
+    path = tmp_path / "inst.txt"
+    path.write_text(f"text: 1 2 3\npattern: 1 2\nk: {token}\n")
+    code, out, err = run_cli(capsys, "match", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert "not an integer" in err
+    for raw in ("+3", " 3 "):
+        assert parse_instance(f"text: 1 2 3\npattern: 1 2\nk:{raw}\n").k == 3
+
+
+def test_counts_must_be_ints():
+    # as k is everywhere else: a float is not rounded, nor a bool read as 1
+    rng = random.Random(0)
+    for count in ("k", "plant"):
+        with pytest.raises(TypeError, match=f"{count} must be an int"):
+            generate_instance(rng, 10, 4, **{count: 1.5})
+    with pytest.raises(TypeError, match="iterations must be an int"):
+        run_suites(1.5, 0)
+    with pytest.raises(TypeError, match="iterations must be an int"):
+        run_suites(True, 0)
 
 
 def test_generate_instance_validates():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opmatch import matcher
+from opmatch import matcher, seqcore
 from opmatch.matcher import (
     MatchStats,
     PatternIndex,
@@ -314,13 +314,13 @@ def test_match_all_fig_instance():
 def test_match_naive_checks_inputs_once(monkeypatch):
     # the input contract runs once per call, not once per window
     calls = []
-    validate = matcher._validate_ints
+    validate = seqcore._validate_ints
 
     def counted(seq, name):
         calls.append(name)
         validate(seq, name)
 
-    monkeypatch.setattr(matcher, "_validate_ints", counted)
+    monkeypatch.setattr(seqcore, "_validate_ints", counted)
     for n in (30, 300):
         text = random.Random(n).sample(range(10 * n), n)
         calls.clear()
@@ -334,13 +334,13 @@ def test_distinct_values_checked_only_when_distinct_is_asked(monkeypatch):
     # value unique, so only an explicit "distinct" checks each sequence again;
     # PatternIndex, a public entry point, keeps its own check
     calls = []
-    validate = matcher._validate_distinct
+    validate = seqcore._validate_distinct
 
     def counted(seq, name):
         calls.append(name)
         validate(seq, name)
 
-    monkeypatch.setattr(matcher, "_validate_distinct", counted)
+    monkeypatch.setattr(seqcore, "_validate_distinct", counted)
     cases = [
         (match_naive, FIG_TEXT, [], ["text", "pattern"]),
         (k_isomorphic_check, FIG_TEXT[:5], [], ["first sequence", "second sequence"]),
@@ -635,6 +635,44 @@ def test_weakened_filter_cap_is_caught_by_oracle_comparison(monkeypatch):
     broken = 0
     for text, pattern, k, want in cases:
         got = match_all(text, pattern, k)
+        assert set(got) <= set(want)
+        if got != want:
+            broken += 1
+    assert broken > 0
+
+
+def test_weakened_filter_cap_is_caught_on_every_canonical_chunk(monkeypatch):
+    # the twin of the test above that does not depend on match_all's routes:
+    # match_chunk runs on every chunk of the canonical cut, whichever route
+    # match_all would pick for it, and its owned windows are compared with
+    # match_naive; with the cap lowered from 3k to 2k some occurrence vanishes
+    rng = random.Random(113)
+    cases = []
+    for _ in range(4000):
+        m = rng.randint(4, 9)
+        n = rng.randint(m, 30)
+        k = rng.randint(1, 3)
+        text = rng.sample(range(10 * n), n)
+        pattern = rng.sample(range(10 * n), m)
+        cases.append((text, pattern, k, match_naive(text, pattern, k)))
+
+    def chunk_answers(text, pattern, k):
+        pidx, n, m = PatternIndex(pattern), len(text), len(pattern)
+        return [
+            c - 1 + s
+            for c in range(1, n - m + 2, m)
+            for s in match_chunk(text[c - 1 : c - 1 + 2 * m], pidx, k)
+        ]
+
+    for text, pattern, k, want in cases:
+        assert chunk_answers(text, pattern, k) == want, (text, pattern, k)
+    first_mismatches = SlidingSignature.first_mismatches
+    monkeypatch.setattr(
+        SlidingSignature, "first_mismatches", lambda self, limit: first_mismatches(self, limit * 2 // 3)
+    )
+    broken = 0
+    for text, pattern, k, want in cases:
+        got = chunk_answers(text, pattern, k)
         assert set(got) <= set(want)
         if got != want:
             broken += 1

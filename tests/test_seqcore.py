@@ -2,7 +2,17 @@ import random
 
 import pytest
 
+from opmatch.cli import main
+from opmatch.instances import parse_instance
+from opmatch.matcher import (
+    PatternIndex,
+    k_isomorphic_check,
+    k_isomorphic_witness,
+    match_all,
+    match_naive,
+)
 from opmatch.seqcore import BitTrieSet, DuplicateValuesError
+from opmatch.signature import compute_signature
 
 
 def test_bittrie_basic_semantics():
@@ -69,3 +79,37 @@ def test_bittrie_rejects_out_of_universe():
 
 def test_duplicate_values_error_is_value_error():
     assert issubclass(DuplicateValuesError, ValueError)
+
+
+TEXT = [1, 10, 6, 4, 8, 5, 7, 9, 3]
+PATTERN = [1, 4, 2, 5, 11]
+
+
+MODE_ENTRIES = {
+    "match_all": lambda mode: match_all(TEXT, PATTERN, 1, mode),
+    "match_naive": lambda mode: match_naive(TEXT, PATTERN, 1, mode),
+    "k_isomorphic_check": lambda mode: k_isomorphic_check(TEXT[:5], PATTERN, 1, mode),
+    "k_isomorphic_witness": lambda mode: k_isomorphic_witness(TEXT[:5], PATTERN, 1, mode),
+    "PatternIndex": lambda mode: PatternIndex(PATTERN, mode),
+    "compute_signature": lambda mode: compute_signature(PATTERN, mode),
+    "parse_instance": lambda mode: parse_instance(f"text: 1 2\npattern: 1\nmode: {mode}\n"),
+}
+
+
+@pytest.mark.parametrize("entry", [*MODE_ENTRIES, "cli --mode"])
+def test_every_entry_point_knows_the_same_mode_names(entry, capsys):
+    # mode names are matched exactly, not folded to lower case
+    if entry == "cli --mode":
+        argv = ["match", "--text", " ".join(map(str, TEXT)), "--pattern", " ".join(map(str, PATTERN))]
+        for mode in ("distinct", "general", "auto"):
+            assert main([*argv, "--k", "1", "--mode", mode]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--k", "1", "--mode", "DISTINCT"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'DISTINCT'" in capsys.readouterr().err
+        return
+    call = MODE_ENTRIES[entry]
+    for mode in ("distinct", "general", "auto"):
+        call(mode)
+    with pytest.raises(ValueError, match="unknown mode 'DISTINCT'"):
+        call("DISTINCT")
