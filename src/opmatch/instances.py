@@ -98,13 +98,13 @@ def generate_instance(
     """Random instance; optionally overwrite ``plant`` non-overlapping windows
     with order-isomorphic copies of the pattern perturbed at <= min(k, m)
     positions, so each planted window is a true occurrence by construction.
-    A k or plant that is not an int raises TypeError, and a negative one
-    ValueError, before anything is drawn.
+    A count (n, m, k or plant) that is not an int raises TypeError, and a
+    negative one ValueError, before anything is drawn.
     """
+    for name, count in (("n", n), ("m", m), ("k", k), ("plant", plant)):
+        _validate_k(count, name)
     if m < 1 or n < m:
         raise ValueError("need n >= m >= 1")
-    _validate_k(k)
-    _validate_k(plant, "plant")
     if plant * m > n:
         raise ValueError("too many planted occurrences for the text length")
     flips = min(k, m)  # a window has m positions to perturb

@@ -214,33 +214,29 @@ def k_isomorphic_witness(
 
 
 class PatternIndex:
-    """Immutable preprocessing of one pattern: flat int tables over the path
-    that its signature links, and ``ref``, the reference over the signature
-    (``ref.symbols`` is the signature's packed symbol list). ``ref`` is
-    built, by the class walk, the first time it is read: by a chunk's
-    ``SlidingSignature`` or by a general-mode window decided alone. A
-    distinct-mode window decided alone reads only ``order``, so an index
-    whose chunks are all skipped or decided alone in distinct mode holds no
-    signature. ``ref`` in turn builds its suffix structures at its first
-    LCP query, that is when a chunk's DynString first scans a window.
-    In distinct mode ``by_order`` gathers a window's values in ``order``,
-    one C-level call per window decided alone, and ``links``, built at its
-    first read, names the comparisons that a dense chunk decided together
-    makes.
+    """Immutable preprocessing of one pattern. The constructor checks the
+    pattern, copies it and sorts it once, into ``order``; every other table
+    is a ``cached_property``, built from ``order`` at its first read and
+    kept. So an index builds each table at most once, and only the tables
+    that its chunks' routes read:
 
-    That path visits the value classes in ascending order and each class
-    from its rightmost occurrence to its leftmost: an occurrence's EQ symbol
-    points at the next occurrence to its right, and a class's rightmost
-    occurrence points down at the leftmost of the class below (LT) or at the
-    floor (NONE-MIN). ``order`` lists the 0-based positions in path order
-    (``path_order``: by value, ties by descending position), the order in
-    which the class walk writes the signature; ``rank`` (1-based, index
-    0 unused) is its inverse, the path step of each position, which in
-    distinct mode is the count of smaller values. In general mode
-    ``class_lo`` and ``class_hi`` give, per step, the first and the last
-    step of its value class; a distinct-mode index has neither, since every
-    class there has one position. One sort of the pattern gives every table
-    and the signature.
+    - ``by_order``: a distinct-mode window decided alone, and the patience
+      passes of a dense chunk decided together;
+    - ``links`` and ``offsets``: a dense distinct chunk decided together;
+    - ``rank`` and ``class_bounds``: the reductions of ``verify_window``;
+    - ``ref``: a chunk's ``SlidingSignature``, or a general-mode window
+      decided alone. ``ref`` in turn builds its suffix structures at its
+      first LCP query, that is when a chunk's DynString first scans a
+      window.
+
+    ``order`` lists the 0-based positions in signature path order
+    (``path_order``: by value, ties by descending position). That path
+    visits the value classes in ascending order and each class from its
+    rightmost occurrence to its leftmost: an occurrence's EQ symbol points
+    at the next occurrence to its right, and a class's rightmost occurrence
+    points down at the leftmost of the class below (LT) or at the floor
+    (NONE-MIN). The class walk writes the signature, ``ref.symbols``, in
+    that order.
 
     ``dict_backend`` selects nothing, like the CLI's ``--dict-backend``: it
     is accepted and ignored so that callers which still pass the retired
@@ -248,39 +244,48 @@ class PatternIndex:
     """
 
     def __init__(self, pattern: Sequence[int], mode: str = "auto", dict_backend: object = None):
-        resolved = check_sequences(mode, ("pattern", pattern))
+        self.mode = check_sequences(mode, ("pattern", pattern))
         if not pattern:
             raise ValueError("pattern must be non-empty")
         self.pattern = list(pattern)
-        self.m = m = len(pattern)
-        self.mode = resolved
-        steps = list(range(m))  # one int object per index, shared by every table
-        order = sorted(reversed(steps), key=pattern.__getitem__)  # path_order over those ints
-        if resolved == "general":
-            class_lo = steps.copy()
-            class_hi = steps.copy()
-            values = list(map(pattern.__getitem__, order))
-            lo = 0
-            for hi in [*compress(range(m - 1), map(ne, values, values[1:])), m - 1]:
-                if hi > lo:  # a repeated value
-                    class_lo[lo : hi + 1] = [lo] * (hi + 1 - lo)
-                    class_hi[lo : hi + 1] = [hi] * (hi + 1 - lo)
-                lo = hi + 1
-            self.class_lo = class_lo
-            self.class_hi = class_hi
-        else:  # itemgetter of one index returns the bare value, so m = 1 slices
-            self.by_order = itemgetter(*order) if m > 1 else itemgetter(slice(0, 1))
-        rank = [0] * (m + 1)
-        for t, p in zip(steps, order):
-            rank[p + 1] = t
-        self.order = order
-        self.rank = rank
+        self.m = len(pattern)
+        self.order = path_order(self.pattern)
 
     @cached_property
     def ref(self) -> RefString:
         """The reference over the pattern's signature: the class walk over
         ``order``."""
         return RefString(_class_walk(self.pattern, self.order))
+
+    @cached_property
+    def rank(self) -> list[int]:
+        """The inverse of ``order``, 1-based (index 0 unused): the path step
+        of each position, which in distinct mode is the count of smaller
+        values."""
+        rank = [0] * (self.m + 1)
+        for t, p in enumerate(self.order):
+            rank[p + 1] = t
+        return rank
+
+    @cached_property
+    def class_bounds(self) -> tuple[list[int], list[int]]:
+        """Per path step, the first and the last step of its value class
+        (the step itself in both, for a value that occurs once)."""
+        values = list(map(self.pattern.__getitem__, self.order))
+        lo: list[int] = []
+        hi: list[int] = []
+        for last in [*compress(range(self.m - 1), map(ne, values, values[1:])), self.m - 1]:
+            size = last + 1 - len(lo)
+            lo += [len(lo)] * size
+            hi += [last] * size
+        return lo, hi
+
+    @cached_property
+    def by_order(self) -> itemgetter:
+        """Gathers a window's values in ``order``, one C-level call per
+        window. An itemgetter of one index returns the bare value, so m = 1
+        slices."""
+        return itemgetter(*self.order) if self.m > 1 else itemgetter(slice(0, 1))
 
     @cached_property
     def links(self) -> list[tuple[int, int, int, int]]:
@@ -290,14 +295,19 @@ class PatternIndex:
         comparisons as an offset and a shift: window values at positions
         lo and lo + |d| compare as x_r > x_{r+1} when d > 0, and as its
         negation when d < 0; (e, lo2) names x_r > x_{r+2} the same way,
-        and the last edge, which has no x_{r+2}, names it e = 0 (never).
-        Built at the first read, so the constructor does no more work."""
+        and the last edge, which has no x_{r+2}, names it e = 0 (never)."""
         order = self.order
         links = [(b - a, min(a, b), c - a, min(a, c)) for a, b, c in zip(order, order[1:], order[2:])]
         if self.m > 1:
             a, b = order[-2:]
             links.append((b - a, min(a, b), 0, 0))
         return links
+
+    @cached_property
+    def offsets(self) -> set[int]:
+        """The nonzero offsets |d| and |e| that ``links`` names: one compare
+        of a dense chunk's values with themselves each."""
+        return {abs(d) for link in self.links for d in link[::2]} - {0}
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +356,7 @@ def reduce_general(
     """
     m = pidx.m
     order = pidx.order
-    class_lo = pidx.class_lo
-    class_hi = pidx.class_hi
+    class_lo, class_hi = pidx.class_bounds
     pattern = pidx.pattern
     cuts = sorted(map(pidx.rank.__getitem__, mismatches))
 
@@ -655,8 +664,10 @@ def _decide_dense_chunk(
     (``_decide_window``), as do no others. Two adjacent broken edges need
     no term of their own: x_r > x_{r+1} > x_{r+2} makes edge r delete left.
 
-    Each comparison is one bit per window. For each offset d of
-    ``pidx.links``, one C-level compare of the chunk's values with
+    Each comparison is one bit per window. The chunk derives nothing from
+    the pattern alone: the edges and their offsets are the index's
+    ``links`` and ``offsets``, built once, at the first dense chunk. For
+    each offset d, one C-level compare of the chunk's values with
     themselves d places on packs bit s + lo of G_d as text[first + s + lo]
     > text[first + s + lo + d]; shifting it right by lo and masking to the
     owned windows gives that comparison for every window at once, and its
@@ -677,7 +688,7 @@ def _decide_dense_chunk(
     seg = text[first : first + owned + m - 1]
     mask = (1 << owned) - 1
     planes = {0: 0}
-    for d in {abs(d) for link in links for d in link[::2]} - {0}:
+    for d in pidx.offsets:
         (g,) = _bit_planes(bytes(map(gt, seg, seg[d:])), "distinct")
         planes[d] = g
         planes[-d] = ~g

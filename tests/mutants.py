@@ -90,6 +90,13 @@ MUTANTS = [
         ("tests/test_matcher.py::test_general_direct_route_builds_the_reference_once",),
     ),
     Mutant(
+        "pattern edges rebuilt at every read",
+        "matcher.py",
+        "    @cached_property\n    def links(self)",
+        "    @property\n    def links(self)",
+        ("tests/test_matcher.py::test_dense_chunks_share_the_links_and_offsets_built_once",),
+    ),
+    Mutant(
         "sliding chunk: 3k - 1 filter cap",
         "matcher.py",
         "cap = 3 * k\n",
@@ -233,7 +240,11 @@ MUTANTS = [
         "signature.py",
         "sorted(range(len(seq) - 1, -1, -1), key=seq.__getitem__)",
         "sorted(range(len(seq)), key=seq.__getitem__)",
-        ("tests/test_signature.py::test_general_mode_with_repeats",),
+        (
+            "tests/test_signature.py::test_general_mode_with_repeats",
+            "tests/test_matcher.py::test_reductions_decide_like_subset_oracle",
+            "tests/test_matcher.py::test_index_tables_follow_the_one_path_order",
+        ),
     ),
     Mutant(
         "DynString scan walks every symbol: matched runs are never merged",

@@ -316,6 +316,12 @@ def test_counts_must_be_ints():
     for count in ("k", "plant"):
         with pytest.raises(TypeError, match=f"{count} must be an int"):
             generate_instance(rng, 10, 4, **{count: 1.5})
+    with pytest.raises(TypeError, match="n must be an int"):
+        generate_instance(rng, 10.5, 4)
+    with pytest.raises(TypeError, match="n must be an int"):
+        generate_instance(rng, True, 1)
+    with pytest.raises(TypeError, match="m must be an int"):
+        generate_instance(rng, 10, 4.0)
     with pytest.raises(TypeError, match="iterations must be an int"):
         run_suites(1.5, 0)
     with pytest.raises(TypeError, match="iterations must be an int"):

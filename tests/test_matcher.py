@@ -1,5 +1,7 @@
+import collections
 import itertools
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,10 +22,10 @@ from opmatch.matcher import (
     verify_window,
 )
 from opmatch.seqcore import DuplicateValuesError
-from opmatch.signature import SlidingSignature, compute_signature, signature_hamming
+from opmatch.signature import SlidingSignature, compute_signature, path_order, signature_hamming
 from opmatch.subsequence import heaviest_chain, heaviest_increasing_subsequence, lis_deficit_at_most
 
-from shapes import boundary_case, planted_code_case, run_case
+from shapes import SHAPES, boundary_case, planted_code_case, run_case
 
 FIG_TEXT = [1, 10, 6, 4, 8, 5, 7, 9, 3]
 FIG_PATTERN = [1, 4, 2, 5, 11]
@@ -147,6 +149,48 @@ def test_witness_fig_example():
     witness = k_isomorphic_witness(window, FIG_PATTERN, 1)
     assert witness is not None and len(witness) == 4
     assert k_isomorphic_witness([2, 1], [1, 2], 0) is None
+
+
+# ---------------------------------------------------------------------------
+# pattern preprocessing
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def indexed_patterns(draw):
+    """(pattern, mode): a distinct pattern, or a general one over at most
+    five values, so that ties are common and some patterns are all equal."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(-50, 50), min_size=1, max_size=30, unique=True)), "distinct"
+    top = draw(st.integers(0, 4))
+    return draw(st.lists(st.integers(0, top), min_size=1, max_size=30)), "general"
+
+
+@settings(max_examples=300, deadline=None)
+@given(indexed_patterns())
+@example(([7], "distinct"))
+@example(([7], "general"))
+@example(([3, 3, 3, 3, 3, 3], "general"))
+@example(([2, 0, 2, 1, 0, 2], "general"))
+def test_index_tables_follow_the_one_path_order(case):
+    # every table is derived from the one sort, and each agrees with a
+    # from-scratch reading of the pattern in that order
+    pattern, mode = case
+    pidx = PatternIndex(pattern, mode)
+    m = len(pattern)
+    assert pidx.order == path_order(pattern)
+    assert len(pidx.rank) == m + 1 and pidx.rank[0] == 0
+    assert [pidx.rank[p + 1] for p in pidx.order] == list(range(m))
+    assert [pidx.order[t] for t in pidx.rank[1:]] == list(range(m))
+    values = [pattern[p] for p in pidx.order]
+    assert list(pidx.by_order(pattern)) == values
+    # by value, and each value class from its rightmost occurrence leftwards
+    ties = [(p, q) for u, v, p, q in zip(values, values[1:], pidx.order, pidx.order[1:]) if u == v]
+    assert values == sorted(values) and all(p > q for p, q in ties)
+    first = [values.index(v) for v in values]
+    last = [m - 1 - values[::-1].index(v) for v in values]
+    assert pidx.class_bounds == (first, last)
+    assert pidx.offsets == {abs(d) for link in pidx.links for d in link[::2]} - {0}
 
 
 # ---------------------------------------------------------------------------
@@ -1190,6 +1234,49 @@ def test_general_direct_route_builds_the_reference_once(monkeypatch):
     for fresh in (pattern, [3, 1, 3, 3, 0, 1, 2, 3]):
         assert PatternIndex(fresh, "general").ref.symbols == compute_signature(fresh, "general")
     assert builds == [60, 60, 8]
+
+
+def _count_builds(monkeypatch, *names):
+    """A Counter of the builds of the named ``PatternIndex`` tables from now
+    on. Each table keeps its kind of descriptor, so one that is not cached
+    counts a build at every read."""
+    builds = collections.Counter()
+    for name in names:
+        table = vars(PatternIndex)[name]
+        build = table.func if isinstance(table, cached_property) else table.fget
+
+        def counted(self, build=build, name=name):
+            builds[name] += 1
+            return build(self)
+
+        wrapped = type(table)(counted)
+        if isinstance(wrapped, cached_property):
+            wrapped.__set_name__(PatternIndex, name)
+        monkeypatch.setattr(PatternIndex, name, wrapped)
+    return builds
+
+
+def test_distinct_run_of_windows_decided_alone_builds_only_the_value_order(monkeypatch):
+    # every chunk is skipped or decides its candidates alone, each by one
+    # patience pass over ``by_order``: no table that verification, a chunk
+    # decided together or a sliding chunk reads is built
+    builds = _count_builds(monkeypatch, "by_order", "rank", "class_bounds", "ref", "links", "offsets")
+    text, pattern, k = _direct_route_case()
+    stats = MatchStats()
+    assert match_all(text, pattern, k, stats=stats) == [701]
+    assert stats.windows - stats.prefiltered == 2
+    assert builds == {"by_order": 1}
+
+
+def test_dense_chunks_share_the_links_and_offsets_built_once(monkeypatch, routes):
+    # each dense chunk reads the pattern's edges and their offsets from the
+    # index, which builds each at the first chunk and never again
+    builds = _count_builds(monkeypatch, "links", "offsets", "rank", "class_bounds", "ref")
+    inst = SHAPES["near-sorted-m200"].build()
+    got = match_all(inst.text, inst.pattern, inst.k, inst.mode)
+    assert len(got) == SHAPES["near-sorted-m200"].answer
+    assert len(routes.calls("_decide_dense_chunk")) > 1
+    assert builds == {"links": 1, "offsets": 1}
 
 
 @pytest.mark.parametrize(
