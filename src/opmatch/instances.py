@@ -7,6 +7,7 @@ import random
 from dataclasses import dataclass, field
 
 from .seqcore import _validate_k, resolve_mode
+from .signature import path_order
 
 __all__ = ["Instance", "parse_instance", "parse_int_list", "generate_instance"]
 
@@ -124,7 +125,7 @@ def generate_instance(
     planted: list[int] = []
     if plant:
         slots = _non_overlapping_slots(rng, n, m, plant)
-        order = sorted(range(m), key=lambda j: (pattern[j], j))
+        order = path_order(pattern)
         for start in slots:
             if mode == "distinct":
                 values = sorted(spare[:m])

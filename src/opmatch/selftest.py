@@ -23,7 +23,7 @@ from .matcher import (
     verify_window,
 )
 from .seqcore import BitTrieSet, _validate_k
-from .signature import SlidingSignature, compute_signature, signature_hamming
+from .signature import SlidingSignature, compute_signature, path_order, signature_hamming
 from .subsequence import (
     WeightedPoint,
     WeightedSeqItem,
@@ -64,7 +64,7 @@ def _perturbed_copy(rng: random.Random, mode: str, a: list[int], k: int) -> list
     """An order/equality copy of ``a`` with at most k positions replaced, its
     values drawn from [0, 90 len(a))."""
     m = len(a)
-    order = sorted(range(m), key=lambda j: (a[j], j))
+    order = path_order(a)
     b = [0] * m
     if mode == "distinct":
         fresh = sorted(rng.sample(range(10 * m, 30 * m), m))

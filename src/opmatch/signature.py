@@ -140,6 +140,35 @@ def signature_hamming(
     return MismatchStream(positions, len(positions) > cap)
 
 
+def _rank_list(
+    vals: Sequence[int], order: Sequence[int], top: int
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The value classes of the chunk positions in ``order``, a sub-list of
+    the chunk's path order: (first, last, below, above), per-rank lists of
+    length ``top`` + 1. ``first[r]`` and ``last[r]`` are rank r's leftmost
+    and rightmost 1-based position among them (0 when absent), and the ranks
+    present form a doubly linked list, ``below`` and ``above``, between the
+    sentinels 0 and ``top``. The path visits a class rightmost first, so
+    its first visit sets ``last`` and its final visit leaves ``first``."""
+    first = [0] * (top + 1)
+    last = [0] * (top + 1)
+    below = [0] * (top + 1)
+    above = [0] * (top + 1)
+    tail = 0
+    for j in order:
+        p = j + 1
+        v = vals[p]
+        if v != tail:
+            last[v] = p
+            above[tail] = v
+            below[v] = tail
+            tail = v
+        first[v] = p
+    above[tail] = top
+    below[top] = tail
+    return first, last, below, above
+
+
 def window_predecessors(
     vals: Sequence[int], order: Sequence[int], last: Sequence[int], m: int
 ) -> list[int]:
@@ -159,34 +188,22 @@ def window_predecessors(
     Its part up to m, [i + 1, m], only shrinks as i grows, so a "largest alive
     rank <= x" union-find with path halving answers it: a rank dies when its
     rightmost occurrence up to m leaves the window, and a rank absent from
-    [1, m] is dead from the start. The predecessor is the larger answer. Both
+    [1, m] is dead from the start. ``_rank_list`` builds the list, as it
+    builds the first window's, and the union-find starts from ``last`` alone,
+    with no walk of ``order``. The predecessor is the larger answer. Both
     passes are linear but for the path halving, which keeps the whole pass
     within the O(m log m) of the chunk's sort.
     """
     length = len(vals) - 1
     top = len(last) - 1
     # ranks of m+1..L, linked with the sentinels 0 and top; lead[r] is rank
-    # r's leftmost position past m, the path's last visit to r there. up[r]
+    # r's leftmost position past m, the path's last visit to r there
+    lead, up, below, above = _rank_list(vals, [j for j in order if j >= m], top)
+    # up[r], written over the rightmost positions past m that nothing reads,
     # is the union-find parent: r while r is alive, else a smaller rank with
-    # every rank in between dead.
-    below = [0] * (top + 1)
-    above = [0] * (top + 1)
-    lead = [0] * (top + 1)
-    up = [0] * (top + 1)
-    tail = alive = 0
-    for j in order:
-        v = vals[j + 1]
-        if j < m:
-            up[v] = alive = v
-        else:
-            up[v] = alive
-            lead[v] = j + 1
-            if v != tail:
-                above[tail] = v
-                below[v] = tail
-                tail = v
-    above[tail] = top
-    below[top] = tail
+    # every rank in between dead
+    for v in range(1, top):
+        up[v] = v if last[v] else up[v - 1]
 
     pred = [0] * (length - m + 1)
     for a in range(length, m, -1):
@@ -238,14 +255,19 @@ class SlidingSignature:
     are flat per-rank ints: ``_first[v]`` and ``_last[v]`` hold the leftmost
     and rightmost occurrence in the window (0 when absent), and the ranks
     present form a doubly linked list, ``_below[v]`` and ``_above[v]``, with
-    the sentinels 0 and R + 1. Since a window holds every chunk position
-    between its ends, the occurrences of one value in it follow the ``_nxt``
-    links from ``_first[v]`` to ``_last[v]``, so set-up and every list stay
-    O(m) words. ``advance`` unlinks a departing class in O(1); its old upper
-    neighbour is the class above the departing value, whose rightmost
-    occurrence may need a new symbol. An arriving class links in above its
-    precomputed window predecessor. So no query searches: upkeep is O(1) per
-    window after the offline pass.
+    the sentinels 0 and R + 1. One loop, ``_rank_list``, builds these four
+    lists from the first window's positions in path order; the same loop
+    over the positions past m builds the list of ``window_predecessors``,
+    whose union-find starts from the first window's ``_last``. Since a
+    window holds every chunk position between its ends, the occurrences of
+    one value in it follow the ``_nxt`` links from ``_first[v]`` to
+    ``_last[v]``, so set-up and every list stay O(m) words. ``advance``
+    unlinks a departing class in O(1); its old upper neighbour is the class
+    above the departing value, whose rightmost occurrence may need a new
+    symbol. An arriving class links in above its precomputed window
+    predecessor. So no query searches: upkeep is O(1) per window after the
+    offline pass. ``advance`` packs each rewritten symbol in place, as
+    ``_class_walk`` does.
 
     ``first_mismatches`` decides most windows by comparing the window's first
     8(limit + 1) mirror symbols with the reference directly: that settles
@@ -300,23 +322,8 @@ class SlidingSignature:
         self._vals = vals
         self._nxt = nxt
         top = rank + 1
-        first = [0] * (top + 1)
-        last = [0] * (top + 1)
-        below = [0] * (top + 1)
-        above = [0] * (top + 1)
         window_order = [j for j in order if j < m]
-        tail = 0
-        for j in window_order:
-            p = j + 1
-            v = vals[p]
-            if v != tail:
-                last[v] = p
-                above[tail] = v
-                below[v] = tail
-                tail = v
-            first[v] = p
-        above[tail] = top
-        below[top] = tail
+        first, last, below, above = _rank_list(vals, window_order, top)
         self._pred = window_predecessors(vals, order, last, m)
         self._first = first
         self._last = last
@@ -410,21 +417,18 @@ class SlidingSignature:
 
         self.start = i + 1
         mirror = self._mirror
+        nxt = self._nxt
         scanned = self.dyn_scans
         for p in cand:
-            sym = self._symbol_at(p)
+            # p's symbol in the new window, packed as _class_walk packs it
+            v = vals[p]
+            if last[v] != p:
+                sym = (nxt[p] - p) << 2 | REL_EQ
+            else:
+                w = below[v]
+                sym = (first[w] - p) << 2 if w else MIN_PACKED
             if mirror[p - 1] != sym:
                 if scanned:
                     self.dyn.replace(p, sym)
                 else:
                     mirror[p - 1] = sym
-
-    def _symbol_at(self, p: int) -> int:
-        """Recompute position p's symbol from the current window's classes."""
-        v = self._vals[p]
-        if self._last[v] != p:
-            return pack_symbol(self._nxt[p] - p, REL_EQ)
-        w = self._below[v]
-        if not w:
-            return MIN_PACKED
-        return pack_symbol(self._first[w] - p, REL_LT)

@@ -1,0 +1,115 @@
+"""Alternating in-process timing of ``match_all`` between two ``src`` trees.
+
+Run it from any directory; pytest does not collect this file::
+
+    python tests/abtime.py PARENT_SRC CHANGE_SRC [--rounds N] [NAME ...]
+
+Each tree's ``opmatch`` is imported on its own, so both live in one
+process. The NAMEs are shapes of ``tests/shapes.py`` (all of them when none
+is named). Each shape is first run once on each side, and the two answers
+and ``MatchStats`` must be equal; if they differ, the script says so and
+exits 1. Then each round times one ``match_all`` call per side, and the
+side that goes first alternates from round to round, so that a drift of the
+host's speed falls on both sides alike.
+
+Per shape it prints the median and the quartiles of each side's times, the
+ratio of the medians (change / parent), the rounds the change won, and,
+from 3 rounds on, "slower" where the change's median exceeds the parent's
+by more than the parent's quartile spread. It is not a timing gate: it
+exits 0 whatever the times. For steadier figures pin it to one CPU, as in
+``taskset -c 0 python tests/abtime.py ...``. ``compare`` takes any named
+instances, for shapes that the catalogue does not hold.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import importlib
+import statistics
+import sys
+import time
+from pathlib import Path
+from types import ModuleType
+from typing import Sequence
+
+TESTS = Path(__file__).resolve().parent
+
+
+def load_matcher(src: Path) -> ModuleType:
+    """``opmatch.matcher`` imported afresh from the tree ``src``. The modules
+    of any ``opmatch`` imported before leave ``sys.modules``, but stay
+    alive in the functions that hold them."""
+    for name in [n for n in sys.modules if n == "opmatch" or n.startswith("opmatch.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        matcher = importlib.import_module("opmatch.matcher")
+    finally:
+        sys.path.remove(str(src))
+    if not Path(matcher.__file__).resolve().is_relative_to(src.resolve()):
+        raise RuntimeError(f"opmatch imports from {matcher.__file__}, not from {src}")
+    return matcher
+
+
+def _quartiles(times: list[float]) -> tuple[float, float, float]:
+    if len(times) < 2:
+        return times[0], times[0], times[0]
+    q1, q2, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def compare(parent: ModuleType, change: ModuleType, instances: dict, rounds: int) -> int:
+    """Time ``match_all`` of two matcher modules on ``instances`` (name to
+    ``Instance``), alternating; print a row per instance and return 1 when
+    the two disagree on some answer or ``MatchStats``, else 0."""
+    sides = (parent, change)
+    print(f"{'shape':26} {'parent ms [q1, q3]':>24} {'change ms [q1, q3]':>24} {'ratio':>6} {'wins':>6}")
+    for name, inst in instances.items():
+        args = (inst.text, inst.pattern, inst.k, inst.mode)
+        results = []
+        for side in sides:
+            stats = side.MatchStats()
+            results.append((side.match_all(*args, stats=stats), dataclasses.asdict(stats)))
+        if results[0] != results[1]:
+            print(f"{name}: the two trees disagree\n  parent: {results[0][1]}\n  change: {results[1][1]}")
+            return 1
+        times: tuple[list[float], list[float]] = ([], [])
+        for r in range(rounds):
+            for s in (0, 1) if r % 2 == 0 else (1, 0):
+                t0 = time.perf_counter()
+                sides[s].match_all(*args)
+                times[s].append(time.perf_counter() - t0)
+        (p1, p2, p3), (c1, c2, c3) = map(_quartiles, times)
+        wins = sum(c < p for p, c in zip(*times))
+        verdict = "  slower" if rounds >= 3 and c2 - p2 > p3 - p1 else ""
+        print(
+            f"{name:26} {p2 * 1e3:8.1f} [{p1 * 1e3:6.1f}, {p3 * 1e3:6.1f}] "
+            f"{c2 * 1e3:8.1f} [{c1 * 1e3:6.1f}, {c3 * 1e3:6.1f}] {c2 / p2:6.2f} {wins:3}/{rounds}{verdict}"
+        )
+    return 0
+
+
+def main(argv: Sequence[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="the src directory of the parent tree")
+    parser.add_argument("change", type=Path, help="the src directory of the changed tree")
+    parser.add_argument("--rounds", type=int, default=11, help="timed calls per side and shape")
+    parser.add_argument("names", nargs="*", help="catalogue shapes (default: all)")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    parent = load_matcher(args.parent)
+    sys.path.insert(0, str(TESTS))
+    from shapes import SHAPES  # imports the parent tree's opmatch, now loaded
+
+    unknown = [name for name in args.names if name not in SHAPES]
+    if unknown:
+        parser.error(f"unknown shapes {unknown}; the catalogue holds {', '.join(SHAPES)}")
+    instances = {name: SHAPES[name].build() for name in args.names or SHAPES}
+    change = load_matcher(args.change)
+    return compare(parent, change, instances, args.rounds)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -55,6 +55,13 @@ MUTANTS = [
         ("tests/test_matcher.py::test_decide_window_agrees_with_match_chunk_and_the_check",),
     ),
     Mutant(
+        "distinct reduction keeps every position, not only the mismatches",
+        "matcher.py",
+        "by_rank = sorted(mismatches, key=rank.__getitem__)",
+        "by_rank = sorted(range(1, pidx.m + 1), key=rank.__getitem__)",
+        ("tests/test_acceptance.py::test_filter_and_verification_bounds_in_k",),
+    ),
+    Mutant(
         "patience pass: deficit budget k - 1",
         "subsequence.py",
         "budget = k\n",
@@ -234,6 +241,13 @@ MUTANTS = [
         "if scanned:\n",
         "if True:\n",
         ("tests/test_signature.py::test_tiling_holds_after_every_advance",),
+    ),
+    Mutant(
+        "union-find seeded with every rank alive",
+        "signature.py",
+        "up[v] = v if last[v] else up[v - 1]",
+        "up[v] = v",
+        ("tests/test_signature.py::test_window_predecessors_match_bisect",),
     ),
     Mutant(
         "signature path with ties by ascending position",

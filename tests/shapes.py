@@ -54,6 +54,21 @@ def _monotone(m: int, k: int, mode: str, step: int = 1) -> Instance:
     return Instance(list(range(1, 3001))[::step], list(range(1, m + 1))[::step], k, mode)
 
 
+def _ties() -> Instance:
+    """Near-sorted values that each occur three times, ``v // 3`` for v in
+    0..2999 with 6 adjacent swaps, against the text's own stretch
+    [1000, 1400) at k = 10 in general mode. The monotone shapes hold unique
+    values; this one sends EQ symbols, value classes that straddle a chunk's
+    position m and general reductions at m = 400 down the sliding path:
+    1 732 of its 2 601 windows reach the DynString."""
+    r = random.Random(5)
+    text = [v // 3 for v in range(3000)]
+    for _ in range(6):
+        i = r.randrange(len(text) - 1)
+        text[i], text[i + 1] = text[i + 1], text[i]
+    return Instance(text, text[1000:1400], 10, "general")
+
+
 def _zero_background() -> Instance:
     """general-mixed's shape: 10% of the values in 1..3 on zeros, k = 20,
     with three noisy copies of the pattern planted; block candidates are
@@ -150,6 +165,7 @@ SHAPES = {
         # increasing run's signature holds negative symbols and never tests it
         Shape("decreasing-m200-distinct", "dynstring", 2801, lambda: _monotone(200, 1, "distinct", -1)),
         Shape("decreasing-m200-general", "dynstring", 2801, lambda: _monotone(200, 1, "general", -1)),
+        Shape("ties-m400-general", "dynstring", 867, _ties),
         Shape("zero-background-m200", "codes", (101, 1401, 2701), _zero_background),
         Shape("planted-m500", "candidates", (701,), _planted),
         Shape("near-sorted-m200", "dense-together", 2712, _near_sorted),

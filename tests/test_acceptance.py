@@ -9,6 +9,7 @@ import random
 import statistics
 import time
 
+from opmatch import matcher
 from opmatch.cli import main as cli_main
 from opmatch.fragstring import RefString
 from opmatch.matcher import (
@@ -305,6 +306,59 @@ def test_per_window_cost_is_flat_in_m(monkeypatch):
     ratio = statistics.median(sides[16_000][1]) / statistics.median(sides[1_000][1])
     assert ratio <= 2.0, f"time per window grew {ratio:.2f}x from m = 1 000 to 16 000"
     print(f"per-window cost flat in m (m = 16 000 vs 1 000: {ratio:.2f}x <= 2x): PASS")
+
+
+def test_filter_and_verification_bounds_in_k(monkeypatch):
+    # the paper's bounds in k: a DynString scan makes O(k) LCP queries, and a
+    # verification reduces a window to at most 3k + 1 items (distinct) or
+    # 3(3k + 1) points (general). An increasing text with one adjacent swap
+    # every 2m / (2k + 1) positions against an increasing pattern, m = 400:
+    # a swap costs a window 3 signature mismatches and one deleted value, so
+    # the windows holding at most k swaps match and reach verification, about
+    # half of them, and those holding k + 1 are filtered out. The direct
+    # span, 8(3k + 1) symbols, never holds more than 3k mismatches, so every
+    # window reaches the DynString.
+    m = 400
+    lcp_calls = [0]
+    sizes = []
+    lcp = RefString.lcp
+
+    def counted(ref, i, j):
+        lcp_calls[0] += 1
+        return lcp(ref, i, j)
+
+    def measured(reduce):
+        def reduced(window, pidx, mismatches):
+            out = reduce(window, pidx, mismatches)
+            sizes.append(len(out))
+            return out
+
+        return reduced
+
+    for k in (1, 2, 4, 8):
+        text = list(range(2_000 + m - 1))
+        step = 2 * m // (2 * k + 1)
+        swaps = range(step // 2, len(text) - 1, step)
+        for j in swaps:
+            text[j], text[j + 1] = text[j + 1], text[j]
+        # a swap cut by the window's edge leaves the window increasing there
+        expected = [s + 1 for s in range(2_000) if sum(s <= j < s + m - 1 for j in swaps) <= k]
+        assert 0.4 <= len(expected) / 2_000 <= 0.6
+        for mode, items in (("distinct", 3 * k + 1), ("general", 3 * (3 * k + 1))):
+            stats = MatchStats()
+            lcp_calls[0] = 0
+            sizes.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(RefString, "lcp", counted)
+                patch.setattr(matcher, "reduce_distinct", measured(matcher.reduce_distinct))
+                patch.setattr(matcher, "reduce_general", measured(matcher.reduce_general))
+                assert match_all(text, list(range(m)), k, mode, stats=stats) == expected, (k, mode)
+            assert stats.dyn_scans == stats.windows == 2_000, (k, mode, stats)
+            assert len(sizes) == stats.verified == len(expected), (k, mode, stats)
+            per_scan = lcp_calls[0] / stats.dyn_scans
+            assert per_scan <= 4 * (k + 1), f"k = {k}, {mode}: {per_scan:.1f} LCP queries per scan"
+            assert max(sizes) <= items, f"k = {k}, {mode}: a reduction kept {max(sizes)} items"
+    print("LCP queries per scan <= 4(k + 1) and reductions within 3k + 1 / 3(3k + 1), k = 1..8: PASS")
 
 
 def test_criterion_8_determinism(capsys):
