@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .seqcore import _validate_k, resolve_mode
-from .signature import path_order
 
 __all__ = ["Instance", "parse_instance", "parse_int_list", "generate_instance"]
 
@@ -124,31 +124,31 @@ def generate_instance(
 
     planted: list[int] = []
     if plant:
-        slots = _non_overlapping_slots(rng, n, m, plant)
-        order = path_order(pattern)
-        for start in slots:
+        classes = len(set(pattern))
+        for start in _non_overlapping_slots(rng, n, m, plant):
             if mode == "distinct":
-                values = sorted(spare[:m])
+                window = _order_copy(pattern, sorted(spare[:m]))
                 spare = spare[m:]
-                window = [0] * m
-                for r, j in enumerate(order):
-                    window[j] = values[r]
-            else:
-                # same equality classes, fresh increasing class values
-                classes: dict[int, int] = {}
-                for j in order:
-                    classes.setdefault(pattern[j], len(classes))
-                window = [classes[pattern[j]] for j in range(m)]
+            else:  # same equality classes, fresh increasing class values
+                window = _order_copy(pattern, range(classes))
             perturbed = rng.sample(range(m), rng.randint(0, flips)) if flips else []
             for j in perturbed:
                 if mode == "distinct":
                     window[j] = spare[0]
                     spare = spare[1:]
                 else:
-                    window[j] = rng.randrange(len(classes) + 2)
+                    window[j] = rng.randrange(classes + 2)
             text[start - 1 : start - 1 + m] = window
             planted.append(start)
     return Instance(text=text, pattern=pattern, k=k, mode=mode, planted=sorted(planted))
+
+
+def _order_copy(seq: Sequence[int], values: Sequence[int]) -> list[int]:
+    """A copy of ``seq`` with its order and its equalities: each value of the
+    r-th smallest value class of ``seq`` becomes ``values[r]``, which must
+    increase."""
+    rank = {v: r for r, v in enumerate(sorted(set(seq)))}
+    return [values[rank[v]] for v in seq]
 
 
 def _non_overlapping_slots(rng: random.Random, n: int, m: int, count: int) -> list[int]:

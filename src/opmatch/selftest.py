@@ -1,20 +1,20 @@
 """Randomized oracle-equivalence and invariant suites.
 
-Each suite runs a number of seeded random cases and returns a list of
-counterexample descriptions (empty means the suite passed). The CLI
-`selftest` command wires them together; the test suite reuses them with
-larger iteration counts.
+Each suite runs a number of seeded random cases and returns its first
+counterexample, as a description, or ``None`` when every case
+passed. ``SUITES`` lists them in the order ``run_suites`` runs them; the
+CLI `selftest` command calls ``run_suites``, and the test suite reuses the
+suites with larger iteration counts.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
 from typing import Callable
 
 from .fragstring import DynString, RefString
-from .instances import Instance
+from .instances import Instance, _order_copy
 from .matcher import (
     PatternIndex,
     k_isomorphic_check,
@@ -23,7 +23,7 @@ from .matcher import (
     verify_window,
 )
 from .seqcore import BitTrieSet, _validate_k
-from .signature import SlidingSignature, compute_signature, path_order, signature_hamming
+from .signature import SlidingSignature, compute_signature, signature_hamming
 from .subsequence import (
     WeightedPoint,
     WeightedSeqItem,
@@ -33,13 +33,7 @@ from .subsequence import (
     his_bruteforce,
 )
 
-__all__ = ["Suite", "all_suites", "first_window_sliding", "run_suites"]
-
-
-@dataclass
-class Suite:
-    name: str
-    run: Callable[[random.Random, int], list[str]]
+__all__ = ["SUITES", "first_window_sliding", "run_suites"]
 
 
 def _random_pair(rng: random.Random, mode: str, m: int) -> tuple[list[int], list[int]]:
@@ -64,18 +58,10 @@ def _perturbed_copy(rng: random.Random, mode: str, a: list[int], k: int) -> list
     """An order/equality copy of ``a`` with at most k positions replaced, its
     values drawn from [0, 90 len(a))."""
     m = len(a)
-    order = path_order(a)
-    b = [0] * m
     if mode == "distinct":
-        fresh = sorted(rng.sample(range(10 * m, 30 * m), m))
-        for r, j in enumerate(order):
-            b[j] = fresh[r]
+        b = _order_copy(a, sorted(rng.sample(range(10 * m, 30 * m), m)))
     else:
-        classes: dict[int, int] = {}
-        for j in order:
-            classes.setdefault(a[j], len(classes))
-        for j in range(m):
-            b[j] = classes[a[j]] * 3
+        b = _order_copy(a, range(0, 3 * m, 3))
     for j in rng.sample(range(m), min(k, m)):
         if mode == "distinct":
             b[j] = rng.randrange(50 * m, 90 * m)
@@ -86,7 +72,7 @@ def _perturbed_copy(rng: random.Random, mode: str, a: list[int], k: int) -> list
     return b
 
 
-def suite_key_set(rng: random.Random, iterations: int) -> list[str]:
+def suite_key_set(rng: random.Random, iterations: int) -> str | None:
     """The bit trie answers like a plain set under random interleaved adds
     and discards, each followed by a predecessor query at its key."""
     universe = 512
@@ -102,16 +88,15 @@ def suite_key_set(rng: random.Random, iterations: int) -> list[str]:
             ref.discard(x)
         below = max((key for key in ref if key <= x), default=None)
         if got != want or d.pred(x) != below or len(d) != len(ref):
-            return [
+            return (
                 f"{op}({x}) returned {got}, expected {want}; then pred({x}) = {d.pred(x)}, "
                 f"expected {below}; size {len(d)}, expected {len(ref)}"
-            ]
-    return []
+            )
+    return None
 
 
-def suite_subsequence(rng: random.Random, iterations: int) -> list[str]:
+def suite_subsequence(rng: random.Random, iterations: int) -> str | None:
     """Solver outputs equal exponential brute force; witnesses re-verify."""
-    bad: list[str] = []
     for _ in range(iterations):
         ell = rng.randint(0, 12)
         items = [
@@ -120,14 +105,12 @@ def suite_subsequence(rng: random.Random, iterations: int) -> list[str]:
         want = his_bruteforce(items)
         got, witness = heaviest_increasing_subsequence(items)
         if got != want:
-            bad.append(f"his: {items} -> {got}, brute force {want}")
-            break
+            return f"his: {items} -> {got}, brute force {want}"
         vals = [items[i - 1].value for i in witness]
         if any(x >= y for x, y in zip(vals, vals[1:])) or sum(
             items[i - 1].weight for i in witness
         ) != got:
-            bad.append(f"his witness invalid for {items}")
-            break
+            return f"his witness invalid for {items}"
         pts = [
             WeightedPoint(rng.randint(0, 5), rng.randint(0, 5), rng.randint(1, 9))
             for _ in range(ell)
@@ -135,17 +118,14 @@ def suite_subsequence(rng: random.Random, iterations: int) -> list[str]:
         want = chain_bruteforce(pts)
         got, chosen = heaviest_chain(pts)
         if got != want:
-            bad.append(f"chain: {pts} -> {got}, brute force {want}")
-            break
+            return f"chain: {pts} -> {got}, brute force {want}"
         shuffled = list(pts)
         rng.shuffle(shuffled)
         if heaviest_chain(shuffled)[0] != got:
-            bad.append(f"chain not permutation-invariant on {pts}")
-            break
+            return f"chain not permutation-invariant on {pts}"
         if sum(p.weight for p in chosen) != got or chain_bruteforce(chosen) != got:
-            bad.append(f"chain witness invalid for {pts}")
-            break
-    return bad
+            return f"chain witness invalid for {pts}"
+    return None
 
 
 def first_window_sliding(chunk: list[int], m: int, mode: str) -> SlidingSignature:
@@ -154,10 +134,9 @@ def first_window_sliding(chunk: list[int], m: int, mode: str) -> SlidingSignatur
     return SlidingSignature(chunk, PatternIndex(chunk[:m], mode))
 
 
-def suite_sliding(rng: random.Random, iterations: int) -> list[str]:
+def suite_sliding(rng: random.Random, iterations: int) -> str | None:
     """After every advance, the window view of the maintained signature
     equals a from-scratch recomputation, in both modes."""
-    bad: list[str] = []
     for _ in range(iterations):
         mode = "distinct" if rng.random() < 0.5 else "general"
         m = rng.randint(1, 16)
@@ -171,19 +150,15 @@ def suite_sliding(rng: random.Random, iterations: int) -> list[str]:
             want = compute_signature(chunk[i - 1 : i - 1 + m], mode)
             got = sliding.window_view()
             if got != want:
-                bad.append(f"sliding {mode} m={m} chunk={chunk} window {i}")
-                break
+                return f"sliding {mode} m={m} chunk={chunk} window {i}"
             if i + m <= length:
                 sliding.advance()
-        if bad:
-            break
-    return bad
+    return None
 
 
-def suite_dynstring(rng: random.Random, iterations: int) -> list[str]:
+def suite_dynstring(rng: random.Random, iterations: int) -> str | None:
     """Mismatch streams and symbol lists agree with a shadow array under
     random replace/stream sequences."""
-    bad: list[str] = []
     for _ in range(iterations):
         m = rng.randint(1, 24)
         alphabet = rng.randint(1, 6)
@@ -210,23 +185,18 @@ def suite_dynstring(rng: random.Random, iterations: int) -> list[str]:
                 want = naive[: limit + 1]
                 truncated = len(naive) > limit
                 if got.positions != want or got.truncated != truncated:
-                    bad.append(
+                    return (
                         f"stream ref={ref_syms} shadow={shadow} i={i} limit={limit}: "
                         f"{got.positions}/{got.truncated} vs {want}/{truncated}"
                     )
-                    break
                 if dyn.symbols != shadow:
-                    bad.append(f"symbols diverged from shadow after stream at {i}")
-                    break
+                    return f"symbols diverged from shadow after stream at {i}"
             dyn.check_tiling()
-        if bad:
-            break
-    return bad
+    return None
 
 
-def suite_filter_soundness(rng: random.Random, iterations: int) -> list[str]:
+def suite_filter_soundness(rng: random.Random, iterations: int) -> str | None:
     """Constructed k-isomorphic pairs never exceed signature Hamming 3k."""
-    bad: list[str] = []
     for _ in range(iterations):
         mode = "distinct" if rng.random() < 0.5 else "general"
         m = rng.randint(2, 24)
@@ -236,14 +206,12 @@ def suite_filter_soundness(rng: random.Random, iterations: int) -> list[str]:
             signature_hamming(compute_signature(a, mode), compute_signature(b, mode)).positions
         )
         if dist > 3 * k:
-            bad.append(f"{mode}: H(S(a),S(b))={dist} > 3k={3 * k} for a={a} b={b}")
-            break
-    return bad
+            return f"{mode}: H(S(a),S(b))={dist} > 3k={3 * k} for a={a} b={b}"
+    return None
 
 
-def suite_reductions(rng: random.Random, iterations: int) -> list[str]:
+def suite_reductions(rng: random.Random, iterations: int) -> str | None:
     """Signature-mismatch reductions decide exactly like the subset oracle."""
-    bad: list[str] = []
     for _ in range(iterations):
         mode = "distinct" if rng.random() < 0.5 else "general"
         m = rng.randint(1, 12)
@@ -257,20 +225,17 @@ def suite_reductions(rng: random.Random, iterations: int) -> list[str]:
         want = k_isomorphic_subset_oracle(a, b, k)
         if len(ds) > 3 * k:
             if want:
-                bad.append(f"{mode}: oracle accepts but filter rejects a={a} b={b} k={k}")
-                break
+                return f"{mode}: oracle accepts but filter rejects a={a} b={b} k={k}"
             continue
         got = verify_window(a, pidx, ds, k)
         if got != want:
-            bad.append(f"{mode}: verify={got} oracle={want} a={a} b={b} k={k}")
-            break
+            return f"{mode}: verify={got} oracle={want} a={a} b={b} k={k}"
         if k_isomorphic_check(a, b, k, mode) != want:
-            bad.append(f"{mode}: direct check disagrees with oracle a={a} b={b} k={k}")
-            break
-    return bad
+            return f"{mode}: direct check disagrees with oracle a={a} b={b} k={k}"
+    return None
 
 
-def suite_match_oracle(rng: random.Random, iterations: int) -> list[str]:
+def suite_match_oracle(rng: random.Random, iterations: int) -> str | None:
     """match_all equals per-position oracles on small instances: random
     text, random text with perturbed copies of the pattern planted, sorted
     text against a perturbed sorted pattern, and a zero background with
@@ -278,7 +243,6 @@ def suite_match_oracle(rng: random.Random, iterations: int) -> list[str]:
     copies, so that the prefilter skips chunks, decides candidate windows
     alone and passes whole chunks to the comparison-code filter and to the
     sliding path."""
-    bad: list[str] = []
     for _ in range(iterations):
         mode = "distinct" if rng.random() < 0.5 else "general"
         m = rng.randint(1, 14)  # up to the subset oracle's cap
@@ -321,43 +285,46 @@ def suite_match_oracle(rng: random.Random, iterations: int) -> list[str]:
         ]
         if got != want:
             inst = Instance(text=text, pattern=pattern, k=k, mode=mode)
-            bad.append(f"match_all {got} != oracle {want} on:\n{inst.to_text()}")
-            break
-    return bad
+            return f"match_all {got} != oracle {want} on:\n{inst.to_text()}"
+    return None
 
 
-def all_suites() -> list[Suite]:
-    return [
-        Suite("key-set", suite_key_set),
-        Suite("subsequence-solvers", suite_subsequence),
-        Suite("sliding-signature", suite_sliding),
-        Suite("dynstring-stream", suite_dynstring),
-        Suite("filter-soundness", suite_filter_soundness),
-        Suite("mismatch-reductions", suite_reductions),
-        Suite("match-vs-oracle", suite_match_oracle),
-    ]
+SUITES: tuple[tuple[str, Callable[[random.Random, int], str | None]], ...] = (
+    ("key-set", suite_key_set),
+    ("subsequence-solvers", suite_subsequence),
+    ("sliding-signature", suite_sliding),
+    ("dynstring-stream", suite_dynstring),
+    ("filter-soundness", suite_filter_soundness),
+    ("mismatch-reductions", suite_reductions),
+    ("match-vs-oracle", suite_match_oracle),
+)
 
 
 def run_suites(
     iterations: int, seed: int, report: Callable[[str], None] = print
 ) -> int:
-    """Run every suite; report one line each; return the number of failures.
-    ``iterations`` is a count: one that is not an int raises TypeError, a
-    negative one ValueError; 0 skips every suite."""
+    """Run every suite of ``SUITES`` and return the number that failed. Each
+    reports one line, and a failed one a second, indented, with its
+    counterexample; a suite that raises fails with the exception's type and
+    message as its counterexample, and the next suite runs. ``iterations``
+    is a count: one that is not an int raises TypeError, a negative one
+    ValueError; 0 skips every suite."""
     _validate_k(iterations, "iterations")
     failures = 0
-    for suite in all_suites():
+    for name, suite in SUITES:
         if iterations == 0:
-            report(f"{suite.name}: SKIPPED (0 iterations)")
+            report(f"{name}: SKIPPED (0 iterations)")
             continue
         # zlib.crc32 is stable across processes, unlike hash() of a str
-        rng = random.Random(seed ^ zlib.crc32(suite.name.encode()))
-        bad = suite.run(rng, iterations)
-        if bad:
-            failures += 1
-            report(f"{suite.name}: FAIL ({len(bad)} violation)")
-            for line in bad[:3]:
-                report("  " + line)
+        rng = random.Random(seed ^ zlib.crc32(name.encode()))
+        try:
+            bad = suite(rng, iterations)
+        except Exception as exc:
+            bad = f"{type(exc).__name__}: {exc}"
+        if bad is None:
+            report(f"{name}: OK ({iterations} cases)")
         else:
-            report(f"{suite.name}: OK ({iterations} cases)")
+            failures += 1
+            report(f"{name}: FAIL (1 violation)")
+            report("  " + bad)
     return failures

@@ -111,6 +111,16 @@ MUTANTS = [
         ("tests/test_matcher.py::test_decide_window_agrees_with_match_chunk_and_the_check",),
     ),
     Mutant(
+        "sliding chunk: 2k filter cap",
+        "matcher.py",
+        "cap = 3 * k\n",
+        "cap = 2 * k\n",
+        (
+            "tests/test_routes.py::test_every_route_decides_every_chunk_like_naive",
+            "tests/test_matcher.py::test_weakened_filter_cap_is_caught_on_every_canonical_chunk",
+        ),
+    ),
+    Mutant(
         "suffix sort: past-the-end key min(symbols) - 1",
         "fragstring.py",
         "end = min(min(symbols), 0) - 1",
@@ -294,6 +304,29 @@ MUTANTS = [
         'if raw.isascii() and "_" not in raw:',
         "if raw.isascii():",
         ("tests/test_cli.py::test_parse_int_list_formats",),
+    ),
+    Mutant(
+        "order copy: each position is its own class",
+        "instances.py",
+        "rank = {v: r for r, v in enumerate(sorted(set(seq)))}\n    return [values[rank[v]] for v in seq]\n",
+        "rank = {j: r for r, j in enumerate(sorted(range(len(seq)), key=seq.__getitem__))}\n"
+        "    return [values[rank[j]] for j in range(len(seq))]\n",
+        ("tests/test_cli.py::test_order_copy_keeps_order_and_equalities",),
+    ),
+    Mutant(
+        "self-test: a suite that raises aborts the run",
+        "selftest.py",
+        "        try:\n            bad = suite(rng, iterations)\n        except Exception as exc:\n"
+        "            bad = f\"{type(exc).__name__}: {exc}\"\n",
+        "        bad = suite(rng, iterations)\n",
+        ("tests/test_cli.py::test_selftest_reports_a_suite_that_raises_and_runs_the_rest",),
+    ),
+    Mutant(
+        "self-test: a returned counterexample is reported as OK",
+        "selftest.py",
+        "            bad = suite(rng, iterations)\n",
+        "            bad = suite(rng, iterations) and None\n",
+        ("tests/test_cli.py::test_selftest_catches_weakened_filter",),
     ),
     Mutant(
         "shared sequence check skips its distinct-values loop",

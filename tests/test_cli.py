@@ -3,11 +3,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opmatch import selftest
 from opmatch.cli import build_parser, main
-from opmatch.instances import Instance, generate_instance, parse_instance, parse_int_list
+from opmatch.instances import Instance, _order_copy, generate_instance, parse_instance, parse_int_list
 from opmatch.matcher import match_all, match_naive
 from opmatch.selftest import run_suites
+from opmatch.signature import compute_signature
 
 
 def run_cli(capsys, *argv):
@@ -420,7 +424,8 @@ def test_selftest_small_run_passes(capsys):
 
 def test_selftest_catches_weakened_filter(monkeypatch):
     # the oracle-equivalence suite must flag a 2k filter cap: match_chunk
-    # asks the filter for 3k mismatches, the wrapper scans for 2k
+    # asks the filter for 3k mismatches, the wrapper scans for 2k; run_suites
+    # reports the counterexample under one FAIL line, and the other suites pass
     from opmatch.selftest import suite_match_oracle
     from opmatch.signature import SlidingSignature
 
@@ -431,6 +436,54 @@ def test_selftest_catches_weakened_filter(monkeypatch):
     rng = random.Random(515)
     bad = suite_match_oracle(rng, 3000)
     assert bad
+    lines = []
+    assert run_suites(400, 515, lines.append) == 1
+    assert lines[-2] == "match-vs-oracle: FAIL (1 violation)"
+    assert lines[-1].startswith("  match_all ")
+    assert lines[:-2] == [f"{name}: OK (400 cases)" for name, _ in selftest.SUITES[:-1]]
+
+
+def test_selftest_reports_a_suite_that_raises_and_runs_the_rest(monkeypatch):
+    # an exception inside one suite is that suite's counterexample; the
+    # suites after it still run
+    from opmatch.fragstring import DynString
+
+    def broken(self):
+        raise RuntimeError("tiling broken")
+
+    monkeypatch.setattr(DynString, "check_tiling", broken)
+    lines = []
+    assert run_suites(20, 0, lines.append) == 1
+    assert lines[3:5] == ["dynstring-stream: FAIL (1 violation)", "  RuntimeError: tiling broken"]
+    assert lines[5:] == [
+        f"{name}: OK (20 cases)" for name in ("filter-soundness", "mismatch-reductions", "match-vs-oracle")
+    ]
+
+
+def test_suite_table_names_the_seven_suites_in_order():
+    # a suite dropped from the table would no longer run, and pass unnoticed
+    assert [name for name, _ in selftest.SUITES] == [
+        "key-set",
+        "subsequence-solvers",
+        "sliding-signature",
+        "dynstring-stream",
+        "filter-soundness",
+        "mismatch-reductions",
+        "match-vs-oracle",
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=12), st.data())
+def test_order_copy_keeps_order_and_equalities(seq, data):
+    # the generator's planted windows and the suites' perturbed copies: the
+    # r-th smallest value class takes values[r], so the general-mode
+    # signature, which encodes both order and equality, is the same
+    classes = len(set(seq))
+    values = sorted(data.draw(st.sets(st.integers(-100, 100), min_size=classes, max_size=classes + 3)))
+    copy = _order_copy(seq, values)
+    assert compute_signature(copy, "general") == compute_signature(seq, "general")
+    assert sorted(set(copy)) == values[:classes]
 
 
 def test_dict_backend_flag(capsys):
