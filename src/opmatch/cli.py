@@ -30,9 +30,8 @@ from .seqcore import MODES
 from .signature import compute_signature, format_symbol
 
 
-def _add_io_flags(p: argparse.ArgumentParser, need_text: bool = True) -> None:
-    if need_text:
-        p.add_argument("--text", help="text sequence (integers)")
+def _add_io_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--text", help="text sequence (integers)")
     p.add_argument("--pattern", help="pattern sequence (integers)")
     p.add_argument("--file", help="instance file; '-' reads standard input")
     p.add_argument("--k", type=_parse_int, default=None, help="mismatch budget")
@@ -51,7 +50,7 @@ def _load_sequences(args) -> tuple[list[int], list[int], int, str]:
                 raw = fh.read()
         inst = parse_instance(raw)
         text, pattern, k, mode = inst.text, inst.pattern, inst.k, inst.mode
-    if getattr(args, "text", None) is not None:
+    if args.text is not None:
         text = parse_int_list(args.text)
     if args.pattern is not None:
         pattern = parse_int_list(args.pattern)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 from .seqcore import _validate_k, resolve_mode
@@ -109,12 +110,11 @@ def generate_instance(
     if plant * m > n:
         raise ValueError("too many planted occurrences for the text length")
     flips = min(k, m)  # a window has m positions to perturb
-    spare: list[int] = []
     if mode == "distinct":
         pool = rng.sample(range(-(10**6), 10**6), n + m + plant * (m + flips))
         pattern = pool[:m]
         text = pool[m : m + n]
-        spare = pool[m + n :]
+        spare = iter(pool[m + n :])  # read once, in order, by the planted windows
     elif mode == "general":
         sigma = max(2, min(6, m))
         pattern = [rng.randrange(sigma) for _ in range(m)]
@@ -127,15 +127,13 @@ def generate_instance(
         classes = len(set(pattern))
         for start in _non_overlapping_slots(rng, n, m, plant):
             if mode == "distinct":
-                window = _order_copy(pattern, sorted(spare[:m]))
-                spare = spare[m:]
+                window = _order_copy(pattern, sorted(islice(spare, m)))
             else:  # same equality classes, fresh increasing class values
                 window = _order_copy(pattern, range(classes))
             perturbed = rng.sample(range(m), rng.randint(0, flips)) if flips else []
             for j in perturbed:
                 if mode == "distinct":
-                    window[j] = spare[0]
-                    spare = spare[1:]
+                    window[j] = next(spare)
                 else:
                     window[j] = rng.randrange(classes + 2)
             text[start - 1 : start - 1 + m] = window

@@ -76,34 +76,31 @@ def _validate_k(k: int, name: str = "k") -> None:
 
 
 _SHIFT = 8
-_FAN = 1 << _SHIFT
-_LOW = _FAN - 1
+_LOW = (1 << _SHIFT) - 1
 
 
 class BitTrieSet:
     """Set of integer keys in [0, universe) with predecessor queries.
 
-    A fixed-fanout bitwise trie, the package's stand-in for a van Emde Boas
-    tree: each level packs presence bits of the level below into 256-bit
-    words, so a universe below 2^24 (the DynString's is 2m + 2) needs at
-    most 3 levels. Every operation touches one word per level.
+    The package's stand-in for a van Emde Boas tree, in two fixed levels:
+    ``_words`` holds the keys' presence bits in 256-bit ints, and the one
+    int ``_summary`` has bit i set while word i is non-empty. ``add`` and
+    ``discard`` touch one word, and the summary bit only when that word
+    fills from empty or empties. ``pred`` masks one word and, only when that
+    word holds nothing at or below the query, reads the summary once. The
+    summary is ceil(universe / 256) bits long (the DynString's universe is
+    2m + 2), so it fits in one word up to m = 32 767.
     """
 
-    __slots__ = ("universe", "size", "_levels")
+    __slots__ = ("universe", "size", "_words", "_summary")
 
     def __init__(self, universe: int):
         if universe < 1:
             raise ValueError("universe must be positive")
         self.universe = universe
         self.size = 0
-        self._levels: list[list[int]] = []
-        n = universe
-        while True:
-            n_words = (n + _LOW) >> _SHIFT
-            self._levels.append([0] * n_words)
-            n = n_words
-            if n == 1:
-                break
+        self._words = [0] * ((universe + _LOW) >> _SHIFT)
+        self._summary = 0
 
     def __len__(self) -> int:
         return self.size
@@ -111,76 +108,43 @@ class BitTrieSet:
     def add(self, x: int) -> bool:
         if x < 0 or x >= self.universe:
             raise ValueError(f"key {x} outside universe [0, {self.universe})")
-        words = self._levels[0]
         i = x >> _SHIFT
+        old = self._words[i]
         b = 1 << (x & _LOW)
-        old = words[i]
         if old & b:
             return False
-        words[i] = old | b
+        self._words[i] = old | b
         self.size += 1
-        if old:
-            return True
-        x = i
-        for words in self._levels[1:]:
-            i = x >> _SHIFT
-            b = 1 << (x & _LOW)
-            old = words[i]
-            words[i] = old | b
-            if old:
-                break
-            x = i
+        if not old:
+            self._summary |= 1 << i
         return True
 
     def discard(self, x: int) -> bool:
         if x < 0 or x >= self.universe:
             return False
-        words = self._levels[0]
         i = x >> _SHIFT
+        old = self._words[i]
         b = 1 << (x & _LOW)
-        old = words[i]
-        if not (old & b):
+        if not old & b:
             return False
-        w = old & ~b
-        words[i] = w
+        self._words[i] = w = old ^ b
         self.size -= 1
-        if w:
-            return True
-        x = i
-        for words in self._levels[1:]:
-            i = x >> _SHIFT
-            b = 1 << (x & _LOW)
-            w = words[i] & ~b
-            words[i] = w
-            if w:
-                break
-            x = i
+        if not w:
+            self._summary ^= 1 << i
         return True
 
     def pred(self, x: int) -> int | None:
         """Largest stored key <= x, or None."""
-        if not self.size:
-            return None
         if x >= self.universe:
             x = self.universe - 1
-        if x < 0:
+        elif x < 0:
             return None
-        levels = self._levels
-        nlev = len(levels)
-        lvl = 0
-        pos = x
-        while True:
-            i = pos >> _SHIFT
-            w = levels[lvl][i] & ((1 << ((pos & _LOW) + 1)) - 1)
-            if w:
-                break
-            lvl += 1
-            pos = i - 1
-            if pos < 0 or lvl >= nlev:
+        i = x >> _SHIFT
+        w = self._words[i] & ((2 << (x & _LOW)) - 1)
+        if not w:
+            below = self._summary & ((1 << i) - 1)
+            if not below:
                 return None
-        pos = (i << _SHIFT) | (w.bit_length() - 1)
-        while lvl:
-            lvl -= 1
-            w = levels[lvl][pos]
-            pos = (pos << _SHIFT) | (w.bit_length() - 1)
-        return pos
+            i = below.bit_length() - 1
+            w = self._words[i]
+        return (i << _SHIFT) | (w.bit_length() - 1)

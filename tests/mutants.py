@@ -6,10 +6,13 @@ of ``src/`` and must pass there. Then, for each mutant, ``src/`` is copied
 to a temporary directory, the mutant's old text, which must occur exactly
 once in its file, is replaced by the new text, and the named tests run
 against the copy with ``pytest -x`` under a time limit and an address-space
-limit. A failing test, a timeout or a crash counts as killed. A mutant
-whose tests all pass survived, and the script exits 1; so does an old text
-that no longer occurs exactly once. A change that rewrites a mutated line
-updates its mutant here.
+limit. Each run starts in the directory that holds its own copy of
+``src/``, so Hypothesis keeps its example database there, and no failing
+example found under one mutant replays under another. A failing test, a
+timeout or a crash counts as killed. A mutant whose tests all pass
+survived, and the script exits 1; so does an old text that no longer
+occurs exactly once. A change that rewrites a mutated line updates its
+mutant here.
 """
 
 from __future__ import annotations
@@ -198,7 +201,10 @@ MUTANTS = [
         "matcher.py",
         "bad |= left & (far | prev)",
         "bad |= left & far",
-        ("tests/test_matcher.py::test_dense_chunk_decides_each_window_like_the_patience_pass",),
+        (
+            "tests/test_routes.py::test_every_route_decides_every_chunk_like_naive",
+            "tests/test_matcher.py::test_dense_chunk_decides_each_window_like_the_patience_pass",
+        ),
     ),
     Mutant(
         "dense chunk certifies a left deletion past a higher left neighbour",
@@ -329,6 +335,27 @@ MUTANTS = [
         ("tests/test_cli.py::test_selftest_catches_weakened_filter",),
     ),
     Mutant(
+        "bit trie: pred's summary mask takes in the query's own word",
+        "seqcore.py",
+        "below = self._summary & ((1 << i) - 1)",
+        "below = self._summary & ((2 << i) - 1)",
+        ("tests/test_seqcore.py::test_bittrie_matches_reference_on_random_interleavings[70000]",),
+    ),
+    Mutant(
+        "bit trie: discard leaves the summary bit of an emptied word set",
+        "seqcore.py",
+        "            self._summary ^= 1 << i\n",
+        "            pass\n",
+        ("tests/test_seqcore.py::test_bittrie_matches_reference_on_random_interleavings[70000]",),
+    ),
+    Mutant(
+        "bit trie: pred's word mask leaves out the query itself",
+        "seqcore.py",
+        "w = self._words[i] & ((2 << (x & _LOW)) - 1)",
+        "w = self._words[i] & ((1 << (x & _LOW)) - 1)",
+        ("tests/test_seqcore.py::test_bittrie_basic_semantics",),
+    ),
+    Mutant(
         "shared sequence check skips its distinct-values loop",
         "seqcore.py",
         'if mode == "distinct":  # "auto" resolves to it only on unique values',
@@ -342,11 +369,14 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
 
 
-def _run_tests(src: Path, tests: tuple[str, ...], work: Path) -> str:
+def _run_tests(src: Path, tests: tuple[str, ...]) -> str:
     """"passed", "failed" or "timeout" for ``tests`` run against ``src``.
-    The tests run from ``work``, so hypothesis keeps no examples between
-    runs, and ``opmatch`` must import from ``src``."""
+    The tests run from the directory that holds ``src``, where Hypothesis
+    keeps this run's examples and no other run's, and ``opmatch`` must
+    import from ``src``."""
+    work = src.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("HYPOTHESIS_STORAGE_DIRECTORY", None)  # one set directory would serve every run
     where = subprocess.run(
         [sys.executable, "-c", "import opmatch; print(opmatch.__file__)"],
         cwd=work, env=env, capture_output=True, text=True, check=True,
@@ -372,7 +402,7 @@ def main() -> int:
         shutil.copytree(ROOT / "src", clean)
         named = tuple(dict.fromkeys(t for mutant in MUTANTS for t in mutant.tests))
         start = time.perf_counter()
-        verdict = _run_tests(clean, named, work)
+        verdict = _run_tests(clean, named)
         print(f"unmutated: named tests {verdict} ({time.perf_counter() - start:.1f} s)")
         if verdict != "passed":
             return 1  # a test that fails without a mutant kills nothing
@@ -388,7 +418,7 @@ def main() -> int:
                 continue
             path.write_text(text.replace(mutant.old, mutant.new))
             start = time.perf_counter()
-            verdict = _run_tests(src, mutant.tests, work)
+            verdict = _run_tests(src, mutant.tests)
             killed = verdict != "passed"
             problems += not killed
             status = f"killed ({verdict})" if killed else "SURVIVED"

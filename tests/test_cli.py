@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -222,6 +223,26 @@ def test_gen_deterministic_under_seed(capsys):
     assert a == b
     c = run_cli(capsys, "gen", "--n", "60", "--m", "8", "--k", "1", "--seed", "10")
     assert a != c
+
+
+@pytest.mark.parametrize(
+    "mode, seed, digest",
+    [
+        ("distinct", 1, "785f4a9fc93855a271f171f71c72c6c00d2c3d034a037834662e6e107585bffc"),
+        ("distinct", 7, "1d20b7ba4c3578f5b37c12679f9778aaa357e358aa94260c85d2a06571f38563"),
+        ("general", 1, "e9d2fd7b379f6010de66b0d167a2dc46432f5ed55ae7b11eaf5fc52868d0c32e"),
+        ("general", 7, "fbdb525134e93b281f95f65f2f1b5a79f3483d194fa3972a2d92b72bed864e70"),
+    ],
+)
+def test_gen_output_is_pinned(capsys, mode, seed, digest):
+    # 20 planted windows with up to 5 displaced values each: a change in any
+    # draw, or in the order the spare values are read, changes the file
+    code, out, _ = run_cli(
+        capsys, "gen", "--n", "400", "--m", "12", "--k", "5", "--plant", "20",
+        "--mode", mode, "--seed", str(seed),
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_gen_distinct_values_are_distinct(capsys):

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -28,23 +29,32 @@ def test_bittrie_basic_semantics():
     assert d.pred(5) is None
 
 
-def test_bittrie_matches_reference_on_random_interleavings():
-    rng = random.Random(11)
-    universe = 700
+@pytest.mark.parametrize("universe", [1, 255, 256, 257, 700, 70_000, 2**20])
+def test_bittrie_matches_reference_on_random_interleavings(universe):
+    # keys come from a fixed pool spread over the universe, so that words
+    # fill from empty and empty again; queries go anywhere, past both ends too
+    rng = random.Random(universe)
+    pool = rng.sample(range(universe), min(universe, 600))
     d = BitTrieSet(universe)
-    ref: set[int] = set()
+    ref: list[int] = []  # the stored keys, sorted
     for _ in range(100_000):
         op = rng.randrange(4)
-        x = rng.randrange(universe)
+        if op == 3:
+            x = rng.randrange(-2, universe + 2)
+            i = bisect_right(ref, x)
+            assert d.pred(x) == (ref[i - 1] if i else None)
+            continue
+        x = rng.choice(pool)
+        i = bisect_left(ref, x)
+        present = i < len(ref) and ref[i] == x
         if op <= 1:
-            assert d.add(x) == (x not in ref)
-            ref.add(x)
-        elif op == 2:
-            assert d.discard(x) == (x in ref)
-            ref.discard(x)
+            assert d.add(x) is not present
+            if not present:
+                ref.insert(i, x)
         else:
-            want = max((y for y in ref if y <= x), default=None)
-            assert d.pred(x) == want
+            assert d.discard(x) is present
+            if present:
+                del ref[i]
         assert len(d) == len(ref)
     # every key, read back through pred from the top of the universe
     keys = []
@@ -52,7 +62,7 @@ def test_bittrie_matches_reference_on_random_interleavings():
     while x is not None:
         keys.append(x)
         x = d.pred(x - 1)
-    assert keys == sorted(ref, reverse=True)
+    assert keys == ref[::-1]
 
 
 def test_bittrie_multilevel_universe():
@@ -64,7 +74,7 @@ def test_bittrie_multilevel_universe():
     assert d.pred(65_534) == 256
     assert d.pred(69_998) == 65_536
     assert d.pred(10**6) == 69_999  # queries past the universe clamp to its top
-    # removing keys makes pred climb back down through every level
+    # removing keys makes pred read the summary for an earlier word
     for x in (65_536, 65_535, 256):
         assert d.discard(x) is True
     assert d.pred(69_998) == 255
