@@ -190,17 +190,15 @@ def k_isomorphic_witness(
     """Kept-position certificate (1-based, ascending) of size >= m - k whose
     elements are jointly increasing in both sequences, or None.
 
-    General mode passes unit-weight points (a_i, b_i) to the heaviest chain,
-    which merges duplicates, and keeps every position whose point it chose.
+    Both modes pass unit-weight points (a_i, b_i) to the heaviest chain,
+    which merges duplicates, and keep every position whose point it chose.
+    In distinct mode the points are distinct and their (x asc, y desc)
+    order is the order of the first sequence's values, so the chain is a
+    heaviest increasing subsequence of the second sequence read in that
+    order; the mode still decides which inputs are accepted.
     """
-    mode = _check_inputs(a, b, k, mode, aligned=True)
+    _check_inputs(a, b, k, mode, aligned=True)
     m = len(a)
-    if mode == "distinct":
-        order = sorted(range(m), key=lambda j: a[j])
-        weight, idx = heaviest_increasing_subsequence([(b[j], 1) for j in order])
-        if weight < m - k:
-            return None
-        return sorted(order[t - 1] + 1 for t in idx)
     weight, chosen = heaviest_chain([(a[j], b[j], 1) for j in range(m)])
     if weight < m - k:
         return None
@@ -316,30 +314,30 @@ class PatternIndex:
 
 
 def reduce_distinct(
-    window: Sequence[int], pidx: PatternIndex, mismatches: Sequence[int]
+    window: Sequence[int], pidx: PatternIndex, mismatches: Sequence[int], offset: int = 0
 ) -> list[tuple[int, int]]:
-    """Distinct-mode reduction: one (value, weight) item per signature
-    mismatch position plus a floor sentinel. Item order follows ascending
-    window value, item values are pattern ranks, and each weight counts the
-    positions whose agreement paths start at that mismatch. The window is
-    k-isomorphic to the pattern iff the heaviest increasing subsequence
-    weighs at least (m + 1) - k.
+    """Distinct-mode reduction. The signature mismatches cut the pattern's
+    path (see ``PatternIndex``) at their steps into maximal agreement
+    paths, as in ``reduce_general``: the floor path starts at step -1 and
+    the last path ends at step m. Each path becomes one (value, weight)
+    item: its first step and its length. The floor item comes first and
+    the others follow in ascending window value at their first step,
+    ``window[offset + order[step]]``; the window is the m values from
+    ``offset`` on. The window is k-isomorphic to the pattern iff the
+    heaviest increasing subsequence weighs at least (m + 1) - k.
     """
     rank = pidx.rank
-    by_rank = sorted(mismatches, key=rank.__getitem__)
-    # path t starts at cuts[t] (the floor path at rank -1) and runs to the next cut
-    cuts = [-1, *map(rank.__getitem__, by_rank), pidx.m]
-    weights = list(map(sub, cuts[1:], cuts))
+    order = pidx.order
+    cuts = sorted(map(rank.__getitem__, mismatches))
+    weights = list(map(sub, [*cuts, pidx.m], [-1, *cuts]))
     if 0 in weights:  # a repeated position leaves an empty path
         raise RuntimeError("path weights must cover every position")
-    values = [0, *[window[p - 1] for p in by_rank]]  # index 0: the floor, never sorted
-    items = [(-1, weights[0])]
-    items += [(cuts[t], weights[t]) for t in sorted(range(1, len(cuts) - 1), key=values.__getitem__)]
-    return items
+    items = sorted(zip(cuts, weights[1:]), key=lambda item: window[offset + order[item[0]]])
+    return [(-1, weights[0]), *items]
 
 
 def reduce_general(
-    window: Sequence[int], pidx: PatternIndex, mismatches: Sequence[int]
+    window: Sequence[int], pidx: PatternIndex, mismatches: Sequence[int], offset: int = 0
 ) -> list[tuple[float | int, float | int, int]]:
     """General-mode reduction. The signature mismatches cut the pattern's
     signature path (see ``PatternIndex``) at their steps into maximal
@@ -351,8 +349,10 @@ def reduce_general(
     value, pattern value, weight) point at its first step. The weights of
     all points sum to m + 1 including the floor's, and there are at most
     3(|D| + 1) points. Parts may share a point; ``heaviest_chain`` merges
-    them, so they are returned unmerged. The window is k-isomorphic to the
-    pattern iff the heaviest chain weighs at least (m + 1) - k.
+    them, so they are returned unmerged. The window is the m values of
+    ``window`` from ``offset`` on, read at ``offset + order[step]``. It is
+    k-isomorphic to the pattern iff the heaviest chain weighs at least
+    (m + 1) - k.
     """
     m = pidx.m
     order = pidx.order
@@ -369,14 +369,14 @@ def reduce_general(
             if run < 1:  # a repeated position leaves an empty path
                 raise RuntimeError("path weights must cover every position")
             p = order[a]
-            parts.append((window[p], pattern[p], run))
+            parts.append((window[offset + p], pattern[p], run))
         if b > end + 1:  # the path leaves its first class
             lo = class_lo[b - 1]  # the first step of the class it stops in
             if lo > end + 1:
                 p = order[end + 1]
-                parts.append((window[p], pattern[p], lo - end - 1))
+                parts.append((window[offset + p], pattern[p], lo - end - 1))
             p = order[lo]
-            parts.append((window[p], pattern[p], b - lo))
+            parts.append((window[offset + p], pattern[p], b - lo))
 
     if len(parts) > 3 * (len(mismatches) + 1):
         raise RuntimeError("general reduction exceeded 3(|D|+1) points")
@@ -384,14 +384,28 @@ def reduce_general(
 
 
 def verify_window(
-    window: Sequence[int], pidx: PatternIndex, mismatches: Sequence[int], k: int
+    window: Sequence[int], pidx: PatternIndex, mismatches: Sequence[int], k: int, offset: int = 0
 ) -> bool:
     """Exact verdict for one filter-surviving window, given the complete set
-    of signature mismatch positions (at most 3k of them)."""
+    of its signature mismatch positions (1-based, at most 3k of them). The
+    window is the m values of ``window`` from ``offset`` on, so a caller
+    that holds a longer sequence passes it whole, with no copy; the
+    reductions read only the values at the mismatches' path steps.
+
+    Raises TypeError for a k or an offset that is not an int, and
+    ValueError for a negative k, an offset below 0 or one that leaves
+    fewer than m values, and a mismatch position outside [1, m]. The
+    values themselves are not checked: ``match_chunk`` has checked them."""
     _validate_k(k)
-    threshold = pidx.m + 1 - k
+    _validate_k(offset, "offset")
+    m = pidx.m
+    if offset + m > len(window):
+        raise ValueError(f"window holds {len(window)} values, fewer than offset + m = {offset + m}")
+    if mismatches and (min(mismatches) < 1 or max(mismatches) > m):
+        raise ValueError(f"mismatch positions must lie in [1, {m}]")
+    threshold = m + 1 - k
     if pidx.mode == "distinct":
-        items = reduce_distinct(window, pidx, mismatches)
+        items = reduce_distinct(window, pidx, mismatches, offset)
         # The items one pass keeps while their ranks rise form an increasing
         # subsequence: a lower bound that accepts most matching windows alone.
         weight = 0
@@ -404,7 +418,7 @@ def verify_window(
             return True
         weight, _ = heaviest_increasing_subsequence(items)
     else:
-        points = reduce_general(window, pidx, mismatches)
+        points = reduce_general(window, pidx, mismatches, offset)
         weight, _ = heaviest_chain(points)
     return weight >= threshold
 
@@ -489,17 +503,14 @@ def match_chunk(
     last_start = min(m, len(chunk) - m + 1)
     out: list[int] = []
     verified = 0
-    i = 1
-    while True:
+    for i in range(1, last_start + 1):
+        if i > 1:
+            sliding.advance()
         stream = sliding.first_mismatches(cap)
         if not stream.truncated:
             verified += 1
-            if verify_window(chunk[i - 1 : i - 1 + m], pidx, stream.positions, k):
+            if verify_window(chunk, pidx, stream.positions, k, offset=i - 1):
                 out.append(i)
-        if i >= last_start:
-            break
-        sliding.advance()
-        i += 1
     if stats is not None:
         stats.windows += last_start
         stats.filtered += last_start - verified

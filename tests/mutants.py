@@ -60,9 +60,23 @@ MUTANTS = [
     Mutant(
         "distinct reduction keeps every position, not only the mismatches",
         "matcher.py",
-        "by_rank = sorted(mismatches, key=rank.__getitem__)",
-        "by_rank = sorted(range(1, pidx.m + 1), key=rank.__getitem__)",
+        "cuts = sorted(map(rank.__getitem__, mismatches))",
+        "cuts = sorted(map(rank.__getitem__, range(1, pidx.m + 1)))",
         ("tests/test_acceptance.py::test_filter_and_verification_bounds_in_k",),
+    ),
+    Mutant(
+        "sliding verification reads every window at offset 0",
+        "matcher.py",
+        "stream.positions, k, offset=i - 1)",
+        "stream.positions, k, offset=0)",
+        ("tests/test_routes.py::test_every_route_decides_every_chunk_like_naive",),
+    ),
+    Mutant(
+        "verify_window accepts a window shorter than m",
+        "matcher.py",
+        "if offset + m > len(window):",
+        "if offset > len(window):",
+        ("tests/test_matcher.py::test_verify_window_checks_its_window_offset_and_mismatches",),
     ),
     Mutant(
         "patience pass: deficit budget k - 1",

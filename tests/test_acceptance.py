@@ -308,6 +308,33 @@ def test_per_window_cost_is_flat_in_m(monkeypatch):
     print(f"per-window cost flat in m (m = 16 000 vs 1 000: {ratio:.2f}x <= 2x): PASS")
 
 
+def test_per_window_cost_is_flat_in_m_where_every_window_verifies():
+    # the paper's O(k log log k) bound per verification: a window that
+    # passes the filter costs the same to verify at any m. Monotone text
+    # against a monotone pattern matches at every start, distinct mode at
+    # k = 0 and general mode at k = 2. Every start passes the prefilter and
+    # the comparison-code filter, so every chunk takes the sliding path and
+    # every window reaches verification. A verification that copies its
+    # window costs O(m) a window and read 3-4x here.
+    windows = 12_000
+    for mode, k in (("distinct", 0), ("general", 2)):
+        # both sides have 12 000 windows, so their time ratio is the ratio
+        # per window; the median of 3 calls a side, the sides alternating
+        sides = {m: (list(range(windows + m - 1)), list(range(m)), []) for m in (1_000, 16_000)}
+        for m, (text, pattern, _) in sides.items():
+            stats = MatchStats()
+            assert len(match_all(text, pattern, k, mode, stats=stats)) == windows, (mode, m)
+            assert stats.verified == stats.windows == windows, (mode, m, stats)
+        for _ in range(3):
+            for text, pattern, times in sides.values():
+                t0 = time.perf_counter()
+                match_all(text, pattern, k, mode)
+                times.append(time.perf_counter() - t0)
+        ratio = statistics.median(sides[16_000][2]) / statistics.median(sides[1_000][2])
+        assert ratio <= 2.0, f"{mode}: time per verified window grew {ratio:.2f}x from m = 1 000 to 16 000"
+        print(f"{mode}: per-verified-window cost flat in m (m = 16 000 vs 1 000: {ratio:.2f}x <= 2x): PASS")
+
+
 def test_filter_and_verification_bounds_in_k(monkeypatch):
     # the paper's bounds in k: a DynString scan makes O(k) LCP queries, and a
     # verification reduces a window to at most 3k + 1 items (distinct) or
@@ -328,8 +355,8 @@ def test_filter_and_verification_bounds_in_k(monkeypatch):
         return lcp(ref, i, j)
 
     def measured(reduce):
-        def reduced(window, pidx, mismatches):
-            out = reduce(window, pidx, mismatches)
+        def reduced(*args):
+            out = reduce(*args)
             sizes.append(len(out))
             return out
 

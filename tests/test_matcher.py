@@ -214,6 +214,34 @@ def test_reduce_distinct_fig_window_accepts():
     assert verify_window(window, pidx, ds, 0) is False
 
 
+def test_verify_window_checks_its_window_offset_and_mismatches():
+    pattern = [5, 1, 4, 2, 3]
+    window = [10, 50, 40, 20, 30]
+    pidx = PatternIndex(pattern, "distinct")
+    assert k_isomorphic_check(window, pattern, 0) is False
+    # a window too short for the pattern, in both modes
+    with pytest.raises(ValueError, match="fewer than offset"):
+        verify_window([1], pidx, [], 0)
+    with pytest.raises(ValueError, match="fewer than offset"):
+        verify_window([1, 2], PatternIndex([*pattern, 3], "general"), [1, 2], 1)
+    # a mismatch position outside [1, m] is not read as a rank
+    for bad in ([0], [-1], [6], [2, 6]):
+        with pytest.raises(ValueError, match=r"mismatch positions must lie in \[1, 5\]"):
+            verify_window(window, pidx, bad, 0)
+    # the offset is a count like k, and the m values from it must exist
+    for bad in (1.0, True, "1"):
+        with pytest.raises(TypeError, match="offset must be an int"):
+            verify_window(window, pidx, [], 0, offset=bad)
+    with pytest.raises(ValueError, match="offset must be non-negative"):
+        verify_window(window, pidx, [], 0, offset=-1)
+    with pytest.raises(ValueError, match="fewer than offset"):
+        verify_window([0, *window], pidx, [], 0, offset=2)
+    # a window read at an offset is decided like its copy
+    ds = signature_hamming(compute_signature(window, "distinct"), pidx.ref.symbols).positions
+    for k in range(3):
+        assert verify_window([0, 99, *window, 7], pidx, ds, k, offset=2) == verify_window(window, pidx, ds, k)
+
+
 def test_reduce_weights_always_cover_every_position():
     rng = random.Random(73)
     for _ in range(400):
