@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .seqcore import BitTrieSet
+from .seqcore import BitTrieSet, _validate_k
 
 __all__ = ["RefString", "DynString", "MismatchStream"]
 
@@ -199,14 +199,14 @@ class DynString:
         One loop walks the window piece by piece: a reference fragment is
         crossed with one capped LCP query, a single symbol is a piece of
         length 1 compared directly. Runs of >= 3 pieces fully contained in
-        a matched gap are compacted into a single reference fragment.
+        a matched gap are compacted into a single reference fragment. The
+        limit is a count, checked as k is (``_validate_k``).
         """
         ref = self.ref
         m = ref.m
         if not (1 <= i <= m + 1):
             raise ValueError(f"window start {i} outside [1, {m + 1}]")
-        if limit < 0:
-            raise ValueError("limit must be non-negative")
+        _validate_k(limit, "limit")
         piece = self._frag.get
         cur = self.symbols
         sym = ref.symbols

@@ -40,7 +40,7 @@ from operator import add, gt, itemgetter, le, lt, ne, sub
 from typing import Sequence
 
 from .fragstring import RefString
-from .seqcore import _validate_k, check_sequences, resolve_mode
+from .seqcore import _validate_k, check_sequences
 from .signature import _DIRECT_SPAN, SlidingSignature, _class_walk, path_order, signature_hamming
 from .subsequence import (
     heaviest_chain,
@@ -60,7 +60,6 @@ __all__ = [
     "verify_window",
     "match_chunk",
     "match_all",
-    "resolve_mode",
 ]
 
 _ORACLE_CAP = 14
@@ -97,21 +96,25 @@ _MIN_BLOCK = 5
 _MAX_CODE_M = 1000
 
 
-def _check_inputs(
-    a: Sequence[int], b: Sequence[int], k: int, mode: str, aligned: bool
-) -> str:
-    """The input contract of the public matching entry points; returns the
-    resolved mode. ``aligned`` means a and b are one alignment of two
-    equal-length sequences; otherwise a is a text and b a non-empty pattern.
-    Both need k >= 0 and pass ``check_sequences``."""
-    names = ("first sequence", "second sequence") if aligned else ("text", "pattern")
+def _check_inputs(a: Sequence[int], b: Sequence[int], k: int, mode: str) -> str:
+    """The input contract of the single-alignment entry points; returns the
+    resolved mode. a and b are one alignment of two equal-length sequences:
+    both need k >= 0 and pass ``check_sequences``."""
     _validate_k(k)
-    resolved = check_sequences(mode, (names[0], a), (names[1], b))
-    if aligned and len(a) != len(b):
+    resolved = check_sequences(mode, ("first sequence", a), ("second sequence", b))
+    if len(a) != len(b):
         raise ValueError("sequences must have equal length")
-    if not aligned and len(b) < 1:
-        raise ValueError("pattern must be non-empty")
     return resolved
+
+
+def _text_and_index(text: Sequence[int], pattern: Sequence[int], k: int, mode: str) -> PatternIndex:
+    """The input contract of ``match_all`` and ``match_naive``: k, then the
+    text, then the pattern, each checked once. "auto" resolves on both
+    sequences: a text that repeats a value makes it general, and otherwise
+    the index resolves it on the pattern."""
+    _validate_k(k)
+    text_mode = check_sequences(mode, ("text", text))
+    return PatternIndex(pattern, mode if text_mode == "distinct" else "general")
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +131,7 @@ def k_isomorphic_subset_oracle(a: Sequence[int], b: Sequence[int], k: int) -> bo
     full <= k-subset enumeration without changing the decided predicate.
     Capped at length 14.
     """
-    _check_inputs(a, b, k, "general", aligned=True)
+    _check_inputs(a, b, k, "general")
     m = len(a)
     if m > _ORACLE_CAP:
         raise ValueError(f"subset oracle capped at length {_ORACLE_CAP}")
@@ -170,7 +173,7 @@ def k_isomorphic_check(
     general mode builds unit-weight points (a_i, b_i), merges duplicates, and
     compares the heaviest chain weight against m - k.
     """
-    return _k_isomorphic(a, b, k, _check_inputs(a, b, k, mode, aligned=True))
+    return _k_isomorphic(a, b, k, _check_inputs(a, b, k, mode))
 
 
 def _k_isomorphic(a: Sequence[int], b: Sequence[int], k: int, mode: str) -> bool:
@@ -197,7 +200,7 @@ def k_isomorphic_witness(
     heaviest increasing subsequence of the second sequence read in that
     order; the mode still decides which inputs are accepted.
     """
-    _check_inputs(a, b, k, mode, aligned=True)
+    _check_inputs(a, b, k, mode)
     m = len(a)
     weight, chosen = heaviest_chain([(a[j], b[j], 1) for j in range(m)])
     if weight < m - k:
@@ -313,6 +316,21 @@ class PatternIndex:
 # ---------------------------------------------------------------------------
 
 
+def _cut_steps(
+    window: Sequence[int], pidx: PatternIndex, mismatches: Sequence[int], offset: int
+) -> list[int]:
+    """The input contract of both reductions: an int offset >= 0 that leaves
+    m values of ``window`` (TypeError, ValueError) and mismatch positions in
+    [1, m] (ValueError). Returns the positions' path steps, ascending."""
+    _validate_k(offset, "offset")
+    m = pidx.m
+    if offset + m > len(window):
+        raise ValueError(f"window holds {len(window)} values, fewer than offset + m = {offset + m}")
+    if mismatches and (min(mismatches) < 1 or max(mismatches) > m):
+        raise ValueError(f"mismatch positions must lie in [1, {m}]")
+    return sorted(map(pidx.rank.__getitem__, mismatches))
+
+
 def reduce_distinct(
     window: Sequence[int], pidx: PatternIndex, mismatches: Sequence[int], offset: int = 0
 ) -> list[tuple[int, int]]:
@@ -325,10 +343,14 @@ def reduce_distinct(
     ``window[offset + order[step]]``; the window is the m values from
     ``offset`` on. The window is k-isomorphic to the pattern iff the
     heaviest increasing subsequence weighs at least (m + 1) - k.
+
+    Raises TypeError for an offset that is not an int, and ValueError for
+    an offset below 0 or one that leaves fewer than m values, and for a
+    mismatch position outside [1, m]; a repeated position raises
+    RuntimeError. The values are not checked.
     """
-    rank = pidx.rank
     order = pidx.order
-    cuts = sorted(map(rank.__getitem__, mismatches))
+    cuts = _cut_steps(window, pidx, mismatches, offset)
     weights = list(map(sub, [*cuts, pidx.m], [-1, *cuts]))
     if 0 in weights:  # a repeated position leaves an empty path
         raise RuntimeError("path weights must cover every position")
@@ -352,13 +374,13 @@ def reduce_general(
     them, so they are returned unmerged. The window is the m values of
     ``window`` from ``offset`` on, read at ``offset + order[step]``. It is
     k-isomorphic to the pattern iff the heaviest chain weighs at least
-    (m + 1) - k.
+    (m + 1) - k. Its input is checked as ``reduce_distinct``'s is.
     """
     m = pidx.m
     order = pidx.order
     class_lo, class_hi = pidx.class_bounds
     pattern = pidx.pattern
-    cuts = sorted(map(pidx.rank.__getitem__, mismatches))
+    cuts = _cut_steps(window, pidx, mismatches, offset)
 
     parts: list[tuple[float | int, float | int, int]] = [(_SENTINEL, _SENTINEL, 1)]
     end = -1  # the last step of the class the current path starts in
@@ -392,18 +414,12 @@ def verify_window(
     that holds a longer sequence passes it whole, with no copy; the
     reductions read only the values at the mismatches' path steps.
 
-    Raises TypeError for a k or an offset that is not an int, and
-    ValueError for a negative k, an offset below 0 or one that leaves
-    fewer than m values, and a mismatch position outside [1, m]. The
-    values themselves are not checked: ``match_chunk`` has checked them."""
+    k is checked here: TypeError when it is not an int, ValueError when it
+    is negative. The reduction checks the window, the offset and the
+    mismatch positions, as ``reduce_distinct`` states. The values
+    themselves are not checked: ``match_chunk`` has checked them."""
     _validate_k(k)
-    _validate_k(offset, "offset")
-    m = pidx.m
-    if offset + m > len(window):
-        raise ValueError(f"window holds {len(window)} values, fewer than offset + m = {offset + m}")
-    if mismatches and (min(mismatches) < 1 or max(mismatches) > m):
-        raise ValueError(f"mismatch positions must lie in [1, {m}]")
-    threshold = m + 1 - k
+    threshold = pidx.m + 1 - k
     if pidx.mode == "distinct":
         items = reduce_distinct(window, pidx, mismatches, offset)
         # The items one pass keeps while their ranks rise form an increasing
@@ -585,13 +601,20 @@ def match_all(
     - The sliding path over the whole chunk (``match_chunk``) otherwise: in
       general mode, for larger m, and for m < 5(k + 1), where neither test
       runs.
+
+    Each input is checked once, before any work, and the first fault in
+    this order raises: k (``_validate_k``); the text's values, their
+    repeats in distinct mode and the mode's name (``check_sequences``);
+    then the pattern, by its ``PatternIndex``: its values, their repeats in
+    distinct mode, and an empty pattern. "auto" resolves to general when
+    the text repeats a value, and otherwise on the pattern.
     """
-    mode = _check_inputs(text, pattern, k, mode, aligned=False)
+    pidx = _text_and_index(text, pattern, k, mode)
+    mode = pidx.mode
     n = len(text)
-    m = len(pattern)
+    m = pidx.m
     if m > n:
         return []
-    pidx = PatternIndex(pattern, mode)
     blocks: list[tuple[int, bytes]] = []
     planes: list[int] = []
     if m >= _MIN_BLOCK * (k + 1):
@@ -814,8 +837,9 @@ def match_naive(
     k: int,
     mode: str = "auto",
 ) -> list[int]:
-    """Position-by-position matching through the single-alignment check; the
-    input contract is checked once, not per window."""
-    mode = _check_inputs(text, pattern, k, mode, aligned=False)
-    n, m = len(text), len(pattern)
-    return [i + 1 for i in range(n - m + 1) if _k_isomorphic(text[i : i + m], pattern, k, mode)]
+    """Position-by-position matching through the single-alignment check. The
+    input is checked once, not per window, by the code that checks it for
+    ``match_all``, so both raise the same error on the same input."""
+    pidx = _text_and_index(text, pattern, k, mode)
+    n, m = len(text), pidx.m
+    return [i + 1 for i in range(n - m + 1) if _k_isomorphic(text[i : i + m], pattern, k, pidx.mode)]

@@ -344,9 +344,9 @@ class SlidingSignature:
     def first_mismatches(self, limit: int) -> MismatchStream:
         """The first mismatches of the current window against the reference,
         as DynString.first_mismatches reports them: increasing 1-based window
-        positions, truncated after limit + 1."""
-        if limit < 0:
-            raise ValueError("limit must be non-negative")
+        positions, truncated after limit + 1. The limit is a count, checked
+        as k is (``_validate_k``)."""
+        _validate_k(limit, "limit")
         m = self.m
         span = min(m, _DIRECT_SPAN * (limit + 1))
         if self._direct:

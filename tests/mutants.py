@@ -58,10 +58,10 @@ MUTANTS = [
         ("tests/test_matcher.py::test_decide_window_agrees_with_match_chunk_and_the_check",),
     ),
     Mutant(
-        "distinct reduction keeps every position, not only the mismatches",
+        "the reductions keep every position, not only the mismatches",
         "matcher.py",
-        "cuts = sorted(map(rank.__getitem__, mismatches))",
-        "cuts = sorted(map(rank.__getitem__, range(1, pidx.m + 1)))",
+        "return sorted(map(pidx.rank.__getitem__, mismatches))",
+        "return sorted(map(pidx.rank.__getitem__, range(1, pidx.m + 1)))",
         ("tests/test_acceptance.py::test_filter_and_verification_bounds_in_k",),
     ),
     Mutant(
@@ -72,11 +72,25 @@ MUTANTS = [
         ("tests/test_routes.py::test_every_route_decides_every_chunk_like_naive",),
     ),
     Mutant(
-        "verify_window accepts a window shorter than m",
+        "a reduction accepts a window shorter than m",
         "matcher.py",
         "if offset + m > len(window):",
         "if offset > len(window):",
-        ("tests/test_matcher.py::test_verify_window_checks_its_window_offset_and_mismatches",),
+        ("tests/test_matcher.py::test_reductions_check_their_window_offset_and_mismatches",),
+    ),
+    Mutant(
+        "the mismatch range admits m + 1",
+        "matcher.py",
+        "max(mismatches) > m)",
+        "max(mismatches) > m + 1)",
+        ("tests/test_matcher.py::test_reductions_check_their_window_offset_and_mismatches",),
+    ),
+    Mutant(
+        "the helper hands the text's mode to the index unchanged",
+        "matcher.py",
+        'PatternIndex(pattern, mode if text_mode == "distinct" else "general")',
+        "PatternIndex(pattern, mode)",
+        ("tests/test_matcher.py::test_match_chunk_follows_the_index_mode",),
     ),
     Mutant(
         "patience pass: deficit budget k - 1",
@@ -368,6 +382,13 @@ MUTANTS = [
         "w = self._words[i] & ((2 << (x & _LOW)) - 1)",
         "w = self._words[i] & ((1 << (x & _LOW)) - 1)",
         ("tests/test_seqcore.py::test_bittrie_basic_semantics",),
+    ),
+    Mutant(
+        "DynString accepts a float limit",
+        "fragstring.py",
+        '_validate_k(limit, "limit")',
+        '_validate_k(int(limit), "limit")',
+        ("tests/test_signature.py::test_every_scan_limit_is_a_count",),
     ),
     Mutant(
         "shared sequence check skips its distinct-values loop",

@@ -242,6 +242,26 @@ def test_verify_window_checks_its_window_offset_and_mismatches():
         assert verify_window([0, 99, *window, 7], pidx, ds, k, offset=2) == verify_window(window, pidx, ds, k)
 
 
+@pytest.mark.parametrize("mode", ["distinct", "general"])
+def test_reductions_check_their_window_offset_and_mismatches(mode):
+    # each reduction checks what it reads: a position outside [1, m] is
+    # not read as a rank, and a short window not read past its end
+    reduce = reduce_distinct if mode == "distinct" else reduce_general
+    window = [10, 50, 40, 20, 30]
+    pidx = PatternIndex([5, 1, 4, 2, 3], mode)
+    for bad in ([0], [-1], [6]):
+        with pytest.raises(ValueError, match=r"mismatch positions must lie in \[1, 5\]"):
+            reduce(window, pidx, bad)
+    for short, offset in ((window[:4], 0), (window, 1), ([0, *window], 2)):
+        with pytest.raises(ValueError, match="fewer than offset"):
+            reduce(short, pidx, [1], offset)
+    with pytest.raises(TypeError, match="offset must be an int"):
+        reduce(window, pidx, [1], 1.0)
+    with pytest.raises(ValueError, match="offset must be non-negative"):
+        reduce(window, pidx, [1], -1)
+    assert reduce([0, *window], pidx, [1, 5], 1) == reduce(window, pidx, [1, 5])
+
+
 def test_reduce_weights_always_cover_every_position():
     rng = random.Random(73)
     for _ in range(400):
@@ -384,7 +404,8 @@ def test_match_all_fig_instance():
 
 
 def test_match_naive_checks_inputs_once(monkeypatch):
-    # the input contract runs once per call, not once per window
+    # the input contract runs once per call, not once per window, and
+    # match_all checks each sequence once too: the pattern by its index only
     calls = []
     validate = seqcore._validate_ints
 
@@ -395,16 +416,18 @@ def test_match_naive_checks_inputs_once(monkeypatch):
     monkeypatch.setattr(seqcore, "_validate_ints", counted)
     for n in (30, 300):
         text = random.Random(n).sample(range(10 * n), n)
-        calls.clear()
-        got = match_naive(text, FIG_PATTERN, 1)
-        assert calls == ["text", "pattern"]
-        assert got == match_all(text, FIG_PATTERN, 1)
+        answers = []
+        for entry in (match_naive, match_all):
+            calls.clear()
+            answers.append(entry(text, FIG_PATTERN, 1))
+            assert calls == ["text", "pattern"], entry
+        assert answers[0] == answers[1]
 
 
 def test_distinct_values_checked_only_when_distinct_is_asked(monkeypatch):
     # "auto" resolves to distinct only after resolve_mode has found every
-    # value unique, so only an explicit "distinct" checks each sequence again;
-    # PatternIndex, a public entry point, keeps its own check
+    # value unique, so only an explicit "distinct" checks each sequence again,
+    # and match_all's pattern is checked by its PatternIndex alone
     calls = []
     validate = seqcore._validate_distinct
 
@@ -416,7 +439,7 @@ def test_distinct_values_checked_only_when_distinct_is_asked(monkeypatch):
     cases = [
         (match_naive, FIG_TEXT, [], ["text", "pattern"]),
         (k_isomorphic_check, FIG_TEXT[:5], [], ["first sequence", "second sequence"]),
-        (match_all, FIG_TEXT, ["pattern"], ["text", "pattern", "pattern"]),
+        (match_all, FIG_TEXT, [], ["text", "pattern"]),
     ]
     for entry, seq, under_auto, under_distinct in cases:
         calls.clear()
@@ -429,6 +452,41 @@ def test_distinct_values_checked_only_when_distinct_is_asked(monkeypatch):
         assert entry(repeat, FIG_PATTERN, 1) == entry(repeat, FIG_PATTERN, 1, "general")
         with pytest.raises(DuplicateValuesError):
             entry(repeat, FIG_PATTERN, 1, "distinct")
+
+
+GRID_TEXTS = {"good": FIG_TEXT, "float": [*FIG_TEXT[:4], 2.5], "repeating": [*FIG_TEXT, 1], "empty": []}
+GRID_PATTERNS = {"good": FIG_PATTERN, "float": [1, 4.0, 2], "repeating": [1, 4, 1], "empty": []}
+
+
+@pytest.mark.parametrize("mode", ["distinct", "auto", "bogus"])
+@pytest.mark.parametrize("pattern", GRID_PATTERNS)
+@pytest.mark.parametrize("text", GRID_TEXTS)
+def test_faulty_inputs_raise_one_error_in_both_matchers(text, pattern, mode):
+    # the first fault in match_all's stated order raises, and match_naive
+    # raises the same: k, the text, the mode name, then the pattern
+    t, p = GRID_TEXTS[text], GRID_PATTERNS[pattern]
+    distinct = mode == "distinct"
+    faults = [
+        (text == "float", TypeError, "text values must be int, got float"),
+        (distinct and text == "repeating", DuplicateValuesError, "unique values in the text"),
+        (mode == "bogus", ValueError, "unknown mode 'bogus'"),
+        (pattern == "float", TypeError, "pattern values must be int, got float"),
+        (distinct and pattern == "repeating", DuplicateValuesError, "unique values in the pattern"),
+        (pattern == "empty", ValueError, "pattern must be non-empty"),
+    ]
+    outcomes = []
+    for entry in (match_all, match_naive):
+        try:
+            outcomes.append(entry(t, p, 1, mode))
+        except (TypeError, ValueError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    first = next(((kind, message) for fault, kind, message in faults if fault), None)
+    if first is None:
+        assert isinstance(outcomes[0], list)
+    else:
+        assert outcomes[0][0] is first[0]
+        assert first[1] in outcomes[0][1]
 
 
 def test_match_chunk_fig_instance():

@@ -81,6 +81,19 @@ def test_hamming_cap_at_and_below_zero():
             signature_hamming(sig_a, sig_b, cap=bad)
 
 
+def test_every_scan_limit_is_a_count():
+    # both first_mismatches read their limit as signature_hamming reads its
+    # cap: a bool is not read as 1, a float neither truncates nor reaches islice
+    sliding = SlidingSignature(SEQ_A, PatternIndex(SEQ_B[:7], "distinct"))
+    scans = (sliding.first_mismatches, lambda limit: sliding.dyn.first_mismatches(1, limit))
+    for scan in scans:
+        for bad in (0.5, True):
+            with pytest.raises(TypeError, match="limit must be an int"):
+                scan(bad)
+        with pytest.raises(ValueError, match="limit must be non-negative"):
+            scan(-1)
+
+
 def test_sorted_chain_signature():
     sig = compute_signature([1, 2, 3], "distinct")
     assert [unpack_symbol(p) for p in sig] == [
