@@ -504,25 +504,25 @@ def match_chunk(
     that is iff n - c + 1 >= 2m, so every chunk with a successor is 2m
     long, and the last chunk is shorter than 2m and has none. A window is
     filtered out when its signature differs from the pattern's in more than
-    3k places. A negative k raises ValueError, and the chunk is checked by
-    ``SlidingSignature``: int values, a length in [m, 2m] and, in distinct
-    mode, unique values. The mode is the index's, not resolved again on the
-    chunk: under an index whose "auto" resolved to distinct on the pattern,
-    a chunk that repeats a value raises DuplicateValuesError, where
-    ``match_all`` would resolve to general; build the index with
-    mode="general" for such chunks.
+    3k places: the chunk's ``SlidingSignature`` is set up with the cap 3k,
+    once, for all its windows. A negative k raises ValueError, and the
+    chunk is checked by ``SlidingSignature``: int values, a length in
+    [m, 2m] and, in distinct mode, unique values. The mode is the index's,
+    not resolved again on the chunk: under an index whose "auto" resolved to
+    distinct on the pattern, a chunk that repeats a value raises
+    DuplicateValuesError, where ``match_all`` would resolve to general;
+    build the index with mode="general" for such chunks.
     """
     _validate_k(k)
-    sliding = SlidingSignature(chunk, pidx)
+    sliding = SlidingSignature(chunk, pidx, 3 * k)
     m = pidx.m
-    cap = 3 * k
     last_start = min(m, len(chunk) - m + 1)
     out: list[int] = []
     verified = 0
     for i in range(1, last_start + 1):
         if i > 1:
             sliding.advance()
-        stream = sliding.first_mismatches(cap)
+        stream = sliding.first_mismatches()
         if not stream.truncated:
             verified += 1
             if verify_window(chunk, pidx, stream.positions, k, offset=i - 1):

@@ -130,8 +130,9 @@ def suite_subsequence(rng: random.Random, iterations: int) -> str | None:
 
 def first_window_sliding(chunk: list[int], m: int, mode: str) -> SlidingSignature:
     """A sliding signature over ``chunk`` whose reference is the chunk's own
-    first window, ``PatternIndex(chunk[:m], mode)``."""
-    return SlidingSignature(chunk, PatternIndex(chunk[:m], mode))
+    first window, ``PatternIndex(chunk[:m], mode)``. Its callers read only
+    its windows, never a scan, so its scan cap is 0."""
+    return SlidingSignature(chunk, PatternIndex(chunk[:m], mode), 0)
 
 
 def suite_sliding(rng: random.Random, iterations: int) -> str | None:

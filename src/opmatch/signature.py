@@ -269,11 +269,15 @@ class SlidingSignature:
     offline pass. ``advance`` packs each rewritten symbol in place, as
     ``_class_walk`` does.
 
-    ``first_mismatches`` decides most windows by comparing the window's first
-    8(limit + 1) mirror symbols with the reference directly: that settles
-    every window with more than ``limit`` mismatches in that span, and every
-    window no longer than the span. The other windows, those with a long
-    matched stretch, go to ``dyn``, whose LCP jumps cross matched fragments.
+    ``limit``, the scan cap of every window (3k in ``match_chunk``), is a
+    count checked once, at set-up, as k is (``_validate_k``), before the
+    chunk is read (each ``dyn`` scan checks it again); set-up also fixes the
+    direct span, min(m, 8(limit + 1)) symbols. ``first_mismatches`` decides
+    most windows by comparing the window's first span of mirror symbols with
+    the reference directly: that settles every window with more than
+    ``limit`` mismatches in that span, and every window no longer than the
+    span. The other windows, those with a long matched stretch, go to
+    ``dyn``, whose LCP jumps cross matched fragments.
     A one-bit predictor skips the direct scan after a DynString scan showed
     that the span could not have decided the window. ``dyn_scans`` counts
     the windows the DynString decided.
@@ -286,7 +290,8 @@ class SlidingSignature:
     changes nothing; ``dyn`` is scanned only through ``first_mismatches``.
     """
 
-    def __init__(self, chunk: Sequence[int], pidx: PatternIndex):
+    def __init__(self, chunk: Sequence[int], pidx: PatternIndex, limit: int):
+        _validate_k(limit, "limit")
         _validate_ints(chunk, "chunk")
         m = pidx.m
         length = len(chunk)
@@ -297,6 +302,8 @@ class SlidingSignature:
         self.m = m
         self.length = length
         self.start = 1
+        self.limit = limit
+        self._span = min(m, _DIRECT_SPAN * (limit + 1))
 
         order = path_order(chunk)
         # 1-based position tables over dense value ranks
@@ -341,27 +348,24 @@ class SlidingSignature:
         i = self.start
         return self._mirror[i - 1 : i - 1 + self.m]
 
-    def first_mismatches(self, limit: int) -> MismatchStream:
+    def first_mismatches(self) -> MismatchStream:
         """The first mismatches of the current window against the reference,
         as DynString.first_mismatches reports them: increasing 1-based window
-        positions, truncated after limit + 1. The limit is a count, checked
-        as k is (``_validate_k``)."""
-        _validate_k(limit, "limit")
-        m = self.m
-        span = min(m, _DIRECT_SPAN * (limit + 1))
+        positions, truncated after the set-up's limit + 1."""
+        span = self._span
         if self._direct:
             i = self.start
             head = self._mirror[i - 1 : i - 1 + span]
             diffs = compress(count(1), map(ne, head, self.dyn.ref.symbols))
-            found = list(islice(diffs, min(limit, span) + 1))  # bounded below sys.maxsize
-            if len(found) > limit:
+            found = list(islice(diffs, min(self.limit, span) + 1))  # bounded below sys.maxsize
+            if len(found) > self.limit:
                 return MismatchStream(found, True)
-            if span == m:
+            if span == self.m:
                 return MismatchStream(found, False)
-        stream = self.dyn.first_mismatches(self.start, limit)
+        stream = self.dyn.first_mismatches(self.start, self.limit)
         self.dyn_scans += 1
         # try the direct scan next time only if it could have decided this window
-        self._direct = span == m or (stream.truncated and stream.positions[-1] <= span)
+        self._direct = stream.truncated and stream.positions[-1] <= span
         return stream
 
     def advance(self) -> None:

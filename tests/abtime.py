@@ -12,7 +12,8 @@ exits 1. Then each round times one ``match_all`` call per side, and the
 side that goes first alternates from round to round, so that a drift of the
 host's speed falls on both sides alike.
 
-Per shape it prints the median and the quartiles of each side's times, the
+Per shape it prints the median and the quartiles of each side's times, in
+ms to three decimals so that a sub-millisecond shape shows its spread, the
 ratio of the medians (change / parent), the rounds the change won, and,
 from 3 rounds on, "slower" where the change's median exceeds the parent's
 by more than the parent's quartile spread. It is not a timing gate: it
@@ -86,7 +87,7 @@ def compare(parent: ModuleType, change: ModuleType, instances: dict, rounds: int
     ``Instance``), alternating; print a row per instance and return the
     rows, or None once the two disagree on some answer or ``MatchStats``."""
     sides = (parent, change)
-    print(f"{'shape':26} {'parent ms [q1, q3]':>24} {'change ms [q1, q3]':>24} {'ratio':>6} {'wins':>6}")
+    print(f"{'shape':26} {'parent ms [q1, q3]':>27} {'change ms [q1, q3]':>27} {'ratio':>6} {'wins':>6}")
     rows: list[dict] = []
     for name, inst in instances.items():
         args = (inst.text, inst.pattern, inst.k, inst.mode)
@@ -108,8 +109,8 @@ def compare(parent: ModuleType, change: ModuleType, instances: dict, rounds: int
         wins = sum(c < p for p, c in zip(*times))
         verdict = "slower" if rounds >= 3 and c2 - p2 > p3 - p1 else ""
         print(
-            f"{name:26} {p2 * 1e3:8.1f} [{p1 * 1e3:6.1f}, {p3 * 1e3:6.1f}] "
-            f"{c2 * 1e3:8.1f} [{c1 * 1e3:6.1f}, {c3 * 1e3:6.1f}] {c2 / p2:6.2f} {wins:3}/{rounds}  {verdict}".rstrip()
+            f"{name:26} {p2 * 1e3:8.3f} [{p1 * 1e3:7.3f}, {p3 * 1e3:7.3f}] "
+            f"{c2 * 1e3:8.3f} [{c1 * 1e3:7.3f}, {c3 * 1e3:7.3f}] {c2 / p2:6.2f} {wins:3}/{rounds}  {verdict}".rstrip()
         )
         row: dict = {"shape": name, "ratio": c2 / p2, "wins": wins, "verdict": verdict}
         for side, (q1, q2, q3), (answer, stats) in zip(("parent", "change"), quartiles, results):

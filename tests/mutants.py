@@ -137,15 +137,15 @@ MUTANTS = [
     Mutant(
         "sliding chunk: 3k - 1 filter cap",
         "matcher.py",
-        "cap = 3 * k\n",
-        "cap = 3 * k - 1\n",
+        "SlidingSignature(chunk, pidx, 3 * k)",
+        "SlidingSignature(chunk, pidx, 3 * k - 1)",
         ("tests/test_matcher.py::test_decide_window_agrees_with_match_chunk_and_the_check",),
     ),
     Mutant(
         "sliding chunk: 2k filter cap",
         "matcher.py",
-        "cap = 3 * k\n",
-        "cap = 2 * k\n",
+        "SlidingSignature(chunk, pidx, 3 * k)",
+        "SlidingSignature(chunk, pidx, 2 * k)",
         (
             "tests/test_routes.py::test_every_route_decides_every_chunk_like_naive",
             "tests/test_matcher.py::test_weakened_filter_cap_is_caught_on_every_canonical_chunk",
@@ -382,6 +382,20 @@ MUTANTS = [
         "w = self._words[i] & ((2 << (x & _LOW)) - 1)",
         "w = self._words[i] & ((1 << (x & _LOW)) - 1)",
         ("tests/test_seqcore.py::test_bittrie_basic_semantics",),
+    ),
+    Mutant(
+        "SlidingSignature accepts a float cap",
+        "signature.py",
+        '_validate_k(limit, "limit")',
+        '_validate_k(int(limit), "limit")',
+        ("tests/test_signature.py::test_every_scan_limit_is_a_count",),
+    ),
+    Mutant(
+        "direct span one block short: 8 * limit",
+        "signature.py",
+        "min(m, _DIRECT_SPAN * (limit + 1))",
+        "min(m, _DIRECT_SPAN * limit)",
+        ("tests/test_signature.py::test_direct_scan_decides_every_window_within_its_span",),
     ),
     Mutant(
         "DynString accepts a float limit",

@@ -445,14 +445,14 @@ def test_selftest_small_run_passes(capsys):
 
 def test_selftest_catches_weakened_filter(monkeypatch):
     # the oracle-equivalence suite must flag a 2k filter cap: match_chunk
-    # asks the filter for 3k mismatches, the wrapper scans for 2k; run_suites
+    # sets the filter up for 3k mismatches, the wrapper for 2k; run_suites
     # reports the counterexample under one FAIL line, and the other suites pass
     from opmatch.selftest import suite_match_oracle
     from opmatch.signature import SlidingSignature
 
-    first_mismatches = SlidingSignature.first_mismatches
+    init = SlidingSignature.__init__
     monkeypatch.setattr(
-        SlidingSignature, "first_mismatches", lambda self, limit: first_mismatches(self, limit * 2 // 3)
+        SlidingSignature, "__init__", lambda self, chunk, pidx, limit: init(self, chunk, pidx, limit * 2 // 3)
     )
     rng = random.Random(515)
     bad = suite_match_oracle(rng, 3000)

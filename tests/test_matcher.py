@@ -583,7 +583,7 @@ def test_huge_k_answers_like_naive():
         lambda bad, good: k_isomorphic_subset_oracle(good, bad, 0),
         lambda bad, good: PatternIndex(bad),
         lambda bad, good: compute_signature(bad),
-        lambda bad, good: SlidingSignature(bad, PatternIndex(good)),
+        lambda bad, good: SlidingSignature(bad, PatternIndex(good), 0),
         lambda bad, good: match_chunk(bad, PatternIndex(good), 0),
     ],
     ids=["match_all", "match_naive", "k_isomorphic_check", "k_isomorphic_witness",
@@ -748,7 +748,7 @@ def test_match_stats_accounting():
 
 def test_weakened_filter_cap_is_caught_by_oracle_comparison(monkeypatch):
     # with the cap lowered from 3k to 2k some true occurrence must vanish:
-    # match_chunk asks the filter for 3k mismatches, the wrapper scans for 2k
+    # match_chunk sets the filter up for 3k mismatches, the wrapper for 2k
     rng = random.Random(113)
     cases = []
     for _ in range(4000):
@@ -758,9 +758,9 @@ def test_weakened_filter_cap_is_caught_by_oracle_comparison(monkeypatch):
         text = rng.sample(range(10 * n), n)
         pattern = rng.sample(range(10 * n), m)
         cases.append((text, pattern, k, match_all(text, pattern, k)))
-    first_mismatches = SlidingSignature.first_mismatches
+    init = SlidingSignature.__init__
     monkeypatch.setattr(
-        SlidingSignature, "first_mismatches", lambda self, limit: first_mismatches(self, limit * 2 // 3)
+        SlidingSignature, "__init__", lambda self, chunk, pidx, limit: init(self, chunk, pidx, limit * 2 // 3)
     )
     broken = 0
     for text, pattern, k, want in cases:
@@ -796,9 +796,9 @@ def test_weakened_filter_cap_is_caught_on_every_canonical_chunk(monkeypatch):
 
     for text, pattern, k, want in cases:
         assert chunk_answers(text, pattern, k) == want, (text, pattern, k)
-    first_mismatches = SlidingSignature.first_mismatches
+    init = SlidingSignature.__init__
     monkeypatch.setattr(
-        SlidingSignature, "first_mismatches", lambda self, limit: first_mismatches(self, limit * 2 // 3)
+        SlidingSignature, "__init__", lambda self, chunk, pidx, limit: init(self, chunk, pidx, limit * 2 // 3)
     )
     broken = 0
     for text, pattern, k, want in cases:

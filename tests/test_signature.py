@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opmatch.fragstring import MismatchStream
-from opmatch.matcher import MatchStats, PatternIndex, match_all
+from opmatch.matcher import MatchStats, PatternIndex, match_all, match_chunk
 from opmatch.selftest import first_window_sliding
 from opmatch.seqcore import DuplicateValuesError
 from opmatch.signature import (
@@ -81,17 +81,69 @@ def test_hamming_cap_at_and_below_zero():
             signature_hamming(sig_a, sig_b, cap=bad)
 
 
+class _Unread:
+    """A chunk that fails the test if anything reads it."""
+
+    def _read(self, *args):
+        raise AssertionError("the chunk was read")
+
+    __len__ = __iter__ = __getitem__ = _read
+
+
 def test_every_scan_limit_is_a_count():
-    # both first_mismatches read their limit as signature_hamming reads its
-    # cap: a bool is not read as 1, a float neither truncates nor reaches islice
-    sliding = SlidingSignature(SEQ_A, PatternIndex(SEQ_B[:7], "distinct"))
-    scans = (sliding.first_mismatches, lambda limit: sliding.dyn.first_mismatches(1, limit))
+    # both scan limits are read as signature_hamming reads its cap: a bool is
+    # not read as 1, a float neither truncates nor reaches islice. A sliding
+    # signature checks its limit at set-up, before it reads the chunk; a
+    # DynString checks the limit of each scan
+    pidx = PatternIndex(SEQ_B[:7], "distinct")
+    dyn = SlidingSignature(SEQ_A, pidx, 0).dyn
+    scans = (lambda limit: SlidingSignature(_Unread(), pidx, limit), lambda limit: dyn.first_mismatches(1, limit))
     for scan in scans:
         for bad in (0.5, True):
             with pytest.raises(TypeError, match="limit must be an int"):
                 scan(bad)
         with pytest.raises(ValueError, match="limit must be non-negative"):
             scan(-1)
+
+
+def test_match_chunk_checks_its_scan_limit_once(monkeypatch):
+    # the cap 3k is the same for every window, so the chunk's sliding
+    # signature checks it once, at set-up, not once per window; the DynString
+    # checks the limit of each scan it makes. The random chunk's windows are
+    # all decided by the direct scan, the increasing chunk's by the DynString
+    import opmatch.fragstring as fragstring
+    import opmatch.signature as signature
+
+    def counting(seen, validate):
+        return lambda n, name="k": seen.append(name) or validate(n, name)
+
+    names = {signature: [], fragstring: []}
+    for module, seen in names.items():
+        monkeypatch.setattr(module, "_validate_k", counting(seen, module._validate_k))
+    m = 60
+    for chunk, dyn_scans in ((random.Random(41).sample(range(1000), 2 * m), 0), (list(range(2 * m)), m)):
+        for seen in names.values():
+            seen.clear()
+        stats = MatchStats()
+        match_chunk(chunk, PatternIndex(list(range(m)), "distinct"), 1, stats)
+        assert (stats.windows, stats.dyn_scans) == (m, dyn_scans)
+        assert names[signature].count("limit") == 1
+        assert names[fragstring].count("limit") == dyn_scans
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2])
+def test_direct_scan_decides_every_window_within_its_span(limit):
+    # a window no longer than the direct span, 8(limit + 1), is decided by
+    # the direct scan even where it matches; one symbol longer, a matching
+    # window goes to the DynString, and so does every window after it
+    span = 8 * (limit + 1)
+    for m, dyn_scans in ((span, 0), (span + 1, span + 2)):
+        sliding = SlidingSignature(list(range(2 * m)), PatternIndex(list(range(m)), "distinct"), limit)
+        for i in range(1, m + 2):
+            assert sliding.first_mismatches() == MismatchStream([], False)
+            if i <= m:
+                sliding.advance()
+        assert sliding.dyn_scans == dyn_scans, m
 
 
 def test_sorted_chain_signature():
@@ -274,14 +326,14 @@ def test_sliding_advance_past_end_raises():
 
 def test_sliding_rejects_short_chunk():
     with pytest.raises(ValueError, match="shorter than the window"):
-        SlidingSignature([1, 2], PatternIndex([1, 2, 3], "distinct"))
+        SlidingSignature([1, 2], PatternIndex([1, 2, 3], "distinct"), 0)
 
 
 def test_sliding_distinct_rejects_duplicates():
     # the index is built over unique values, so only the chunk's own rank
     # check sees the repeat past position m
     with pytest.raises(DuplicateValuesError):
-        SlidingSignature([1, 2, 1], PatternIndex([1, 2], "distinct"))
+        SlidingSignature([1, 2, 1], PatternIndex([1, 2], "distinct"), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +504,13 @@ def test_hybrid_filter_matches_hamming(case):
         ("distinct", _tie_broken(chunk), _tie_broken(pattern)),
     ):
         ref_sig = compute_signature(pat, mode)
-        sliding = SlidingSignature(text, PatternIndex(pat, mode))
+        sliding = SlidingSignature(text, PatternIndex(pat, mode), limit)
         windows = len(text) - m + 1
         for i in range(1, windows + 1):
             want_sig = compute_signature(text[i - 1 : i - 1 + m], mode)
             want = signature_hamming(want_sig, ref_sig, cap=limit)
             scans = sliding.dyn_scans
-            got = sliding.first_mismatches(limit)
+            got = sliding.first_mismatches()
             assert (got.positions, got.truncated) == (want.positions, want.truncated), (mode, i)
             if sliding.dyn_scans > scans:
                 sliding.dyn.check_tiling()
@@ -484,19 +536,19 @@ def test_lazy_dynstring_matches_eager_twin(case, data):
         pidx = PatternIndex(pat, mode)
         windows = len(text) - m + 1
         i = data.draw(st.integers(1, windows))
-        lazy = SlidingSignature(text, pidx)
-        twin = SlidingSignature(text, pidx)
+        lazy = SlidingSignature(text, pidx, limit)
+        twin = SlidingSignature(text, pidx, limit)
         for j in range(1, windows + 1):
             want_sig = compute_signature(text[j - 1 : j - 1 + m], mode)
             want = signature_hamming(want_sig, ref_sig, cap=limit)
             twin._direct = False
-            other = twin.first_mismatches(limit)
+            other = twin.first_mismatches()
             assert (other.positions, other.truncated) == (want.positions, want.truncated)
             if j < i:
                 assert lazy.dyn_scans == 0 and lazy.dyn._frag == {}
             else:
                 lazy._direct = False
-                got = lazy.first_mismatches(limit)
+                got = lazy.first_mismatches()
                 assert (got.positions, got.truncated) == (want.positions, want.truncated), (mode, j)
                 lazy.dyn.check_tiling()
             if j < windows:
@@ -517,7 +569,7 @@ def test_tiling_holds_after_every_advance(case, data):
         ("general", chunk, pattern),
         ("distinct", _tie_broken(chunk), _tie_broken(pattern)),
     ):
-        sliding = SlidingSignature(text, PatternIndex(pat, mode))
+        sliding = SlidingSignature(text, PatternIndex(pat, mode), limit)
         windows = len(text) - m + 1
         forced = data.draw(st.sets(st.integers(1, windows), max_size=windows))
         replace = sliding.dyn.replace
@@ -531,7 +583,7 @@ def test_tiling_holds_after_every_advance(case, data):
         for i in range(1, windows + 1):
             if i in forced:
                 sliding._direct = False
-            sliding.first_mismatches(limit)
+            sliding.first_mismatches()
             if i < windows:
                 sliding.advance()
                 if sliding.dyn_scans:
@@ -570,9 +622,9 @@ def test_advance_writes_through_once_the_dynstring_scanned():
     chunk = list(range(2 * m))
     rng.shuffle(chunk)
     pidx = PatternIndex(list(range(m)), "general")
-    sliding = SlidingSignature(chunk, pidx)
+    sliding = SlidingSignature(chunk, pidx, 1)
     for i in range(1, m + 2):
-        assert sliding.first_mismatches(1).truncated
+        assert sliding.first_mismatches().truncated
         if i <= m:
             sliding.advance()
     assert sliding.dyn_scans == 0
@@ -580,10 +632,10 @@ def test_advance_writes_through_once_the_dynstring_scanned():
     # an increasing chunk: the DynString scan of window 2 compacts it into one
     # reference fragment; the next advance makes position 3 the window minimum,
     # and writing its symbol splits that fragment before any further scan
-    sliding = SlidingSignature(list(range(2 * m)), pidx)
+    sliding = SlidingSignature(list(range(2 * m)), pidx, 1)
     sliding.advance()
     sliding._direct = False  # send the window to the DynString
-    assert sliding.first_mismatches(1).positions == []
+    assert sliding.first_mismatches().positions == []
     assert sliding.dyn_scans == 1
     assert sliding.dyn._frag == {2: (1, m)}
     sliding.advance()
@@ -592,7 +644,7 @@ def test_advance_writes_through_once_the_dynstring_scanned():
     # the arriving position's PAD was overwritten
     assert sliding.window_view() == compute_signature(list(range(2, m + 2)), "general")
     sliding._direct = False
-    assert sliding.first_mismatches(1).positions == []
+    assert sliding.first_mismatches().positions == []
     sliding.dyn.check_tiling()
 
 
@@ -601,9 +653,9 @@ def test_mirror_is_the_dynstring_symbol_list():
     m = 50
     chunk = list(range(2 * m))
     chunk[60:70] = rng.sample(range(60, 70), 10)
-    sliding = SlidingSignature(chunk, PatternIndex(list(range(m)), "distinct"))
+    sliding = SlidingSignature(chunk, PatternIndex(list(range(m)), "distinct"), 1)
     for i in range(1, m + 2):
-        sliding.first_mismatches(1)
+        sliding.first_mismatches()
         assert sliding.dyn.symbols is sliding._mirror
         if i <= m:
             sliding.advance()
@@ -618,12 +670,12 @@ def test_reading_the_dynstring_changes_nothing(case):
     chunk, pattern, limit, _ = case
     m = len(pattern)
     pidx = PatternIndex(pattern, "general")
-    probed = SlidingSignature(chunk, pidx)
-    twin = SlidingSignature(chunk, pidx)
+    probed = SlidingSignature(chunk, pidx, limit)
+    twin = SlidingSignature(chunk, pidx, limit)
     windows = len(chunk) - m + 1
     for i in range(1, windows + 1):
-        got = probed.first_mismatches(limit)
-        want = twin.first_mismatches(limit)
+        got = probed.first_mismatches()
+        want = twin.first_mismatches()
         assert 1 <= probed.dyn.fragment_count() <= 2 * m
         assert (got.positions, got.truncated) == (want.positions, want.truncated)
         assert (probed.dyn._frag, probed.dyn_scans) == (twin.dyn._frag, twin.dyn_scans)
