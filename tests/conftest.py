@@ -15,8 +15,8 @@ class RouteRecorder:
     """Logs, in call order, each call ``match_all`` makes to the functions
     that pick and run a chunk's route: the block prefilter
     (``_candidate_starts``), the comparison-code filter (``_code_starts``),
-    the sliding path (``match_chunk``), a dense chunk decided together
-    (``_decide_dense_chunk``) and a window decided alone
+    the sliding path (``match_chunk``), a run of dense chunks decided
+    together (``_decide_dense_chunk``) and a window decided alone
     (``_decide_window``). A call that one of them makes to another, such as
     the patience pass that a chunk decided together leaves to
     ``_decide_window``, goes to ``inner`` instead. Each call runs the real
@@ -47,7 +47,7 @@ class RouteRecorder:
         return [call for call in self.log if call.name == name]
 
     def owned(self) -> int:
-        """The windows that the chunks decided together own."""
+        """The windows that the runs of chunks decided together own."""
         return sum(call.args[2] for call in self.calls("_decide_dense_chunk"))
 
     def decided_alone(self) -> int:

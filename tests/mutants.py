@@ -218,6 +218,39 @@ MUTANTS = [
         ("tests/test_matcher.py::test_prefilter_needs_five_positions_in_every_block[9-False]",),
     ),
     Mutant(
+        "dense run decided at every chunk",
+        "matcher.py",
+        "if run >= _DENSE_RUN or first + owned == end:",
+        "if True:",
+        ("tests/test_matcher.py::test_dense_distinct_chunk_decides_its_windows_alone_up_to_8_3k_plus_1[32-True]",),
+    ),
+    Mutant(
+        "dense run never reaches its cap",
+        "matcher.py",
+        "if run >= _DENSE_RUN or first + owned == end:",
+        "if first + owned == end:",
+        ("tests/test_matcher.py::test_dense_run_is_decided_once_it_holds_8192_windows",),
+    ),
+    Mutant(
+        "pending dense run decided after the sparse chunk that ends it",
+        "matcher.py",
+        "        if run:  # the run ends before this chunk's windows\n"
+        "            out.extend(_decide_dense_chunk(text, first - run, run, pidx, k, stats))\n"
+        "            run = 0\n"
+        "        if starts is not None:\n"
+        "            for s in sorted(starts):\n"
+        "                if _decide_window(text[s : s + m], pidx, k, stats):\n"
+        "                    out.append(s + 1)\n",
+        "        if starts is not None:\n"
+        "            for s in sorted(starts):\n"
+        "                if _decide_window(text[s : s + m], pidx, k, stats):\n"
+        "                    out.append(s + 1)\n"
+        "            if run:\n"
+        "                out.extend(_decide_dense_chunk(text, first - run, run, pidx, k, stats))\n"
+        "                run = 0\n",
+        ("tests/test_matcher.py::test_dense_run_is_decided_before_the_sparse_chunk_that_ends_it",),
+    ),
+    Mutant(
         "dense chunk counts its patience-pass windows twice",
         "matcher.py",
         "first + s + m], pidx, k, None)",

@@ -16,7 +16,8 @@ that ``match_all`` makes:
   and no chunk slides;
 - ``dense-together``: no chunk slides, and dense chunks are decided
   together: the bit planes of their broken pattern edges certify all but
-  at most 5% of the windows, which get the patience pass;
+  at most 5% of the windows, which get the patience pass, and at most 5%
+  lie in the few chunks that the prefilter leaves sparse between runs;
 - ``direct``: chunks slide, and the direct scan decides every window they
   own, with no DynString scan;
 - ``dynstring``: chunks slide, and their DynString decides windows.
@@ -119,6 +120,32 @@ def _near_sorted() -> Instance:
     return Instance(text, pattern, 10, "distinct")
 
 
+def _dense_runs() -> Instance:
+    """Sorted values with 1% adjacent swaps, n = 2e4, against a pattern of
+    40 with 2% of them, k = 2, and two stretches of 90 text values
+    shuffled, at 9000 and 15000. Every chunk stays dense through both
+    prefilter stages but the two on each shuffled stretch, and m <= 8(3k +
+    1) = 56, so the chunks are decided together, in runs: the first run
+    reaches ``_DENSE_RUN`` = 8192 windows at 8200 and is decided there, the
+    next two end before a chunk that the shuffled stretch leaves sparse,
+    and the last ends with the text."""
+    r = random.Random(1)
+
+    def swap_some(seq, per_mille):
+        for _ in range(len(seq) * per_mille // 1000):
+            i = r.randrange(len(seq) - 1)
+            seq[i], seq[i + 1] = seq[i + 1], seq[i]
+        return seq
+
+    pattern = swap_some(list(range(40)), 20)
+    text = swap_some(list(range(0, 200_000, 10)), 10)
+    for a in (9000, 15000):
+        stretch = text[a : a + 90]
+        r.shuffle(stretch)
+        text[a : a + 90] = stretch
+    return Instance(text, pattern, 2, "distinct")
+
+
 def _zigzag() -> Instance:
     """Criterion 7's zigzag at n = 3000, m = 300, k = 2: distinct values
     x * (length + 1) + i whose steps alternate down and up by a random
@@ -169,6 +196,8 @@ SHAPES = {
         Shape("zero-background-m200", "codes", (101, 1401, 2701), _zero_background),
         Shape("planted-m500", "candidates", (701,), _planted),
         Shape("near-sorted-m200", "dense-together", 2712, _near_sorted),
+        # past the cap of a run decided together, and runs split by sparse chunks
+        Shape("dense-runs-m40", "dense-together", 19611, _dense_runs),
         Shape("zigzag-m300", "direct", (2701,), _zigzag),
     ]
 }

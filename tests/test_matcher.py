@@ -1161,39 +1161,51 @@ def test_match_all_equals_naive_through_every_prefilter_route(routes):
         assert match_all(text, pattern, k, mode, stats=stats) == want, case
         chunk_windows = code_ruled_out = 0
         dense = False  # True while the prefilter stages leave the current chunk dense
+        pending = []  # (first, owned) of the dense chunks since the last run decided together
         for name, args, result in routes.log:
             if name == "_candidate_starts":
                 dense = result is None
-                if result is not None:
+                if dense:
+                    pending.append(args[2:4])
+                else:
                     reached["sparse" if result else "skip"] += 1
                     reached["sparse at the cap"] += len(result) == matcher._SPARSE_CAP
             elif name == "_code_starts":
                 dense = result is None
                 reached[f"codes{' dense' if dense else ''} ({args[2]})"] += 1
                 if result is not None:
+                    pending.pop()  # the chunk that the block prefilter left dense
                     code_ruled_out += args[4] - len(result)  # owned - kept
             elif name == "match_chunk":
                 chunk, pidx = args[:2]
-                if dense and pidx.mode == "distinct":
-                    # a dense distinct chunk slides only where the direct scan
-                    # would not read its whole windows
-                    assert pidx.m > matcher._DIRECT_SPAN * (3 * k + 1)
-                    reached["dense, sliding (distinct)"] += 1
+                if dense:
+                    pending.pop()
+                    if pidx.mode == "distinct":
+                        # a dense distinct chunk slides only where the direct
+                        # scan would not read its whole windows
+                        assert pidx.m > matcher._DIRECT_SPAN * (3 * k + 1)
+                        reached["dense, sliding (distinct)"] += 1
                 chunk_windows += min(pidx.m, len(chunk) - pidx.m + 1)
             elif name == "_decide_dense_chunk":
-                owned, pidx = args[2:4]
-                # only a dense distinct chunk whose windows the direct scan
-                # would read whole
-                assert dense and pidx.mode == "distinct"
-                assert pidx.m <= matcher._DIRECT_SPAN * (3 * k + 1)
+                first, owned, pidx = args[1:4]
+                # only dense distinct chunks whose windows the direct scan
+                # would read whole, and exactly those seen since the last
+                # run: consecutive, at most _DENSE_RUN + m - 1 windows
+                assert pidx.mode == "distinct" and pidx.m <= matcher._DIRECT_SPAN * (3 * k + 1)
+                assert pending and pending[0][0] == first
+                assert all(a + size == b for (a, size), (b, _) in zip(pending, pending[1:]))
+                assert sum(size for _, size in pending) == owned < matcher._DENSE_RUN + pidx.m
+                pending.clear()
                 reached["dense, decided together"] += 1
                 chunk_windows += owned
             else:  # _decide_window
                 window, pidx = args[:2]
                 # a window decided alone is a candidate: a dense chunk
-                # slides or is decided together
-                assert len(window) == pidx.m and not dense
+                # slides or is decided together, and a run of dense chunks
+                # before it is decided before it
+                assert len(window) == pidx.m and not dense and not pending
                 chunk_windows += 1
+        assert not pending  # every run is decided, the last one after the last chunk
         if m < matcher._MIN_BLOCK * (k + 1):
             reached["no prefilter"] += 1
             assert stats.prefiltered == 0
@@ -1355,12 +1367,13 @@ def test_distinct_run_of_windows_decided_alone_builds_only_the_value_order(monke
 
 
 def test_dense_chunks_share_the_links_and_offsets_built_once(monkeypatch, routes):
-    # each dense chunk reads the pattern's edges and their offsets from the
-    # index, which builds each at the first chunk and never again
+    # each run of dense chunks reads the pattern's edges and their offsets
+    # from the index, which builds each at the first run and never again;
+    # the shape's sparse chunks and the run cap split its runs
     builds = _count_builds(monkeypatch, "links", "offsets", "rank", "class_bounds", "ref")
-    inst = SHAPES["near-sorted-m200"].build()
+    inst = SHAPES["dense-runs-m40"].build()
     got = match_all(inst.text, inst.pattern, inst.k, inst.mode)
-    assert len(got) == SHAPES["near-sorted-m200"].answer
+    assert len(got) == SHAPES["dense-runs-m40"].answer
     assert len(routes.calls("_decide_dense_chunk")) > 1
     assert builds == {"links": 1, "offsets": 1}
 
@@ -1409,20 +1422,27 @@ def test_prefilter_needs_five_positions_in_every_block(routes, m, prefiltered):
         assert len(calls) == chunks and stats.prefiltered == 0
 
 
+def _near_sorted_case(m, n):
+    """range(n) with one adjacent swap every 20 values, from 5 on, and an
+    increasing pattern of m values."""
+    text = list(range(n))
+    for j in range(5, n - 1, 20):
+        text[j], text[j + 1] = text[j + 1], text[j]
+    return text, list(range(m))
+
+
 @pytest.mark.parametrize("m, alone", [(32, True), (33, False)])
 def test_dense_distinct_chunk_decides_its_windows_alone_up_to_8_3k_plus_1(routes, m, alone):
     # near-sorted text against an increasing pattern at k = 1: every window
     # keeps a whole block, and every one within 2k comparison codes, so each
     # chunk is dense. At m = 32 = 8(3k + 1) (written out so that a changed
     # direct span or route bound fails here) the direct scan would read every
-    # symbol of every window, so no chunk slides: each chunk decides its m
-    # owned windows together; at m = 33 every chunk takes the sliding path
+    # symbol of every window, so no chunk slides: the two chunks form one
+    # run, whose 2m windows one call decides together; at m = 33 every
+    # chunk takes the sliding path
     n = 3 * m - 1  # two chunks, each owning m windows
     windows = n - m + 1
-    text = list(range(n))
-    for j in range(5, n - 1, 20):  # one or two adjacent swaps per window
-        text[j], text[j + 1] = text[j + 1], text[j]
-    pattern = list(range(m))
+    text, pattern = _near_sorted_case(m, n)  # one or two adjacent swaps per window
     stats = MatchStats()
     got = match_all(text, pattern, 1, stats=stats)
     assert got == match_naive(text, pattern, 1)
@@ -1432,9 +1452,52 @@ def test_dense_distinct_chunk_decides_its_windows_alone_up_to_8_3k_plus_1(routes
     assert stats.windows == windows and stats.prefiltered == 0
     together = [args[2] for _, args, _ in routes.calls("_decide_dense_chunk")]
     if alone:
-        assert calls == [] and together == [m, m] and decided == [] and stats.verified == windows
+        assert calls == [] and together == [2 * m] and decided == [] and stats.verified == windows
     else:
         assert calls == [2 * m, 2 * m - 1] and together == [] and decided == []
+
+
+def test_dense_run_is_decided_before_the_sparse_chunk_that_ends_it(routes):
+    # near-sorted text against an increasing pattern at m = 30, k = 2, with
+    # [90, 130) reversed: six chunks of m windows, all dense but the chunks
+    # at 60 and 90. The code filter leaves the chunk at 60 its first 4
+    # windows and the chunk at 90 none, so the dense chunks form two runs.
+    # The first (a (first, owned) tuple) is decided before the sparse
+    # chunk's windows (lists), the second after the last chunk, and the
+    # starts stay ascending
+    m, k = 30, 2
+    text, pattern = _near_sorted_case(m, 7 * m - 1)
+    text[90:130] = text[90:130][::-1]
+    stats = MatchStats()
+    got = match_all(text, pattern, k, stats=stats)
+    assert got == match_naive(text, pattern, k)
+    decided = [
+        args[1:3] if name == "_decide_dense_chunk" else args[0]
+        for name, args, _ in routes.log
+        if name in ("_decide_dense_chunk", "_decide_window")
+    ]
+    assert decided == [(0, 2 * m), *(text[s : s + m] for s in range(60, 64)), (4 * m, 2 * m)]
+    assert stats.windows == 6 * m and stats.prefiltered == 2 * m - 4 and stats.occurrences == len(got)
+
+
+def test_dense_run_is_decided_once_it_holds_8192_windows(routes):
+    # near-sorted text against an increasing pattern at m = 32, k = 1: all
+    # 625 chunks are dense, so they form one run, decided once it holds
+    # _DENSE_RUN = 8192 windows or more (written out so that a changed cap
+    # fails here): at 256 chunks, exactly, twice, and after the last chunk.
+    # The calls are ascending and gap-free, each of at most 8192 + m - 1
+    # windows; windows holding two swaps do not match
+    m = 32
+    text, pattern = _near_sorted_case(m, 625 * m + m - 1)
+    stats = MatchStats()
+    got = match_all(text, pattern, 1, stats=stats)
+    assert got == match_naive(text, pattern, 1)
+    assert 0 < len(got) < 625 * m
+    runs = [args[1:3] for _, args, _ in routes.calls("_decide_dense_chunk")]
+    assert runs == [(0, 8192), (8192, 8192), (16384, 625 * m - 16384)]
+    assert all(a + owned == b for (a, owned), (b, _) in zip(runs, runs[1:]))
+    assert all(owned <= 8192 + m - 1 for _, owned in runs)
+    assert stats.windows == stats.verified == 625 * m and stats.prefiltered == 0
 
 
 def _displaced(draw, n):

@@ -36,9 +36,11 @@ def test_shape_takes_its_route(routes, name):
     elif shape.route == "codes":
         assert stats.code_ruled_out > 0
     elif shape.route == "dense-together":
-        assert routes.owned() + len(decided) == windows
-        # the chunks certify all but a few windows: at most 5% get the patience pass
+        # the chunks certify all but a few windows: at most 5% get the
+        # patience pass, and at most 5% lie in the chunks that the
+        # prefilter leaves sparse between the runs decided together
         assert routes.owned() > 0 and 20 * routes.decided_alone() <= windows
+        assert 20 * (windows - routes.owned()) <= windows
     else:
         assert shape.route in ("direct", "dynstring") and chunks
         assert (stats.dyn_scans > 0) == (shape.route == "dynstring")
