@@ -16,8 +16,8 @@ that ``match_all`` makes:
   and no chunk slides;
 - ``dense-together``: no chunk slides, and dense chunks are decided
   together: the bit planes of their broken pattern edges certify all but
-  at most 5% of the windows, which get the patience pass, and at most 5%
-  lie in the few chunks that the prefilter leaves sparse between runs;
+  at most 5% of the windows, which get the patience pass; only the few
+  chunks that the prefilter leaves sparse between runs hold other windows;
 - ``direct``: chunks slide, and the direct scan decides every window they
   own, with no DynString scan;
 - ``dynstring``: chunks slide, and their DynString decides windows.
