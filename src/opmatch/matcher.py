@@ -41,7 +41,7 @@ from typing import Sequence
 
 from .fragstring import RefString
 from .seqcore import _validate_k, check_sequences
-from .signature import _DIRECT_SPAN, SlidingSignature, _class_walk, path_order, signature_hamming
+from .signature import SlidingSignature, _capped_mismatches, _class_walk, _direct_span, path_order
 from .subsequence import (
     heaviest_chain,
     heaviest_increasing_subsequence,
@@ -603,10 +603,11 @@ def match_all(
       3k + 1 mismatches, and ``verify_window`` below that cap, the rule
       ``match_chunk`` applies.
     - Decided together, when the prefilter ran and the tests left more, in
-      distinct mode with m <= 8(3k + 1), the direct scan's span at the
-      filter's cap of 3k mismatches: there that scan would read every
-      symbol of every window. ``_decide_dense_chunk`` decides the owned
-      windows with no chunk set-up, ``advance`` or verification. Bit planes
+      distinct mode with m <= 8(3k + 1), where the direct scan's span at
+      the filter's cap of 3k mismatches (``_direct_span(m, 3 * k)``) is
+      the whole window: there that scan would read every symbol of every
+      window. ``_decide_dense_chunk`` decides the owned windows with no
+      chunk set-up, ``advance`` or verification. Bit planes
       of the pattern's broken order edges reject every window with more
       than k of them and certify most of the rest, and the patience pass
       decides the few they cannot certify. Consecutive such chunks form one
@@ -643,7 +644,7 @@ def match_all(
             planes = _bit_planes(pattern_codes, mode)
     codes = _comparison_codes(text, mode) if blocks else b""
     # the direct scan would read these windows whole: decide dense chunks together
-    together = bool(blocks) and mode == "distinct" and m <= _DIRECT_SPAN * (3 * k + 1)
+    together = bool(blocks) and mode == "distinct" and _direct_span(m, 3 * k) == m
     out: list[int] = []
     end = n - m + 1
     run = 0  # the owned windows of the pending run of chunks decided together
@@ -698,7 +699,7 @@ def _decide_window(
         kept = True
     else:
         sig = _class_walk(window, path_order(window))
-        stream = signature_hamming(sig, pidx.ref.symbols, 3 * k)
+        stream = _capped_mismatches(sig, pidx.ref.symbols, 3 * k)
         kept = not stream.truncated
         found = kept and verify_window(window, pidx, stream.positions, k)
     if stats is not None:

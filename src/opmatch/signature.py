@@ -53,9 +53,14 @@ REL_PAD = 3
 MIN_PACKED = REL_MIN
 PAD_PACKED = REL_PAD
 
-# The direct scan reads at most _DIRECT_SPAN * (limit + 1) symbols of a
-# window: O(k), inside the filter's amortized O(k + log log m) per window.
 _DIRECT_SPAN = 8
+
+
+def _direct_span(m: int, limit: int) -> int:
+    """The symbols of an m-long window that the direct scan compares at scan
+    cap ``limit``: at most 8(limit + 1), so O(k) at the filter's cap of 3k,
+    inside its amortized O(k + log log m) per window."""
+    return min(m, _DIRECT_SPAN * (limit + 1))
 
 
 def pack_symbol(offset: int, relation: int) -> int:
@@ -131,12 +136,17 @@ def signature_hamming(
     cap + 1 mismatches and the stream is truncated."""
     if len(a) != len(b):
         raise ValueError(f"signature lengths differ: {len(a)} vs {len(b)}")
-    found = compress(count(1), map(ne, a, b))
-    if cap is None:
-        return MismatchStream(list(found), False)
-    _validate_k(cap, "cap")
-    # islice refuses a bound past sys.maxsize, and a cap past m reads all m
-    positions = list(islice(found, min(cap, len(a)) + 1))
+    if cap is not None:
+        _validate_k(cap, "cap")
+    return _capped_mismatches(a, b, len(a) if cap is None else cap)
+
+
+def _capped_mismatches(a: Sequence[int], b: Sequence[int], cap: int) -> MismatchStream:
+    """Positions (1-based) where ``a`` and ``b`` differ, among the first
+    len(a) of each, truncated after cap + 1 of them, with no checks: the
+    callers' symbol lists and count ``cap`` are sound by construction."""
+    # islice refuses a bound past sys.maxsize, and a cap past len(a) reads all of a
+    positions = list(islice(compress(count(1), map(ne, a, b)), min(cap, len(a)) + 1))
     return MismatchStream(positions, len(positions) > cap)
 
 
@@ -272,12 +282,14 @@ class SlidingSignature:
     ``limit``, the scan cap of every window (3k in ``match_chunk``), is a
     count checked once, at set-up, as k is (``_validate_k``), before the
     chunk is read (each ``dyn`` scan checks it again); set-up also fixes the
-    direct span, min(m, 8(limit + 1)) symbols. ``first_mismatches`` decides
-    most windows by comparing the window's first span of mirror symbols with
-    the reference directly: that settles every window with more than
-    ``limit`` mismatches in that span, and every window no longer than the
-    span. The other windows, those with a long matched stretch, go to
-    ``dyn``, whose LCP jumps cross matched fragments.
+    direct span, min(m, 8(limit + 1)) symbols (``_direct_span``).
+    ``first_mismatches`` decides most windows by comparing the window's
+    first span of mirror symbols with the reference directly, by the capped
+    compare that ``signature_hamming`` uses (``_capped_mismatches``): that
+    settles every window with more than ``limit`` mismatches in that span,
+    and every window no longer than the span. The other windows, those with
+    a long matched stretch, go to ``dyn``, whose LCP jumps cross matched
+    fragments.
     A one-bit predictor skips the direct scan after a DynString scan showed
     that the span could not have decided the window. ``dyn_scans`` counts
     the windows the DynString decided.
@@ -303,7 +315,7 @@ class SlidingSignature:
         self.length = length
         self.start = 1
         self.limit = limit
-        self._span = min(m, _DIRECT_SPAN * (limit + 1))
+        self._span = _direct_span(m, limit)
 
         order = path_order(chunk)
         # 1-based position tables over dense value ranks
@@ -355,13 +367,9 @@ class SlidingSignature:
         span = self._span
         if self._direct:
             i = self.start
-            head = self._mirror[i - 1 : i - 1 + span]
-            diffs = compress(count(1), map(ne, head, self.dyn.ref.symbols))
-            found = list(islice(diffs, min(self.limit, span) + 1))  # bounded below sys.maxsize
-            if len(found) > self.limit:
-                return MismatchStream(found, True)
-            if span == self.m:
-                return MismatchStream(found, False)
+            stream = _capped_mismatches(self._mirror[i - 1 : i - 1 + span], self.dyn.ref.symbols, self.limit)
+            if stream.truncated or span == self.m:
+                return stream
         stream = self.dyn.first_mismatches(self.start, self.limit)
         self.dyn_scans += 1
         # try the direct scan next time only if it could have decided this window

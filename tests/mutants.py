@@ -46,15 +46,15 @@ MUTANTS = [
     Mutant(
         "general-mode window decided alone: 3k - 1 cap",
         "matcher.py",
-        "signature_hamming(sig, pidx.ref.symbols, 3 * k)",
-        "signature_hamming(sig, pidx.ref.symbols, 3 * k - 1)",
+        "_capped_mismatches(sig, pidx.ref.symbols, 3 * k)",
+        "_capped_mismatches(sig, pidx.ref.symbols, 3 * k - 1)",
         ("tests/test_matcher.py::test_decide_window_agrees_with_match_chunk_and_the_check",),
     ),
     Mutant(
         "general-mode window decided alone: 3k + 1 cap",
         "matcher.py",
-        "signature_hamming(sig, pidx.ref.symbols, 3 * k)",
-        "signature_hamming(sig, pidx.ref.symbols, 3 * k + 1)",
+        "_capped_mismatches(sig, pidx.ref.symbols, 3 * k)",
+        "_capped_mismatches(sig, pidx.ref.symbols, 3 * k + 1)",
         ("tests/test_matcher.py::test_decide_window_agrees_with_match_chunk_and_the_check",),
     ),
     Mutant(
@@ -199,15 +199,15 @@ MUTANTS = [
     Mutant(
         "dense distinct chunk decided together only below 8(3k + 1)",
         "matcher.py",
-        "m <= _DIRECT_SPAN * (3 * k + 1)",
-        "m < _DIRECT_SPAN * (3 * k + 1)",
+        "_direct_span(m, 3 * k) == m",
+        "_direct_span(m + 1, 3 * k) == m + 1",
         ("tests/test_matcher.py::test_dense_distinct_chunk_decides_its_windows_alone_up_to_8_3k_plus_1[32-True]",),
     ),
     Mutant(
         "dense distinct chunk decided together up to 8(3k + 2)",
         "matcher.py",
-        "m <= _DIRECT_SPAN * (3 * k + 1)",
-        "m <= _DIRECT_SPAN * (3 * k + 2)",
+        "_direct_span(m, 3 * k) == m",
+        "_direct_span(m, 3 * k + 1) == m",
         ("tests/test_matcher.py::test_dense_distinct_chunk_decides_its_windows_alone_up_to_8_3k_plus_1[33-False]",),
     ),
     Mutant(
@@ -429,6 +429,16 @@ MUTANTS = [
         "min(m, _DIRECT_SPAN * (limit + 1))",
         "min(m, _DIRECT_SPAN * limit)",
         ("tests/test_signature.py::test_direct_scan_decides_every_window_within_its_span",),
+    ),
+    Mutant(
+        "capped compare truncates at cap mismatches, not cap + 1",
+        "signature.py",
+        "len(positions) > cap",
+        "len(positions) >= cap",
+        (
+            "tests/test_signature.py::test_hybrid_filter_matches_hamming",
+            "tests/test_signature.py::test_hamming_cap_at_and_below_zero",
+        ),
     ),
     Mutant(
         "DynString accepts a float limit",

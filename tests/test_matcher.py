@@ -831,9 +831,8 @@ def test_weakened_window_cap_is_caught_by_oracle_comparison(monkeypatch):
         want = match_naive(text, pattern, k)
         assert match_all(text, pattern, k) == match_all(text, pattern, k, "general") == want
         cases.append((text, pattern, k, want))
-    monkeypatch.setattr(
-        matcher, "signature_hamming", lambda a, b, cap=None: signature_hamming(a, b, cap * 2 // 3)
-    )
+    capped = matcher._capped_mismatches
+    monkeypatch.setattr(matcher, "_capped_mismatches", lambda a, b, cap: capped(a, b, cap * 2 // 3))
     monkeypatch.setattr(matcher, "lis_deficit_at_most", lambda seq, k: lis_deficit_at_most(seq, k - 1))
     for mode in ("distinct", "general"):
         broken = 0
@@ -1183,7 +1182,7 @@ def test_match_all_equals_naive_through_every_prefilter_route(routes):
                     if pidx.mode == "distinct":
                         # a dense distinct chunk slides only where the direct
                         # scan would not read its whole windows
-                        assert pidx.m > matcher._DIRECT_SPAN * (3 * k + 1)
+                        assert pidx.m > 8 * (3 * k + 1)
                         reached["dense, sliding (distinct)"] += 1
                 chunk_windows += min(pidx.m, len(chunk) - pidx.m + 1)
             elif name == "_decide_dense_chunk":
@@ -1191,7 +1190,7 @@ def test_match_all_equals_naive_through_every_prefilter_route(routes):
                 # only dense distinct chunks whose windows the direct scan
                 # would read whole, and exactly those seen since the last
                 # run: consecutive, at most _DENSE_RUN + m - 1 windows
-                assert pidx.mode == "distinct" and pidx.m <= matcher._DIRECT_SPAN * (3 * k + 1)
+                assert pidx.mode == "distinct" and pidx.m <= 8 * (3 * k + 1)
                 assert pending and pending[0][0] == first
                 assert all(a + size == b for (a, size), (b, _) in zip(pending, pending[1:]))
                 assert sum(size for _, size in pending) == owned < matcher._DENSE_RUN + pidx.m

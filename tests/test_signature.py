@@ -508,10 +508,11 @@ def test_hybrid_filter_matches_hamming(case):
         windows = len(text) - m + 1
         for i in range(1, windows + 1):
             want_sig = compute_signature(text[i - 1 : i - 1 + m], mode)
-            want = signature_hamming(want_sig, ref_sig, cap=limit)
+            # built here, not by signature_hamming, which shares the direct scan's compare
+            diffs = [p for p, (x, y) in enumerate(zip(want_sig, ref_sig), 1) if x != y]
             scans = sliding.dyn_scans
             got = sliding.first_mismatches()
-            assert (got.positions, got.truncated) == (want.positions, want.truncated), (mode, i)
+            assert (got.positions, got.truncated) == (diffs[: limit + 1], len(diffs) > limit), (mode, i)
             if sliding.dyn_scans > scans:
                 sliding.dyn.check_tiling()
             if i % stride == 0:
