@@ -430,23 +430,27 @@ def verify_window(
     themselves are not checked: ``match_chunk`` has checked them."""
     _validate_k(k)
     threshold = pidx.m + 1 - k
+    # The items one pass keeps while they rise (in general mode: in both
+    # coordinates, or repeating the last kept point) form an increasing
+    # subsequence or a chain: a lower bound that accepts most matching windows.
+    weight = 0
     if pidx.mode == "distinct":
         items = reduce_distinct(window, pidx, mismatches, offset)
-        # The items one pass keeps while their ranks rise form an increasing
-        # subsequence: a lower bound that accepts most matching windows alone.
-        weight = 0
         top = -2
         for v, w in items:
             if v > top:
                 top = v
                 weight += w
-        if weight >= threshold:
-            return True
-        weight, _ = heaviest_increasing_subsequence(items)
+        solve = heaviest_increasing_subsequence
     else:
-        points = reduce_general(window, pidx, mismatches, offset)
-        weight, _ = heaviest_chain(points)
-    return weight >= threshold
+        items = reduce_general(window, pidx, mismatches, offset)
+        tx = ty = _SENTINEL
+        for x, y, w in items:  # in path order: y never falls
+            if x > tx and y > ty or x == tx and y == ty:
+                tx, ty = x, y
+                weight += w
+        solve = heaviest_chain
+    return weight >= threshold or solve(items)[0] >= threshold
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +613,9 @@ def match_all(
       window. ``_decide_dense_chunk`` decides the owned windows with no
       chunk set-up, ``advance`` or verification. Bit planes
       of the pattern's broken order edges reject every window with more
-      than k of them and certify most of the rest, and the patience pass
-      decides the few they cannot certify. Consecutive such chunks form one
+      than k of them and certify most of the rest, with two reads of the
+      text where two deletions meet, and the patience pass decides the few
+      they cannot certify. Consecutive such chunks form one
       run, decided by one call once it holds ``_DENSE_RUN`` = 8192 windows
       or more, after the last chunk, or when the next chunk takes another
       route, before that chunk's windows, so the starts stay ascending. A
@@ -725,9 +730,17 @@ def _decide_dense_chunk(
     leaves x rising: edge r deletes x_{r+1} (right) if x_r < x_{r+2} or r
     is the last edge, and x_r (left) otherwise. Every pair of kept neighbours
     then rises unless some edge r deletes left while x_{r-1} > x_{r+1}
-    or edge r - 2 deletes right; such windows get the patience pass
-    (``_decide_window``), as do no others. Two adjacent broken edges need
-    no term of their own: x_r > x_{r+1} > x_{r+2} makes edge r delete left.
+    (``far``), or while edge r - 2 deletes right, so that the two deletions
+    meet. Two adjacent broken edges need no term of their own: x_r > x_{r+1}
+    > x_{r+2} makes edge r delete left. Where deletions meet, the kept
+    neighbours are x_{r-2} and x_{r+1}. x_{r-2} is kept: edge r - 2 deletes
+    x_{r-1}, and edge r - 3 would delete it only with edges r - 3 and r - 2
+    both broken, which makes edge r - 3 delete left. A deleted x_{r+1} is
+    flagged at edge r + 1 by ``far``, as x_r > x_{r+2}. So the walk records
+    the windows where deletions meet, per edge, and after it two reads of
+    the text decide each one that no other term flags: x_{r-2} > x_{r+1}
+    flags it. The windows flagged get the patience pass
+    (``_decide_window``), as do no others.
 
     Each comparison is one bit per window. The range derives nothing from
     the pattern alone: the edges and their offsets are the index's
@@ -739,16 +752,19 @@ def _decide_dense_chunk(
     and its complement the reverse one. Broken edges are counted by a
     bit-sliced binary counter that starts at 2^B - (k + 1) and marks a
     window at its first carry out of B = k.bit_length() bits, so each edge
-    costs O(log k) big-int operations on owned-bit ints. The walk keeps the last two
-    edges' planes only, and one final pass reads the windows' verdicts
-    from the binary digits of two ints. Every window counts as verified,
-    as it would when decided alone. The range adds its counts to
+    costs O(log k) big-int operations on owned-bit ints. The walk keeps the
+    last two edges' planes only. A window breaks at most k edges, so it
+    gets at most k pairs of reads, never more than its O(m) patience pass.
+    One ``compress`` over the binary digits of one int lists the certified
+    starts, with no interpreter step per window, and the patience passes
+    run on the set bits of another. Every window counts as verified, as it
+    would when decided alone. The range adds its counts to
     ``stats`` in one place; its patience passes add none.
 
     The compares cost O(U (owned + m)) for the U offsets that the
     pattern's edges use, so a pattern whose edges spread over many
-    offsets, or a text whose windows mostly hold a conflict, can make the
-    range slower than one patience pass per window."""
+    offsets, or a text whose windows mostly get the patience pass, can make
+    the range slower than one patience pass per window."""
     m = pidx.m
     links = pidx.links
     seg = text[first : first + owned + m - 1]
@@ -763,11 +779,14 @@ def _decide_dense_chunk(
     count = [mask if start >> j & 1 else 0 for j in range(bits)]
     over = bad = 0  # windows past k broken edges; windows the deletions do not certify
     far = prev = right = 0  # x_{r-1} > x_{r+1}; edges r - 2 and r - 1 delete right
-    for d, lo, e, lo2 in links:
+    meets = []  # (r, the windows where edge r deletes left and edge r - 2 right)
+    for r, (d, lo, e, lo2) in enumerate(links):
         broken = planes[d] >> lo & mask
         down = planes[e] >> lo2 & mask  # x_r > x_{r+2}
         left = broken & down
-        bad |= left & (far | prev)
+        bad |= left & far
+        if meet := left & prev:
+            meets.append((r, meet))
         prev, right = right, broken ^ left
         far = down
         carry = broken
@@ -780,11 +799,19 @@ def _decide_dense_chunk(
             over |= carry
             if over == mask:
                 break
-    top = 1 << owned  # one digit per window in both strings, bit 0 first
-    out: list[int] = []
-    for s, (keep, meet) in enumerate(zip(bin(mask & ~over | top)[:2:-1], bin(bad | top)[:2:-1])):
-        if keep == "1" and (meet == "0" or _decide_window(text[first + s : first + s + m], pidx, k, None)):
-            out.append(first + s + 1)
+    for r, meet in meets:  # the kept x_{r-2} and x_{r+1} must rise
+        meet &= ~(over | bad)
+        a, b = first + pidx.order[r - 2], first + pidx.order[r + 1]
+        while meet:
+            s = (meet & -meet).bit_length() - 1
+            meet ^= 1 << s
+            if text[a + s] > text[b + s]:
+                bad |= 1 << s
+    keep = mask & ~over
+    out = list(compress(range(first + 1, first + owned + 1), _flags(keep & ~bad, owned)))
+    doubtful = compress(range(first, first + owned), _flags(keep & bad, owned))
+    out += [s + 1 for s in doubtful if _decide_window(text[s : s + m], pidx, k, None)]
+    out.sort()
     if stats is not None:
         stats.windows += owned
         stats.verified += owned
@@ -816,6 +843,13 @@ _PLANE_TABLES = {
     "distinct": (bytes.maketrans(b"\0\1", b"01"),),
     "general": (bytes.maketrans(b"\0\1\2", b"001"), bytes.maketrans(b"\0\1\2", b"011")),
 }
+_FLAG_TABLE = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(bits: int, width: int) -> bytes:
+    """Bits 0 to width - 1 of ``bits``, bit 0 first, as one byte each: 1 for
+    a set bit and 0 for a clear one, selectors for ``compress``."""
+    return bin(bits | 1 << width)[:2:-1].encode().translate(_FLAG_TABLE)
 
 
 def _bit_planes(codes: bytes, mode: str) -> list[int]:

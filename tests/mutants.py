@@ -253,15 +253,15 @@ MUTANTS = [
     Mutant(
         "dense chunk counts its patience-pass windows twice",
         "matcher.py",
-        "first + s + m], pidx, k, None)",
-        "first + s + m], pidx, k, stats)",
+        "text[s : s + m], pidx, k, None)",
+        "text[s : s + m], pidx, k, stats)",
         ("tests/test_matcher.py::test_dense_chunk_decides_each_window_like_the_patience_pass",),
     ),
     Mutant(
         "dense chunk certifies a window whose deletions two edges apart meet",
         "matcher.py",
-        "bad |= left & (far | prev)",
-        "bad |= left & far",
+        "        if meet := left & prev:\n",
+        "        if False:\n",
         (
             "tests/test_routes.py::test_every_route_decides_every_chunk_like_naive",
             "tests/test_matcher.py::test_dense_chunk_decides_each_window_like_the_patience_pass",
@@ -270,7 +270,7 @@ MUTANTS = [
     Mutant(
         "dense chunk certifies a left deletion past a higher left neighbour",
         "matcher.py",
-        "bad |= left & (far | prev)",
+        "bad |= left & far",
         "bad |= left & prev",
         ("tests/test_matcher.py::test_dense_chunk_decides_each_window_like_the_patience_pass",),
     ),
@@ -284,9 +284,37 @@ MUTANTS = [
     Mutant(
         "dense chunk leaves a right deletion's conflicts to the patience pass too",
         "matcher.py",
-        "bad |= left & (far | prev)",
-        "bad |= broken & (far | prev)",
+        "bad |= left & far",
+        "bad |= broken & far",
         ("tests/test_shapes.py::test_shape_takes_its_route[near-sorted-m200]",),
+    ),
+    Mutant(
+        "dense chunk reads x_{r-1} for meeting deletions, not the kept x_{r-2}",
+        "matcher.py",
+        "first + pidx.order[r - 2]",
+        "first + pidx.order[r - 1]",
+        ("tests/test_routes.py::test_every_route_decides_every_chunk_like_naive",),
+    ),
+    Mutant(
+        "dense chunk certifies meeting deletions without reading them",
+        "matcher.py",
+        "            if text[a + s] > text[b + s]:\n",
+        "            if False:\n",
+        ("tests/test_routes.py::test_every_route_decides_every_chunk_like_naive",),
+    ),
+    Mutant(
+        "general-mode greedy pass keeps a point with equal x and a larger y",
+        "matcher.py",
+        "x == tx and y == ty",
+        "x == tx and y >= ty",
+        ("tests/test_matcher.py::test_verify_window_routes_agree_with_oracles",),
+    ),
+    Mutant(
+        "general-mode greedy pass rejects on its bound alone",
+        "matcher.py",
+        "        solve = heaviest_chain\n",
+        "        solve = lambda items: (0, [])\n",
+        ("tests/test_matcher.py::test_verify_window_routes_agree_with_oracles",),
     ),
     Mutant(
         "comparison-code filter: 2k - 1 threshold",

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import operator
 import random
 from functools import cached_property
 
@@ -870,11 +871,13 @@ def test_filter_bound_is_tight_in_practice():
 
 
 def _greedy_weight(items):
-    """Weight of the items one pass keeps while their values rise."""
+    """Weight of the items one pass keeps: (value, weight) items while their
+    values rise, and (x, y, weight) points while both coordinates rise or
+    repeat the last kept point."""
     weight, top = 0, None
-    for v, w in items:
-        if top is None or v > top:
-            top, weight = v, weight + w
+    for *point, w in items:
+        if top is None or all(map(operator.gt, point, top)) or point == top:
+            top, weight = point, weight + w
     return weight
 
 
@@ -900,43 +903,62 @@ def _distinct_shape(draw, m):
 
 @st.composite
 def distinct_verify_cases(draw):
-    """(window, pattern, k): distinct windows of adversarial shapes against a
-    pattern of such a shape or the window itself with adjacent swaps."""
+    """(window, pattern, k, "distinct"): distinct windows of adversarial
+    shapes against a pattern of such a shape or the window itself with
+    adjacent swaps."""
     m = draw(st.integers(1, 20))
     window = _distinct_shape(draw, m)
     if draw(st.booleans()):
         pattern = _adjacent_swaps(draw, window)
     else:
         pattern = _distinct_shape(draw, m)
-    return window, pattern, draw(st.integers(0, 4))
+    return window, pattern, draw(st.integers(0, 4)), "distinct"
+
+
+@st.composite
+def general_verify_cases(draw):
+    """(window, pattern, k, "general"): up to 12 values from an alphabet of 1
+    to 4, the pattern drawn alike or the window with adjacent swaps."""
+    m = draw(st.integers(1, 12))
+    values = st.lists(st.integers(0, draw(st.integers(0, 3))), min_size=m, max_size=m)
+    window = draw(values)
+    pattern = _adjacent_swaps(draw, window) if draw(st.booleans()) else draw(values)
+    return window, pattern, draw(st.integers(0, 3)), "general"
 
 
 def test_verify_window_routes_agree_with_oracles(monkeypatch):
-    # verify_window accepts on the greedy lower bound alone and calls the
-    # staircase only when that bound falls short; count both routes
-    staircase = matcher.heaviest_increasing_subsequence
+    # in both modes verify_window accepts on the greedy lower bound alone and
+    # calls its solver (the staircase, or heaviest_chain in general mode) only
+    # when that bound falls short; count both routes in each mode
     solved = []
 
-    def counted(items):
-        solved.append(items)
-        return staircase(items)
+    def counted(solver):
+        def solve(items):
+            solved.append(items)
+            return solver(items)
 
-    monkeypatch.setattr(matcher, "heaviest_increasing_subsequence", counted)
-    routes = {"greedy": 0, "staircase": 0}
+        return solve
 
-    @settings(max_examples=400, deadline=None)
-    @given(distinct_verify_cases())
-    @example(([0, 1, 2, 3], [0, 1, 2, 3], 0))  # greedy weight exactly m + 1 - k
-    @example(([0, 1, 2, 3, 4], [3, 0, 1, 2, 4], 1))  # greedy short, staircase accepts
-    @example(([3, 2, 0, 1], [0, 1, 2, 3], 1))  # greedy one short, rejected
+    for name in ("heaviest_increasing_subsequence", "heaviest_chain"):
+        monkeypatch.setattr(matcher, name, counted(getattr(matcher, name)))
+    routes = collections.Counter()
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(distinct_verify_cases(), general_verify_cases()))
+    @example(([0, 1, 2, 3], [0, 1, 2, 3], 0, "distinct"))  # greedy weight exactly m + 1 - k
+    @example(([0, 1, 2, 3, 4], [3, 0, 1, 2, 4], 1, "distinct"))  # greedy short, staircase accepts
+    @example(([3, 2, 0, 1], [0, 1, 2, 3], 1, "distinct"))  # greedy one short, rejected
+    @example(([1, 1, 0], [1, 1, 0], 0, "general"))  # greedy weight exactly m + 1 - k
+    @example(([0, 1, 1], [0, 1, 0], 1, "general"))  # greedy one short, the chain accepts
+    @example(([1, 0, 1], [0, 2, 1], 1, "general"))  # window 1 = 1 under pattern 0 < 1 is no chain: rejected
     def check(case):
-        window, pattern, k = case
+        window, pattern, k, mode = case
         m = len(pattern)
-        want = k_isomorphic_check(window, pattern, k)
+        want = k_isomorphic_check(window, pattern, k, mode)
         if m <= 14:
             assert k_isomorphic_subset_oracle(window, pattern, k) == want
-        pidx = PatternIndex(pattern, "distinct")
-        ds = signature_hamming(compute_signature(window, "distinct"), pidx.ref.symbols).positions
+        pidx = PatternIndex(pattern, mode)
+        ds = signature_hamming(compute_signature(window, mode), pidx.ref.symbols).positions
         if len(ds) > 3 * k:
             assert want is False
             return
@@ -944,12 +966,10 @@ def test_verify_window_routes_agree_with_oracles(monkeypatch):
         assert verify_window(window, pidx, ds, k) == want
         if solved:
             assert _greedy_weight(solved[0]) < m + 1 - k
-            routes["staircase"] += 1
-        else:
-            routes["greedy"] += 1
+        routes[mode, bool(solved)] += 1
 
     check()
-    assert routes["greedy"] > 0 and routes["staircase"] > 0, routes
+    assert len(routes) == 4, routes
 
 
 def _any_shape(draw, length):

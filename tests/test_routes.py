@@ -96,9 +96,17 @@ def route_cases(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(route_cases())
+# in the window 0 2 1 5 3 4, edge 1 deletes right and edge 3 left: the kept
+# 2 < 3 rise, so two reads certify it at k = 2, with no patience pass
+@example(([0, 2, 1, 5, 3, 4], [0, 1, 2, 3, 4, 5], 2, "distinct"))
 # in the window 1 3 0 5 2 4, edge 1 deletes right and edge 3 left: the kept
-# 3 > 2 leave it to the patience pass, which rejects it at k = 2
+# 3 > 2 leave it to the patience pass, which rejects it at k = 2 and accepts
+# it at k = 3
 @example(([1, 3, 0, 5, 2, 4], [0, 1, 2, 3, 4, 5], 2, "distinct"))
+@example(([1, 3, 0, 5, 2, 4], [0, 1, 2, 3, 4, 5], 3, "distinct"))
+# in the window 0 3 2 6 1 5, edge 3 deletes left after edge 1 deleted right,
+# and past the higher x_2 = 2 > 1: the patience pass rejects it at k = 2
+@example(([0, 3, 2, 6, 1, 5], [0, 1, 2, 3, 4, 5], 2, "distinct"))
 def test_every_route_decides_every_chunk_like_naive(case):
     # for each chunk of the canonical cut: the sliding path with the direct
     # scan on, the sliding path with the DynString deciding every window,
