@@ -21,14 +21,14 @@ mode) of window and pattern. A window with at most k mismatches keeps at
 least m - k positions, so it keeps one of k + 1 pattern blocks whole and
 matches that block's codes (the pigeonhole prefilter), and at most 2k of
 its m - 1 codes differ from the pattern's, since a code can differ only
-next to a dropped position (the comparison-code filter). Both are exact:
-no occurrence is ruled out. In distinct mode the few windows they leave
-are decided without signatures, by one longest-increasing-subsequence
-pass over the window's values in the pattern's value order, and a dense
-chunk may decide its windows together: bit-parallel counts of the
-pattern's broken order edges reject or certify most of them, and the
-patience pass decides the rest. ``match_all`` states which route each
-chunk takes.
+next to a dropped position (the comparison-code filter, which reads only
+the chunks that would otherwise slide). Both are exact: no occurrence is
+ruled out. In distinct mode the few windows they leave are decided
+without signatures, by one longest-increasing-subsequence pass over the
+window's values in the pattern's value order, and a dense chunk may
+decide its windows together: bit-parallel counts of the pattern's broken
+order edges reject or certify most of them, and the patience pass decides
+the rest. ``match_all`` states which route each chunk takes.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ class PatternIndex:
 
     - ``by_order``: a distinct-mode window decided alone, and the patience
       passes of a dense chunk decided together;
-    - ``links`` and ``offsets``: a dense distinct chunk decided together;
+    - ``links``: a dense distinct chunk decided together;
     - ``rank`` and ``class_bounds``: the reductions of ``verify_window``;
     - ``ref``: a chunk's ``SlidingSignature``, or a general-mode window
       decided alone. ``ref`` in turn builds its suffix structures at its
@@ -313,12 +313,6 @@ class PatternIndex:
             a, b = order[-2:]
             links.append((b - a, min(a, b), 0, 0))
         return links
-
-    @cached_property
-    def offsets(self) -> set[int]:
-        """The nonzero offsets |d| and |e| that ``links`` names: one compare
-        of a dense chunk's values with themselves each."""
-        return {abs(d) for link in self.links for d in link[::2]} - {0}
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +478,10 @@ class MatchStats:
     ``code_ruled_out`` counts the windows that the comparison-code filter
     ruled out, more than 2k of their m - 1 comparison codes differing from
     the pattern's; they count in ``windows``, ``filtered`` and
-    ``prefiltered`` too. ``match_all`` states which chunks each stage
-    reads.
+    ``prefiltered`` too. Only a chunk that would otherwise slide adds to
+    it, never a chunk of the route decided together, which is where a
+    distinct chunk with m <= 8(3k + 1) goes. ``match_all`` states which
+    chunks each stage reads.
 
     The prefilter and the code filter also rule out windows that the
     signature filter would pass, since a signature distance of at most 3k
@@ -583,11 +579,13 @@ def match_all(
     ``_MIN_BLOCK`` = 5 positions or more, that is when m >= 5(k + 1), which
     rules out k >= m - 1.
 
-    A chunk with more block candidates than ``_SPARSE_CAP`` goes to a
-    second, also exact, test. A window with at most k mismatches keeps at
-    least m - k positions, and every consecutive pair whose two positions
-    are both kept compares the same way in window and pattern. So at most
-    2k of its m - 1 comparison codes differ from the pattern's.
+    A chunk with more block candidates than ``_SPARSE_CAP`` that would
+    otherwise slide goes to a second, also exact, test; a chunk of the
+    route decided together below never does. A window with at most k
+    mismatches keeps at least m - k positions, and every consecutive pair
+    whose two positions are both kept compares the same way in window and
+    pattern. So at most 2k of its m - 1 comparison codes differ from the
+    pattern's.
     ``_code_starts`` counts the differing codes of each owned window with
     bit planes of the codes (<, and <= in general mode), O(m/64) words per
     window, and stops after ``_SPARSE_CAP + 1`` windows within 2k. A dense
@@ -598,7 +596,7 @@ def match_all(
 
     Each chunk then takes one route:
 
-    - Decided alone, when either test leaves it at most ``_SPARSE_CAP``
+    - Decided alone, when a test leaves it at most ``_SPARSE_CAP``
       windows (a chunk left none is skipped). ``_decide_window`` decides
       each with no sliding set-up: in distinct mode one patience pass over
       the window's values in the pattern's value order that stops at the
@@ -606,7 +604,7 @@ def match_all(
       signature, one Hamming scan against the pattern's that stops after
       3k + 1 mismatches, and ``verify_window`` below that cap, the rule
       ``match_chunk`` applies.
-    - Decided together, when the prefilter ran and the tests left more, in
+    - Decided together, when the prefilter ran and left more, in
       distinct mode with m <= 8(3k + 1), where the direct scan's span at
       the filter's cap of 3k mismatches (``_direct_span(m, 3 * k)``) is
       the whole window: there that scan would read every symbol of every
@@ -625,7 +623,8 @@ def match_all(
       the U offsets of the pattern's edges.
     - The sliding path over the whole chunk (``match_chunk``) otherwise: in
       general mode, for larger m, and for m < 5(k + 1), where neither test
-      runs.
+      runs. So ``match_all`` builds the pattern's code planes only where
+      such a chunk can occur.
 
     Each input is checked once, before any work, and the first fault in
     this order raises: k (``_validate_k``); the text's values, their
@@ -642,14 +641,15 @@ def match_all(
         return []
     blocks: list[tuple[int, bytes]] = []
     planes: list[int] = []
+    together = False
     if m >= _MIN_BLOCK * (k + 1):
         pattern_codes = _comparison_codes(pattern, mode)
         blocks = _pattern_blocks(pattern_codes, k)
-        if k > 0 and m <= _MAX_CODE_M:
+        # the direct scan would read these windows whole: decide dense chunks together
+        together = mode == "distinct" and _direct_span(m, 3 * k) == m
+        if k > 0 and m <= _MAX_CODE_M and not together:  # the code stage spares sliding chunks only
             planes = _bit_planes(pattern_codes, mode)
     codes = _comparison_codes(text, mode) if blocks else b""
-    # the direct scan would read these windows whole: decide dense chunks together
-    together = bool(blocks) and mode == "distinct" and _direct_span(m, 3 * k) == m
     out: list[int] = []
     end = n - m + 1
     run = 0  # the owned windows of the pending run of chunks decided together
@@ -742,24 +742,25 @@ def _decide_dense_chunk(
     flags it. The windows flagged get the patience pass
     (``_decide_window``), as do no others.
 
-    Each comparison is one bit per window. The range derives nothing from
-    the pattern alone: the edges and their offsets are the index's
-    ``links`` and ``offsets``, built once, at the first dense chunk. For
-    each offset d, one C-level compare of the range's owned + m - 1 values
-    with themselves d places on packs bit s + lo of G_d as text[first + s
-    + lo] > text[first + s + lo + d]; shifting it right by lo and masking
-    to the owned windows gives that comparison for every window at once,
-    and its complement the reverse one. Broken edges are counted by a
+    Each comparison is one bit per window. The edges are the index's
+    ``links``, built once, at the first dense chunk; the range derives the
+    set of their offsets, one pass over m - 1 edges. For each offset d,
+    one C-level compare of the range's owned + m - 1 values with
+    themselves d places on packs bit s + lo of G_d as text[first + s + lo]
+    > text[first + s + lo + d]; shifting it right by lo and masking to the
+    owned windows gives that comparison for every window at once, and its
+    complement the reverse one. Broken edges are counted by a
     bit-sliced binary counter that starts at 2^B - (k + 1) and marks a
     window at its first carry out of B = k.bit_length() bits, so each edge
     costs O(log k) big-int operations on owned-bit ints. The walk keeps the
     last two edges' planes only. A window breaks at most k edges, so it
     gets at most k pairs of reads, never more than its O(m) patience pass.
-    One ``compress`` over the binary digits of one int lists the certified
-    starts, with no interpreter step per window, and the patience passes
-    run on the set bits of another. Every window counts as verified, as it
-    would when decided alone. The range adds its counts to
-    ``stats`` in one place; its patience passes add none.
+    One int holds the verdicts: it starts as the windows certified, each
+    patience pass that accepts a window sets that window's bit, and one
+    ``compress`` over its binary digits lists the starts, ascending, with
+    no interpreter step per window. Every window counts as verified, as it
+    would when decided alone. The range adds its counts to ``stats`` in
+    one place; its patience passes add none.
 
     The compares cost O(U (owned + m)) for the U offsets that the
     pattern's edges use, so a pattern whose edges spread over many
@@ -770,7 +771,7 @@ def _decide_dense_chunk(
     seg = text[first : first + owned + m - 1]
     mask = (1 << owned) - 1
     planes = {0: 0}
-    for d in pidx.offsets:
+    for d in {abs(d) for link in links for d in link[::2] if d}:
         (g,) = _bit_planes(bytes(map(gt, seg, seg[d:])), "distinct")
         planes[d] = g
         planes[-d] = ~g
@@ -807,11 +808,10 @@ def _decide_dense_chunk(
             meet ^= 1 << s
             if text[a + s] > text[b + s]:
                 bad |= 1 << s
-    keep = mask & ~over
-    out = list(compress(range(first + 1, first + owned + 1), _flags(keep & ~bad, owned)))
-    doubtful = compress(range(first, first + owned), _flags(keep & bad, owned))
-    out += [s + 1 for s in doubtful if _decide_window(text[s : s + m], pidx, k, None)]
-    out.sort()
+    good = mask & ~over & ~bad
+    for s in compress(range(owned), _flags(bad & ~over, owned)):  # the doubtful windows
+        good |= _decide_window(seg[s : s + m], pidx, k, None) << s
+    out = list(compress(range(first + 1, first + owned + 1), _flags(good, owned)))
     if stats is not None:
         stats.windows += owned
         stats.verified += owned

@@ -15,9 +15,12 @@ host's speed falls on both sides alike.
 Per shape it prints the median and the quartiles of each side's times, in
 ms to three decimals so that a sub-millisecond shape shows its spread, the
 ratio of the medians (change / parent), the rounds the change won, and,
-from 3 rounds on, "slower" where the change's median exceeds the parent's
-by more than the parent's quartile spread. It is not a timing gate: it
-exits 0 whatever the times. For steadier figures pin it to one CPU, as in
+from 3 rounds on, a verdict where the change's median exceeds the parent's
+by more than the parent's quartile spread. The verdict mirrors the rule
+for a claimed gain, the other way round: "slower" when the parent also won
+at least nine tenths of the rounds, and "unresolved" when it did not, a gap
+that the rounds do not confirm. It is not a timing gate: it exits 0
+whatever the times. For steadier figures pin it to one CPU, as in
 ``taskset -c 0 python tests/abtime.py ...``. ``compare`` takes any named
 instances, for shapes that the catalogue does not hold.
 
@@ -107,7 +110,10 @@ def compare(parent: ModuleType, change: ModuleType, instances: dict, rounds: int
         quartiles = [_quartiles(t) for t in times]
         (p1, p2, p3), (c1, c2, c3) = quartiles
         wins = sum(c < p for p, c in zip(*times))
-        verdict = "slower" if rounds >= 3 and c2 - p2 > p3 - p1 else ""
+        verdict = ""
+        if rounds >= 3 and c2 - p2 > p3 - p1:
+            lost = sum(p < c for p, c in zip(*times))
+            verdict = "slower" if 10 * lost >= 9 * rounds else "unresolved"
         print(
             f"{name:26} {p2 * 1e3:8.3f} [{p1 * 1e3:7.3f}, {p3 * 1e3:7.3f}] "
             f"{c2 * 1e3:8.3f} [{c1 * 1e3:7.3f}, {c3 * 1e3:7.3f}] {c2 / p2:6.2f} {wins:3}/{rounds}  {verdict}".rstrip()

@@ -132,7 +132,7 @@ MUTANTS = [
         "matcher.py",
         "    @cached_property\n    def links(self)",
         "    @property\n    def links(self)",
-        ("tests/test_matcher.py::test_dense_chunks_share_the_links_and_offsets_built_once",),
+        ("tests/test_matcher.py::test_dense_chunks_share_the_links_built_once",),
     ),
     Mutant(
         "sliding chunk: 3k - 1 filter cap",
@@ -213,9 +213,16 @@ MUTANTS = [
     Mutant(
         "dense chunk decided without the prefilter",
         "matcher.py",
-        "together = bool(blocks) and mode",
-        "together = mode",
+        "    together = False\n",
+        '    together = mode == "distinct" and _direct_span(m, 3 * k) == m\n',
         ("tests/test_matcher.py::test_prefilter_needs_five_positions_in_every_block[9-False]",),
+    ),
+    Mutant(
+        "chunks of the route decided together go through the code stage first",
+        "matcher.py",
+        "m <= _MAX_CODE_M and not together:",
+        "m <= _MAX_CODE_M:",
+        ("tests/test_matcher.py::test_match_all_equals_naive_through_every_prefilter_route",),
     ),
     Mutant(
         "dense run decided at every chunk",
@@ -253,9 +260,19 @@ MUTANTS = [
     Mutant(
         "dense chunk counts its patience-pass windows twice",
         "matcher.py",
-        "text[s : s + m], pidx, k, None)",
-        "text[s : s + m], pidx, k, stats)",
+        "seg[s : s + m], pidx, k, None)",
+        "seg[s : s + m], pidx, k, stats)",
         ("tests/test_matcher.py::test_dense_chunk_decides_each_window_like_the_patience_pass",),
+    ),
+    Mutant(
+        "dense chunk sets a doubtful window's verdict one bit up",
+        "matcher.py",
+        "None) << s\n",
+        "None) << s + 1\n",
+        (
+            "tests/test_routes.py::test_every_route_decides_every_chunk_like_naive",
+            "tests/test_matcher.py::test_dense_chunk_decides_each_window_like_the_patience_pass",
+        ),
     ),
     Mutant(
         "dense chunk certifies a window whose deletions two edges apart meet",

@@ -14,10 +14,11 @@ that ``match_all`` makes:
   candidates alone; no comparison-code filter runs and no chunk slides;
 - ``codes``: the comparison-code filter rules windows out of dense chunks,
   and no chunk slides;
-- ``dense-together``: no chunk slides, and dense chunks are decided
-  together: the bit planes of their broken pattern edges certify all but
-  at most 5% of the windows, which get the patience pass; only the few
-  chunks that the prefilter leaves sparse between runs hold other windows;
+- ``dense-together``: no chunk slides and no comparison-code filter runs,
+  and dense chunks are decided together: the bit planes of their broken
+  pattern edges certify all but at most 5% of the windows, which get the
+  patience pass; only the chunks that the prefilter leaves sparse between
+  runs hold other windows;
 - ``direct``: chunks slide, and the direct scan decides every window they
   own, with no DynString scan;
 - ``dynstring``: chunks slide, and their DynString decides windows.
@@ -104,9 +105,9 @@ def _planted() -> Instance:
 
 def _near_sorted() -> Instance:
     """distinct-verify's shape: sorted values with 2% adjacent swaps in text
-    and pattern, m = 200, k = 10. Every chunk stays dense through both
-    prefilter stages, and m <= 8(3k + 1) = 248, so each chunk is decided
-    together."""
+    and pattern, m = 200, k = 10. The block prefilter leaves every chunk
+    dense, and m <= 8(3k + 1) = 248, so each chunk is decided together,
+    with no comparison-code stage."""
     r = random.Random(1)
 
     def swap_some(seq):
@@ -123,12 +124,12 @@ def _near_sorted() -> Instance:
 def _dense_runs() -> Instance:
     """Sorted values with 1% adjacent swaps, n = 2e4, against a pattern of
     40 with 2% of them, k = 2, and two stretches of 90 text values
-    shuffled, at 9000 and 15000. Every chunk stays dense through both
-    prefilter stages but the two on each shuffled stretch, and m <= 8(3k +
-    1) = 56, so the chunks are decided together, in runs: the first run
-    reaches ``_DENSE_RUN`` = 8192 windows at 8200 and is decided there, the
-    next two end before a chunk that the shuffled stretch leaves sparse,
-    and the last ends with the text."""
+    shuffled, at 9000 and 15000. The block prefilter leaves every chunk
+    dense but one on each shuffled stretch and the text's last, which owns
+    one window, and m <= 8(3k + 1) = 56, so the dense chunks are decided
+    together, in runs: the first run reaches ``_DENSE_RUN`` = 8192 windows
+    at 8200 and is decided there, the next two end before a chunk that a
+    shuffled stretch leaves sparse, and the last before the last chunk."""
     r = random.Random(1)
 
     def swap_some(seq, per_mille):
@@ -144,6 +145,19 @@ def _dense_runs() -> Instance:
         r.shuffle(stretch)
         text[a : a + 90] = stretch
     return Instance(text, pattern, 2, "distinct")
+
+
+def _short_runs() -> Instance:
+    """``planted_code_case(1, "distinct")`` 200 times over, each copy's
+    values above the last copy's: n = 14 400, m = 24, k = 1. In each copy
+    the block prefilter leaves the two chunks of the planted windows dense
+    and the chunk across the next copy sparse, and m <= 8(3k + 1) = 32, so
+    the text holds 200 runs of 48 windows decided together, each split from
+    the next: the catalogue's case of many short runs, each of which pays
+    the route's fixed cost per call."""
+    text, pattern, k, mode, _, _ = planted_code_case(1, "distinct")
+    lift = max(text) - min(text) + 1
+    return Instance([v + copy * lift for copy in range(200) for v in text], pattern, k, mode)
 
 
 def _zigzag() -> Instance:
@@ -198,6 +212,7 @@ SHAPES = {
         Shape("near-sorted-m200", "dense-together", 2712, _near_sorted),
         # past the cap of a run decided together, and runs split by sparse chunks
         Shape("dense-runs-m40", "dense-together", 19611, _dense_runs),
+        Shape("short-runs-m24", "dense-together", 600, _short_runs),
         Shape("zigzag-m300", "direct", (2701,), _zigzag),
     ]
 }
@@ -229,14 +244,15 @@ def boundary_case(delta, k=1):
     return text, pattern, k, "distinct"
 
 
-def planted_code_case(k, mode):
-    """(text, pattern, k, mode, near, far): an increasing pattern with k
-    peaks, and a decreasing text holding two increasing windows, each in a
-    chunk of its own, whose long increasing runs make the blocks' candidates
-    dense. The window at 0-based start ``near`` dips where the pattern peaks:
-    its comparisons differ in exactly 2k places, and it matches once the k
-    peaks are dropped. The window at ``far`` dips once more, 2k + 1 places."""
-    m = 12 * (k + 1)
+def planted_code_case(k, mode, m=None):
+    """(text, pattern, k, mode, near, far): an increasing pattern of m
+    values, 12(k + 1) unless given, with k peaks, and a decreasing text
+    holding two increasing windows, each in a chunk of its own, whose long
+    increasing runs make the blocks' candidates dense. The window at
+    0-based start ``near`` dips where the pattern peaks: its comparisons
+    differ in exactly 2k places, and it matches once the k peaks are
+    dropped. The window at ``far`` dips once more, 2k + 1 places."""
+    m = m or 12 * (k + 1)
     peaks = range(m - 2, m - 2 * k - 1, -2)
     pattern = list(range(m))
     near_copy = [10 * j for j in range(m)]

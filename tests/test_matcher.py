@@ -191,7 +191,6 @@ def test_index_tables_follow_the_one_path_order(case):
     first = [values.index(v) for v in values]
     last = [m - 1 - values[::-1].index(v) for v in values]
     assert pidx.class_bounds == (first, last)
-    assert pidx.offsets == {abs(d) for link in pidx.links for d in link[::2]} - {0}
 
 
 # ---------------------------------------------------------------------------
@@ -1160,7 +1159,10 @@ def test_match_all_equals_naive_through_every_prefilter_route(routes):
     @settings(max_examples=500, deadline=None)
     @given(prefilter_cases())
     @example(planted_code_case(1, "general")[:4])  # code distance exactly 2k, a match
-    @example(planted_code_case(2, "distinct")[:4])
+    # m > 8(3k + 1): distinct chunks that would slide reach the code stage,
+    # which leaves the planted ones sparse and the near-sorted ones dense
+    @example(planted_code_case(2, "distinct", 60)[:4])
+    @example((*_near_sorted_case(33, 98), 1, "distinct"))
     @example(([0] * 40, [0] * 10, 1, "general"))  # every window within 2k: the sliding path
     @example((list(range(40)), list(range(10)), 1, "distinct"))  # m <= 8(3k + 1): decided together
     @example(run_case(matcher._SPARSE_CAP))  # exactly C candidates: each alone
@@ -1190,6 +1192,9 @@ def test_match_all_equals_naive_through_every_prefilter_route(routes):
                     reached["sparse" if result else "skip"] += 1
                     reached["sparse at the cap"] += len(result) == matcher._SPARSE_CAP
             elif name == "_code_starts":
+                # only a chunk that would slide: never one of the route
+                # decided together, distinct with m <= 8(3k + 1)
+                assert args[2] == "general" or args[5] + 1 > 8 * (3 * k + 1)
                 dense = result is None
                 reached[f"codes{' dense' if dense else ''} ({args[2]})"] += 1
                 if result is not None:
@@ -1377,7 +1382,7 @@ def test_distinct_run_of_windows_decided_alone_builds_only_the_value_order(monke
     # every chunk is skipped or decides its candidates alone, each by one
     # patience pass over ``by_order``: no table that verification, a chunk
     # decided together or a sliding chunk reads is built
-    builds = _count_builds(monkeypatch, "by_order", "rank", "class_bounds", "ref", "links", "offsets")
+    builds = _count_builds(monkeypatch, "by_order", "rank", "class_bounds", "ref", "links")
     text, pattern, k = _direct_route_case()
     stats = MatchStats()
     assert match_all(text, pattern, k, stats=stats) == [701]
@@ -1385,16 +1390,16 @@ def test_distinct_run_of_windows_decided_alone_builds_only_the_value_order(monke
     assert builds == {"by_order": 1}
 
 
-def test_dense_chunks_share_the_links_and_offsets_built_once(monkeypatch, routes):
-    # each run of dense chunks reads the pattern's edges and their offsets
-    # from the index, which builds each at the first run and never again;
-    # the shape's sparse chunks and the run cap split its runs
-    builds = _count_builds(monkeypatch, "links", "offsets", "rank", "class_bounds", "ref")
+def test_dense_chunks_share_the_links_built_once(monkeypatch, routes):
+    # each run of dense chunks reads the pattern's edges from the index,
+    # which builds them at the first run and never again; the shape's
+    # sparse chunks and the run cap split its runs
+    builds = _count_builds(monkeypatch, "links", "rank", "class_bounds", "ref")
     inst = SHAPES["dense-runs-m40"].build()
     got = match_all(inst.text, inst.pattern, inst.k, inst.mode)
     assert len(got) == SHAPES["dense-runs-m40"].answer
     assert len(routes.calls("_decide_dense_chunk")) > 1
-    assert builds == {"links": 1, "offsets": 1}
+    assert builds == {"links": 1}
 
 
 @pytest.mark.parametrize(
@@ -1478,25 +1483,29 @@ def test_dense_distinct_chunk_decides_its_windows_alone_up_to_8_3k_plus_1(routes
 
 def test_dense_run_is_decided_before_the_sparse_chunk_that_ends_it(routes):
     # near-sorted text against an increasing pattern at m = 30, k = 2, with
-    # [90, 130) reversed: six chunks of m windows, all dense but the chunks
-    # at 60 and 90. The code filter leaves the chunk at 60 its first 4
-    # windows and the chunk at 90 none, so the dense chunks form two runs.
-    # The first (a (first, owned) tuple) is decided before the sparse
-    # chunk's windows (lists), the second after the last chunk, and the
-    # starts stay ascending
+    # [60, 150) shuffled and the window at 60 then made to rise but for two
+    # dips, a match: six chunks of m windows, all dense but the chunks at
+    # 60 and 90. The block prefilter leaves the chunk at 60 five windows,
+    # the match among them, and the chunk at 90 none, so the dense chunks
+    # form two runs. The first (a (first, owned) tuple) is decided before
+    # the sparse chunk's windows (lists), the second after the last chunk,
+    # and the starts stay ascending
     m, k = 30, 2
     text, pattern = _near_sorted_case(m, 7 * m - 1)
-    text[90:130] = text[90:130][::-1]
+    stretch = text[60:150]
+    random.Random(0).shuffle(stretch)
+    rising = sorted(stretch[:m])
+    text[60:150] = [*rising[2:11], rising[0], *rising[11:20], rising[1], *rising[20:], *stretch[m:]]
     stats = MatchStats()
     got = match_all(text, pattern, k, stats=stats)
-    assert got == match_naive(text, pattern, k)
+    assert got == match_naive(text, pattern, k) and 61 in got
     decided = [
         args[1:3] if name == "_decide_dense_chunk" else args[0]
         for name, args, _ in routes.log
         if name in ("_decide_dense_chunk", "_decide_window")
     ]
-    assert decided == [(0, 2 * m), *(text[s : s + m] for s in range(60, 64)), (4 * m, 2 * m)]
-    assert stats.windows == 6 * m and stats.prefiltered == 2 * m - 4 and stats.occurrences == len(got)
+    assert decided == [(0, 2 * m), *(text[s : s + m] for s in (60, 69, 70, 79, 80)), (4 * m, 2 * m)]
+    assert stats.windows == 6 * m and stats.prefiltered == 2 * m - 5 and stats.occurrences == len(got)
 
 
 def test_dense_run_is_decided_once_it_holds_8192_windows(routes):
@@ -1570,9 +1579,11 @@ def test_dense_chunk_decides_each_window_like_the_patience_pass(case):
 def test_code_filter_rules_out_a_window_at_distance_2k_plus_1(routes, k, mode):
     # both planted windows lie in chunks whose block candidates are dense;
     # the code filter passes the window at 2k to _decide_window, which
-    # accepts it, and rules out the window at 2k + 1 before any signature
-    text, pattern, k, mode, near, far = planted_code_case(k, mode)
-    m = len(pattern)
+    # accepts it, and rules out the window at 2k + 1 before any signature.
+    # A distinct chunk reaches the filter only where it would slide, so
+    # there m = 8(3k + 1) + 4 lies above the route decided together
+    m = 12 * (k + 1) if mode == "general" else 8 * (3 * k + 1) + 4
+    text, pattern, k, mode, near, far = planted_code_case(k, mode, m)
     assert _code_distance(text[near : near + m], pattern) == 2 * k
     assert _code_distance(text[far : far + m], pattern) == 2 * k + 1
     stats = MatchStats()
